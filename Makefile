@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare coverage docs-check examples staticcheck apicheck shuffle shard-smoke persist-smoke ci
+.PHONY: build test race bench bench-compare bench-check loc coverage docs-check examples staticcheck apicheck shuffle shard-smoke persist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,18 @@ bench:
 # tune, WARN_ONLY=1 to report without failing).
 bench-compare:
 	./scripts/bench_compare.sh
+
+# The end-to-end benchmark harness (bench/) is a module of its own that
+# imports repro/internal/..., so `go build ./... && go test ./...` never
+# compiles it: vet and test it here so an internal refactor cannot break
+# the harness unseen (~8 s).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The code-line measure code-diet PRs report: non-blank, non-comment lines
+# of non-test Go outside bench/.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | grep -vcE '^\s*($$|//)'
 
 # Statement-coverage gate: internal/core and internal/service against
 # the floors in scripts/coverage_floor.txt (WARN_ONLY=1 to report only).
@@ -65,4 +77,4 @@ staticcheck:
 		echo "staticcheck not installed; run: go install honnef.co/go/tools/cmd/staticcheck@latest"; exit 1; }
 	staticcheck ./...
 
-ci: build test race shuffle apicheck coverage examples docs-check shard-smoke persist-smoke
+ci: build test race shuffle apicheck bench-check coverage examples docs-check shard-smoke persist-smoke

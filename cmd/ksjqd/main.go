@@ -199,7 +199,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("ksjqd listening on %s (%d relations preloaded)", *addr, len(loads))
+	log.Printf("ksjqd listening on %s (%d relations preloaded, %d already recovered and skipped)", *addr, preloaded, len(loads)-preloaded)
 
 	// The API mux is ours, so the pprof handlers net/http/pprof hangs on
 	// the default mux stay unreachable unless the operator opts in with a

@@ -50,6 +50,15 @@ type ExecOptions struct {
 	scalarVerify bool
 }
 
+// Emit receives one confirmed skyline tuple. Returning false cancels the
+// query; the run then returns with whatever work was done. Streaming
+// addresses the naive algorithm's weakness the paper calls out in Sec. 6.1:
+// with join-then-compute the user waits for the whole join before seeing
+// the first result, while the grouping algorithm can stream the entire
+// SS1 ⋈ SS2 cell right after categorization and each "likely"/"may be"
+// candidate as soon as its target-set check passes.
+type Emit func(p join.Pair) bool
+
 // ErrOptionConflict is returned when exec options are combined with an
 // algorithm that cannot honor them (Workers/Emit require Grouping).
 var ErrOptionConflict = errors.New("core: workers and emit require the grouping algorithm")
@@ -62,8 +71,9 @@ var ErrOptionConflict = errors.New("core: workers and emit require the grouping 
 const cancelEvery = 16
 
 // Exec evaluates the query on the single engine execution path shared by
-// every public entry point: Run is Exec with defaults, RunParallel is
-// Workers > 1, RunProgressive is a non-nil Emit. The context is checked
+// every public entry point: Run is Exec with defaults, a parallel run
+// (the paper's Sec. 8 future-work item) is Workers > 1, a progressive one
+// is a non-nil Emit. The context is checked
 // between phases and periodically inside candidate verification (the
 // dominant cost); on cancellation Exec returns ctx.Err() promptly with no
 // goroutines left behind.

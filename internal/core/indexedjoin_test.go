@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -118,7 +119,7 @@ func TestPropertyCheckerMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// TestPropertyParallelSharedIndexMatchesSerial: RunParallel — whose workers
+// TestPropertyParallelSharedIndexMatchesSerial: Exec with Workers > 1 — whose workers
 // share one prebuilt checker index — returns exactly Run(q, Grouping) for
 // every join condition, worker count, and aggregate arity.
 func TestPropertyParallelSharedIndexMatchesSerial(t *testing.T) {
@@ -135,7 +136,7 @@ func TestPropertyParallelSharedIndexMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 7} {
-				parallel, err := RunParallel(q, workers)
+				parallel, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -128,7 +128,7 @@ func TestPoolSharesSkewedCell(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		var chunks []int64
 		poolStatsHook = func(c []int64) { chunks = append([]int64(nil), c...) }
-		par, err := RunParallel(q, 4)
+		par, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func BenchmarkVerifyCellAllocs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if workers > 1 {
-					_, err = RunParallel(q, workers)
+					_, err = Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: workers})
 				} else {
 					_, err = Run(q, Grouping)
 				}
@@ -219,7 +219,7 @@ func BenchmarkSkewedCell(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunParallel(q, workers); err != nil {
+				if _, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -140,23 +140,6 @@ func (p *workerPool) close() {
 	}
 }
 
-// RunParallel evaluates the query with the parallelized grouping algorithm —
-// the paper's future-work item ("extend the algorithms to work in
-// parallel", Sec. 8). It is Exec with Workers set: the unified execution
-// path categorizes the two base relations concurrently (they are
-// independent) and shards each cell's candidate verification — the
-// dominant cost — across workers, all probing one prebuilt read-only
-// checker index over the same target lists.
-//
-// workers <= 0 selects GOMAXPROCS. The result is identical to
-// Run(q, Grouping); only the phase timings change.
-func RunParallel(q Query, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: workers})
-}
-
 // Workers returns a human-readable description of the parallel degree, for
 // CLI output.
 func Workers(workers int) string {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -24,7 +25,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 4, 7} {
-			par, err := RunParallel(q, workers)
+			par, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: workers})
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -38,7 +39,7 @@ func TestParallelValidates(t *testing.T) {
 	r1 := randRelation(rng, "r1", 5, 2, 0, 2, 5)
 	r2 := randRelation(rng, "r2", 5, 2, 0, 2, 5)
 	q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 1}
-	if _, err := RunParallel(q, 4); err == nil {
+	if _, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: 4}); err == nil {
 		t.Error("invalid k accepted")
 	}
 }
@@ -48,7 +49,7 @@ func TestParallelStats(t *testing.T) {
 	r1 := randRelation(rng, "r1", 60, 3, 0, 3, 6)
 	r2 := randRelation(rng, "r2", 60, 3, 0, 3, 6)
 	q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 4}
-	res, err := RunParallel(q, 4)
+	res, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,10 @@ func TestProgressiveMatchesRun(t *testing.T) {
 		q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
 
 		var streamed []join.Pair
-		st, err := RunProgressive(q, func(p join.Pair) bool {
+		res, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Emit: func(p join.Pair) bool {
 			streamed = append(streamed, p)
 			return true
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestProgressiveMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		sortPairs(streamed)
-		got := Result{Skyline: streamed, Stats: *st}
+		got := Result{Skyline: streamed, Stats: res.Stats}
 		assertSameSkyline(t, fmt.Sprintf("trial %d", trial), &got, batch)
 	}
 }
@@ -111,10 +112,10 @@ func TestProgressiveEmitsYesCellFirst(t *testing.T) {
 	c2 := Categorize(f2, k2p, join.Equality, Right)
 
 	var order []string
-	_, err := RunProgressive(q, func(p join.Pair) bool {
+	_, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Emit: func(p join.Pair) bool {
 		order = append(order, fmt.Sprintf("%v⋈%v", c1.Cat[p.Left], c2.Cat[p.Right]))
 		return true
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +150,10 @@ func TestProgressiveEarlyStop(t *testing.T) {
 	}
 	want := 2
 	count := 0
-	if _, err := RunProgressive(q, func(join.Pair) bool {
+	if _, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Emit: func(join.Pair) bool {
 		count++
 		return count < want
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if count != want {
@@ -162,7 +163,8 @@ func TestProgressiveEarlyStop(t *testing.T) {
 
 func TestProgressiveValidates(t *testing.T) {
 	q := Query{}
-	if _, err := RunProgressive(q, func(join.Pair) bool { return true }); err == nil {
+	emit := func(join.Pair) bool { return true }
+	if _, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Emit: emit}); err == nil {
 		t.Error("invalid query accepted")
 	}
 }
@@ -175,7 +177,7 @@ func BenchmarkParallelGrouping(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunParallel(q, workers); err != nil {
+				if _, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

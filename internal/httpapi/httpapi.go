@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/join"
 	"repro/internal/service"
 )
 
@@ -58,6 +59,16 @@ type PairJSON struct {
 	Attrs []float64 `json:"attrs"`
 }
 
+// Pairs converts an answer (or a watch delta) to its wire form; never nil,
+// so an empty answer encodes as [].
+func Pairs(sky []join.Pair) []PairJSON {
+	out := make([]PairJSON, len(sky))
+	for i, p := range sky {
+		out[i] = PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs}
+	}
+	return out
+}
+
 // QueryJSON is the wire form of a query (and watch) request.
 type QueryJSON struct {
 	R1        string `json:"r1"`
@@ -69,6 +80,17 @@ type QueryJSON struct {
 	Workers   int    `json:"workers,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	NoCache   bool   `json:"no_cache,omitempty"`
+}
+
+// Request converts to the service's request form. Timeout and NoCache are
+// left for the caller: a query applies the operator's Clamp, a watch is
+// long-lived by design and takes neither.
+func (q QueryJSON) Request() service.QueryRequest {
+	return service.QueryRequest{
+		R1: q.R1, R2: q.R2, K: q.K,
+		Join: q.Join, Agg: q.Agg, Algorithm: q.Algorithm,
+		Workers: q.Workers,
+	}
 }
 
 // QueryResponseJSON is the wire form of one answer.
@@ -117,6 +139,22 @@ type InsertJSON struct {
 	Tuples   []TupleJSON `json:"tuples,omitempty"`
 }
 
+// Batch resolves the two request forms to one batch; giving both is a
+// client error. An empty batch passes through — the service rejects it.
+func (in InsertJSON) Batch() ([]dataset.Tuple, error) {
+	if in.Tuple != nil {
+		if len(in.Tuples) > 0 {
+			return nil, errors.New(`give "tuple" or "tuples", not both`)
+		}
+		return []dataset.Tuple{in.Tuple.Tuple()}, nil
+	}
+	tuples := make([]dataset.Tuple, len(in.Tuples))
+	for i, t := range in.Tuples {
+		tuples[i] = t.Tuple()
+	}
+	return tuples, nil
+}
+
 // InsertResponseJSON reports one ingest group commit.
 type InsertResponseJSON struct {
 	ID          int    `json:"id"`
@@ -133,6 +171,18 @@ type DeleteJSON struct {
 	Relation string `json:"relation"`
 	ID       *int   `json:"id,omitempty"`
 	IDs      []int  `json:"ids,omitempty"`
+}
+
+// Batch resolves the two request forms to one batch; giving both is a
+// client error. An empty batch passes through — the service rejects it.
+func (d DeleteJSON) Batch() ([]int, error) {
+	if d.ID != nil {
+		if len(d.IDs) > 0 {
+			return nil, errors.New(`give "id" or "ids", not both`)
+		}
+		return []int{*d.ID}, nil
+	}
+	return d.IDs, nil
 }
 
 // DeleteResponseJSON reports one delete group commit.
@@ -222,15 +272,15 @@ func NewHandler(svc *service.Service, maxTimeout time.Duration) http.Handler {
 	return mux
 }
 
-// clamp applies the operator bound: a wire client may tighten the
-// deadline but never loosen it. Negative values (the service's
-// embedder-only "no deadline" escape hatch) and anything beyond the
-// bound fall back to the bound, so no client can pin a worker slot past
-// it.
-func (h *handler) clamp(timeoutMS int64) time.Duration {
+// Clamp applies the operator bound (0 = none) to a wire timeout: a client
+// may tighten the deadline but never loosen it. Negative values (the
+// service's embedder-only "no deadline" escape hatch) and anything beyond
+// the bound fall back to the bound, so no client can pin a worker slot
+// past it.
+func Clamp(timeoutMS int64, bound time.Duration) time.Duration {
 	timeout := time.Duration(timeoutMS) * time.Millisecond
-	if timeout < 0 || (h.maxTimeout > 0 && (timeout == 0 || timeout > h.maxTimeout)) {
-		timeout = h.maxTimeout
+	if timeout < 0 || (bound > 0 && (timeout == 0 || timeout > bound)) {
+		timeout = bound
 	}
 	return timeout
 }
@@ -240,9 +290,9 @@ func (h *handler) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "csv" {
 		q := r.URL.Query()
 		name := q.Get("name")
-		local, agg := atoi(q.Get("local")), atoi(q.Get("agg"))
+		local, agg := Atoi(q.Get("local")), Atoi(q.Get("agg"))
 		hasBand := q.Get("band") != "" && q.Get("band") != "0"
-		window := time.Duration(atoi(q.Get("window_ms"))) * time.Millisecond
+		window := time.Duration(Atoi(q.Get("window_ms"))) * time.Millisecond
 		rel, err := dataset.ReadCSV(r.Body, dataset.ReadOptions{
 			Name: name, Local: local, Agg: agg, HasBand: hasBand,
 		})
@@ -308,27 +358,20 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	resp, err := h.svc.Query(r.Context(), service.QueryRequest{
-		R1: req.R1, R2: req.R2, K: req.K,
-		Join: req.Join, Agg: req.Agg, Algorithm: req.Algorithm,
-		Workers: req.Workers,
-		Timeout: h.clamp(req.TimeoutMS),
-		NoCache: req.NoCache,
-	})
+	sreq := req.Request()
+	sreq.Timeout, sreq.NoCache = Clamp(req.TimeoutMS, h.maxTimeout), req.NoCache
+	resp, err := h.svc.Query(r.Context(), sreq)
 	if err != nil {
 		WriteServiceError(w, err)
 		return
 	}
 	out := QueryResponseJSON{
-		Skyline:   make([]PairJSON, len(resp.Skyline)),
+		Skyline:   Pairs(resp.Skyline),
 		Count:     len(resp.Skyline),
 		Source:    string(resp.Source),
 		Algorithm: resp.Algorithm,
 		Versions:  resp.Versions,
 		ElapsedUS: resp.Elapsed.Microseconds(),
-	}
-	for i, p := range resp.Skyline {
-		out.Skyline[i] = PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs}
 	}
 	if st := resp.Stats; st != nil {
 		out.Stats = &StatsJSON{
@@ -355,7 +398,7 @@ func (h *handler) handleVerify(w http.ResponseWriter, r *http.Request) {
 		R1: req.R1, R2: req.R2, K: req.K,
 		Join: req.Join, Agg: req.Agg,
 		Vectors: req.Vectors,
-		Timeout: h.clamp(req.TimeoutMS),
+		Timeout: Clamp(req.TimeoutMS, h.maxTimeout),
 	})
 	if err != nil {
 		WriteServiceError(w, err)
@@ -384,29 +427,24 @@ func (h *handler) handleWatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	watch, err := h.svc.Watch(r.Context(), service.QueryRequest{
-		R1: req.R1, R2: req.R2, K: req.K,
-		Join: req.Join, Agg: req.Agg, Algorithm: req.Algorithm,
-		Workers: req.Workers,
-	})
+	watch, err := h.svc.Watch(r.Context(), req.Request())
 	if err != nil {
 		WriteServiceError(w, err)
 		return
 	}
-	defer watch.Close()
+	StreamWatch(w, watch)
+}
 
+// StreamWatch serves one subscription as NDJSON until it ends or the
+// client goes away, then closes it.
+func StreamWatch(w http.ResponseWriter, watch *service.Watch) {
+	defer watch.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	for ev := range watch.Events() {
-		out := WatchEventJSON{Seq: ev.Seq, Versions: ev.Versions}
-		for _, p := range ev.Added {
-			out.Added = append(out.Added, PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs})
-		}
-		for _, p := range ev.Removed {
-			out.Removed = append(out.Removed, PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs})
-		}
+		out := WatchEventJSON{Seq: ev.Seq, Added: Pairs(ev.Added), Removed: Pairs(ev.Removed), Versions: ev.Versions}
 		if err := enc.Encode(out); err != nil {
 			return // client went away; the deferred Close tears down
 		}
@@ -426,18 +464,10 @@ func (h *handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	var tuples []dataset.Tuple
-	switch {
-	case req.Tuple != nil && len(req.Tuples) > 0:
-		WriteError(w, http.StatusBadRequest, errors.New(`give "tuple" or "tuples", not both`))
+	tuples, err := req.Batch()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
-	case req.Tuple != nil:
-		tuples = []dataset.Tuple{req.Tuple.Tuple()}
-	default:
-		tuples = make([]dataset.Tuple, len(req.Tuples))
-		for i, t := range req.Tuples {
-			tuples[i] = t.Tuple()
-		}
 	}
 	res, err := h.svc.InsertBatch(req.Relation, tuples)
 	if err != nil {
@@ -462,15 +492,10 @@ func (h *handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	var ids []int
-	switch {
-	case req.ID != nil && len(req.IDs) > 0:
-		WriteError(w, http.StatusBadRequest, errors.New(`give "id" or "ids", not both`))
+	ids, err := req.Batch()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
-	case req.ID != nil:
-		ids = []int{*req.ID}
-	default:
-		ids = req.IDs
 	}
 	res, err := h.svc.DeleteBatch(req.Relation, ids)
 	if err != nil {
@@ -518,9 +543,9 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// atoi parses a non-negative query parameter, treating anything else as 0
+// Atoi parses a non-negative query parameter, treating anything else as 0
 // (schema validation downstream produces the real error message).
-func atoi(s string) int {
+func Atoi(s string) int {
 	n, err := strconv.Atoi(s)
 	if err != nil || n < 0 {
 		return 0

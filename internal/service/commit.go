@@ -1,0 +1,489 @@
+package service
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/join"
+	"repro/internal/store"
+)
+
+// The commit pipeline: every mutation of a registered relation — an
+// insert batch, a delete batch, the sweeper's window expiry, a replayed
+// WAL record — is one call to commit, which owns admission, the three
+// phases, the WAL ordering and the no-ack-unless-durable rule. A mutation
+// supplies only what differs between them. DESIGN.md §7 draws the phases.
+
+// mutation is what differs between the commits sharing the pipeline.
+type mutation interface {
+	// apply validates the whole batch against the relation and — only once
+	// all of it is known good — applies it to the rows and their arrival
+	// stamps and counts it. Runs in phase 1 under the exclusive lock; an
+	// error rejects the batch with nothing changed.
+	apply(s *Service, name string, rr *regRelation) error
+	// record is the WAL record that replays the applied batch.
+	record(name string) store.Record
+	// resident advances a reclaimed pre-batch Resident on one side.
+	resident(res *core.Resident, side core.Side) error
+	// maintain advances one answer's maintainer on the side(s) the mutated
+	// relation occupies (both, for a self-join). The churn it returns is
+	// (displaced, admitted) for inserts, (evicted, resurrected) for deletes.
+	maintain(m *core.Maintainer, q core.Query, left, right bool) (churnA, churnB int, err error)
+}
+
+// sides lists the sides of a pair the mutated relation occupies.
+func sides(left, right bool) []core.Side {
+	var out []core.Side
+	if left {
+		out = append(out, core.Left)
+	}
+	if right {
+		out = append(out, core.Right)
+	}
+	return out
+}
+
+// commitResult is what one commit did to the resident state; InsertResult
+// and DeleteResult are its two public spellings.
+type commitResult struct {
+	version                 uint64
+	maintained, invalidated int
+	churnA, churnB          int
+}
+
+// taken is one standing answer a commit carries through its phases: pinned
+// in phase 1, advanced in phase 2 (cur, churn, err), published in phase 3
+// at versions.
+type taken struct {
+	a              *answer
+	versions       [2]uint64
+	combo          residentKey
+	cur            []join.Pair
+	churnA, churnB int
+	err            error
+}
+
+// commitCombo is the per-(pair, condition) state one commit threads
+// through its phases: a representative query (the resident structures are
+// k- and aggregator-independent, so any query over the combo serves) and
+// the shared Resident every answer over the combo advances through.
+type commitCombo struct {
+	q   core.Query
+	res *core.Resident
+}
+
+// commit runs one mutation of the named relation as a group commit: one
+// physical change, one version bump, one resident advance (or rebuild) per
+// affected (pair, condition), one maintainer advance per standing answer,
+// one coalesced WatchEvent per subscriber. It is the only place the three
+// phases, the WAL hooks and the ingest mutex appear.
+func (s *Service) commit(name string, mut mutation) (commitResult, error) {
+	if s.closed.Load() {
+		return commitResult{}, ErrClosed
+	}
+	if err := s.durableOK(); err != nil {
+		return commitResult{}, err
+	}
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if s.closed.Load() {
+		return commitResult{}, ErrClosed
+	}
+
+	// Phase 1 — under the exclusive lock: apply the batch, bump the
+	// version, and pin everything the batch must update out of reach of
+	// concurrent readers.
+	s.mu.Lock()
+	rr, ok := s.rels[name]
+	if !ok {
+		s.mu.Unlock()
+		return commitResult{}, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
+	}
+	if err := mut.apply(s, name, rr); err != nil {
+		s.mu.Unlock()
+		return commitResult{}, err
+	}
+	rr.version++
+	out := commitResult{version: rr.version}
+	live, combos, invalidated := s.takeAffected(name, rr.version-1)
+	out.invalidated = invalidated
+	// The WAL append happens inside the exclusive section so the log order
+	// is the commit order; the fsync (the durability point the ack waits
+	// on) runs after the lock drops. Expiry-driven deletes are logged like
+	// any other: replay reproduces them verbatim instead of re-deriving
+	// them from a clock that no longer matches the rows' arrival times.
+	walSeq, walErr := s.logAppend(mut.record(name))
+	s.mu.Unlock()
+	if walErr == nil {
+		walErr = s.logSync(walSeq)
+	}
+
+	// Phase 2 — no service lock held. Everything touched here (pinned
+	// answers' maintainers, reclaimed residents) is out of reach of
+	// concurrent queries; readers run freely and recompute at the new
+	// versions. A resident that cannot advance falls back to a fresh build;
+	// a failed build (unreachable for registry-owned relations) just means
+	// the combo's maintainers advance without sharing one.
+	for key, c := range combos {
+		if c.res != nil {
+			for _, side := range sides(key.r1 == name, key.r2 == name) {
+				if err := mut.resident(c.res, side); err != nil {
+					c.res = nil
+					break
+				}
+			}
+		}
+		if c.res == nil {
+			c.res, _ = core.NewResident(c.q)
+		}
+	}
+	for _, t := range live {
+		a := t.a
+		if res := combos[t.combo].res; res != nil {
+			a.m.UseResident(res)
+		}
+		t.churnA, t.churnB, t.err = mut.maintain(a.m, a.q, a.key.r1 == name, a.key.r2 == name)
+		if t.err == nil {
+			// Refresh the served snapshot once per batch so cache hits stay
+			// O(1) instead of paying the maintainer's copy-and-sort.
+			t.cur = a.m.Skyline()
+		}
+	}
+
+	// Phase 3 — under the exclusive lock again: publish the advanced
+	// answers (one coalesced delta per subscriber) and seed the resident
+	// cache for the next query.
+	s.mu.Lock()
+	for _, t := range live {
+		s.cache.publish(t.a, t.cur, t.versions, t.err)
+		if t.err != nil {
+			out.invalidated++
+			continue
+		}
+		out.maintained++
+		out.churnA += t.churnA
+		out.churnB += t.churnB
+	}
+	for key, c := range combos {
+		if c.res != nil {
+			s.residents.put(key, c.res)
+		}
+	}
+	s.mu.Unlock()
+	if walErr != nil {
+		// The batch is applied in memory (the phases ran, so resident state
+		// stays coherent) but its durability is unknown — refuse the ack.
+		// logAppend/logSync already latched storeBroken.
+		return commitResult{}, walErr
+	}
+	return out, nil
+}
+
+// takeAffected is the tail of phase 1: with the relation already mutated
+// and its version bumped from oldV, pin every standing answer over it
+// (stale ones are dropped and counted as invalidated) and give each
+// affected (pair, condition) one shared Resident slot — reclaiming the
+// pre-batch snapshot where the cache has one, so phase 2 advances it in
+// place instead of rebuilding — then orphan whatever else references the
+// mutated relation. The caller holds s.mu exclusively.
+func (s *Service) takeAffected(name string, oldV uint64) (live []*taken, combos map[residentKey]*commitCombo, invalidated int) {
+	// pre is what an answer must stand at to be current immediately before
+	// this commit: the registry's versions with the bump undone.
+	pre := func(key answerKey) [2]uint64 {
+		v := s.versionsLocked(key)
+		if key.r1 == name {
+			v[0] = oldV
+		}
+		if key.r2 == name {
+			v[1] = oldV
+		}
+		return v
+	}
+	answers, invalidated := s.cache.take(name, pre)
+	combos = make(map[residentKey]*commitCombo)
+	for _, a := range answers {
+		t := &taken{a: a, versions: s.versionsLocked(a.key)}
+		t.combo = residentKeyOf(a.key, t.versions)
+		if _, ok := combos[t.combo]; !ok {
+			combos[t.combo] = &commitCombo{q: a.q, res: s.residents.take(residentKeyOf(a.key, pre(a.key)))}
+		}
+		live = append(live, t)
+	}
+	s.residents.dropRelation(name)
+	return live, combos, invalidated
+}
+
+// versionsLocked reports the registry versions of a key's relations; a
+// relation no longer registered reads as 0, which no answer stands at.
+// The caller holds s.mu.
+func (s *Service) versionsLocked(key answerKey) (v [2]uint64) {
+	if rr, ok := s.rels[key.r1]; ok {
+		v[0] = rr.version
+	}
+	if rr, ok := s.rels[key.r2]; ok {
+		v[1] = rr.version
+	}
+	return v
+}
+
+// Insert appends one tuple to a registered relation and brings the
+// resident state with it. It is InsertBatch with a one-tuple batch —
+// the per-tuple path IS the batch path, so the two can never diverge.
+func (s *Service) Insert(name string, t dataset.Tuple) (*InsertResult, error) {
+	return s.InsertBatch(name, []dataset.Tuple{t})
+}
+
+// InsertBatch appends a batch of tuples to a registered relation as one
+// group commit (see commit). The final skyline is identical to inserting
+// the tuples one at a time (insert-monotonicity makes batch absorption
+// order-insensitive); only the intermediate versions are skipped.
+func (s *Service) InsertBatch(name string, ts []dataset.Tuple) (*InsertResult, error) {
+	in := &insertMutation{ts: ts}
+	c, err := s.commit(name, in)
+	if err != nil {
+		return nil, err
+	}
+	return &InsertResult{
+		ID: in.ids[0], Count: len(ts), Version: c.version,
+		Maintained: c.maintained, Invalidated: c.invalidated,
+		Displaced: c.churnA, Admitted: c.churnB,
+	}, nil
+}
+
+// insertMutation appends ts; apply records the row ids they were assigned.
+type insertMutation struct {
+	ts  []dataset.Tuple
+	ids []int
+}
+
+func (in *insertMutation) apply(s *Service, name string, rr *regRelation) error {
+	if len(in.ts) == 0 {
+		return fmt.Errorf("%w: empty batch", ErrBadRequest)
+	}
+	first, err := rr.rel.AppendBatch(in.ts)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	in.ids = make([]int, len(in.ts))
+	for i := range in.ids {
+		in.ids[i] = first + i
+	}
+	if rr.window > 0 {
+		now := s.now().UnixNano()
+		for range in.ts {
+			rr.arrivals = append(rr.arrivals, now)
+		}
+	}
+	s.inserts.Add(uint64(len(in.ts)))
+	s.batches.Add(1)
+	return nil
+}
+
+func (in *insertMutation) record(name string) store.Record {
+	return store.Record{Type: store.RecInsert, Relation: name, Tuples: in.ts}
+}
+
+func (in *insertMutation) resident(res *core.Resident, side core.Side) error {
+	return res.Absorb(side, in.ids)
+}
+
+func (in *insertMutation) maintain(m *core.Maintainer, _ core.Query, left, right bool) (displaced, admitted int, err error) {
+	for _, side := range sides(left, right) {
+		d, a, err := m.AbsorbBatch(side, in.ids)
+		if err != nil {
+			return 0, 0, err
+		}
+		displaced += d
+		admitted += a
+	}
+	return displaced, admitted, nil
+}
+
+// Delete removes one tuple from a registered relation and brings the
+// resident state with it. It is DeleteBatch with a one-id batch — the
+// per-tuple path IS the batch path, so the two can never diverge.
+func (s *Service) Delete(name string, id int) (*DeleteResult, error) {
+	return s.DeleteBatch(name, []int{id})
+}
+
+// DeleteBatch removes a batch of tuples (by current row id) from a
+// registered relation as one group commit (see commit); subscribers get
+// the genuine Removed deltas plus any resurrection Added deltas. Ids may
+// arrive in any order but must be in range and free of duplicates; the
+// batch is rejected whole before anything mutates. Deleting every row is
+// rejected too — registered relations stay non-empty.
+func (s *Service) DeleteBatch(name string, ids []int) (*DeleteResult, error) {
+	del := &deleteMutation{ids: ids}
+	c, err := s.commit(name, del)
+	if err != nil {
+		return nil, err
+	}
+	return &DeleteResult{
+		Count: len(ids), Version: c.version,
+		Maintained: c.maintained, Invalidated: c.invalidated,
+		Evicted: c.churnA, Resurrected: c.churnB,
+	}, nil
+}
+
+// deleteMutation removes rows ids; apply leaves ids strictly ascending.
+// expiry marks sweeper-driven deletes in the counters and the WAL.
+type deleteMutation struct {
+	ids    []int
+	expiry bool
+	// rows snapshots the deleted rows for the resurrection filter; nil when
+	// the batch is past the hybrid threshold and maintainers recompute.
+	rows *dataset.Relation
+}
+
+func (d *deleteMutation) apply(s *Service, name string, rr *regRelation) error {
+	if len(d.ids) == 0 {
+		return fmt.Errorf("%w: empty batch", ErrBadRequest)
+	}
+	sorted := append([]int(nil), d.ids...)
+	sort.Ints(sorted)
+	n := rr.rel.Len()
+	for i, id := range sorted {
+		if id < 0 || id >= n {
+			return fmt.Errorf("%w: delete index %d out of range [0,%d)", ErrBadRequest, id, n)
+		}
+		if i > 0 && sorted[i-1] == id {
+			return fmt.Errorf("%w: duplicate delete index %d", ErrBadRequest, id)
+		}
+	}
+	if len(sorted) >= n {
+		return fmt.Errorf("%w: cannot delete all %d rows of %q (registered relations stay non-empty)", ErrBadRequest, n, name)
+	}
+	// The resurrection filter needs the deleted rows' pairs, and the rows
+	// are unrecoverable once the columns compact — snapshot them now, but
+	// only when the batch is small enough that maintainers will take the
+	// incremental arm (past the hybrid threshold they recompute and the
+	// snapshot would be dead weight).
+	if !core.RetractPrefersRecompute(len(sorted), n-len(sorted)) {
+		d.rows = core.SnapshotRows(rr.rel, sorted)
+	}
+	if err := rr.rel.DeleteBatch(sorted); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if rr.window > 0 {
+		keep := rr.arrivals[:0]
+		next := 0
+		for i, at := range rr.arrivals {
+			if next < len(sorted) && sorted[next] == i {
+				next++
+				continue
+			}
+			keep = append(keep, at)
+		}
+		rr.arrivals = keep
+	}
+	d.ids = sorted
+	s.deletes.Add(uint64(len(sorted)))
+	s.deleteBatches.Add(1)
+	if d.expiry {
+		s.expired.Add(uint64(len(sorted)))
+	}
+	return nil
+}
+
+func (d *deleteMutation) record(name string) store.Record {
+	return store.Record{Type: store.RecDelete, Relation: name, IDs: d.ids, Expiry: d.expiry}
+}
+
+// resident compacts the reclaimed Resident in place (O(survivors)).
+func (d *deleteMutation) resident(res *core.Resident, side core.Side) error {
+	return res.Retract(side, d.ids)
+}
+
+// maintain retracts through a RetractSet built for this answer's own
+// (sides, condition, aggregator, k): the group-prune thresholds bake in k
+// and the pair points bake in the aggregator, so answers cannot share one.
+func (d *deleteMutation) maintain(m *core.Maintainer, q core.Query, left, right bool) (evicted, resurrected int, err error) {
+	var rs *core.RetractSet
+	if d.rows != nil {
+		rs = core.NewRetractSet(q, left, right, d.rows)
+	}
+	return m.RetractBatch(left, right, d.ids, rs)
+}
+
+// expiryMutation is the sweeper's delete: which rows go is decided inside
+// the commit's exclusive section, against the arrival stamps as they stand
+// there — the relation may have changed since the sweeper looked.
+type expiryMutation struct{ deleteMutation }
+
+var errNothingExpired = errors.New("service: no expired rows")
+
+func (e *expiryMutation) apply(s *Service, name string, rr *regRelation) error {
+	n := rr.expired(s.now())
+	if n == 0 {
+		return errNothingExpired
+	}
+	e.expiry = true
+	e.ids = make([]int, n)
+	for i := range e.ids {
+		e.ids[i] = i
+	}
+	return e.deleteMutation.apply(s, name, rr)
+}
+
+// expired counts the rows a windowed relation has outlived at now. Arrival
+// stamps are ascending, so they are a prefix and one binary search finds
+// the cut. The newest row is always retained (registered relations stay
+// non-empty).
+func (rr *regRelation) expired(now time.Time) int {
+	if rr.window <= 0 {
+		return 0
+	}
+	deadline := now.UnixNano() - int64(rr.window)
+	n := sort.Search(len(rr.arrivals), func(i int) bool { return rr.arrivals[i] > deadline })
+	return min(n, rr.rel.Len()-1)
+}
+
+// Sweep ages expired rows out of every windowed relation immediately,
+// regardless of the sweep interval, and reports how many rows it removed.
+// The background sweeper calls it on its ticker; tests that disabled the
+// sweeper (negative Config.SweepInterval) call it to drive expiry
+// deterministically.
+func (s *Service) Sweep() int {
+	// Only relations with something to expire pay for a commit (and its
+	// exclusive sections); the commit re-derives the cut under its lock.
+	now := s.now()
+	var due []string
+	s.mu.RLock()
+	for name, rr := range s.rels {
+		if rr.expired(now) > 0 {
+			due = append(due, name)
+		}
+	}
+	s.mu.RUnlock()
+
+	total := 0
+	for _, name := range due {
+		// Errors (closed, durability latched, relation gone or drained
+		// since the scan) leave nothing to count.
+		exp := &expiryMutation{}
+		if _, err := s.commit(name, exp); err == nil {
+			total += len(exp.ids)
+		}
+	}
+	return total
+}
+
+// sweepLoop is the background sweeper goroutine: one Sweep per tick until
+// Close.
+func (s *Service) sweepLoop(interval time.Duration) {
+	defer close(s.sweepDone)
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.sweepStop:
+			return
+		case <-t.C:
+			s.Sweep()
+		}
+	}
+}

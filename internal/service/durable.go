@@ -157,9 +157,7 @@ func (s *Service) replayRecord(rec store.Record) error {
 		_, err := s.InsertBatch(rec.Relation, rec.Tuples)
 		return err
 	case store.RecDelete:
-		s.ingestMu.Lock()
-		_, err := s.deleteBatchLocked(rec.Relation, rec.IDs, rec.Expiry)
-		s.ingestMu.Unlock()
+		_, err := s.commit(rec.Relation, &deleteMutation{ids: rec.IDs, expiry: rec.Expiry})
 		return err
 	case store.RecUnregister:
 		return s.Unregister(rec.Relation)

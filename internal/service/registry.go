@@ -57,6 +57,10 @@ type residentKey struct {
 	cond   join.Condition
 }
 
+func residentKeyOf(key answerKey, versions [2]uint64) residentKey {
+	return residentKey{r1: key.r1, r2: key.r2, v1: versions[0], v2: versions[1], cond: key.cond}
+}
+
 // maxResidents bounds the resident-index cache. Residents are cheap to
 // rebuild (O(n log n)) relative to queries, so the bound just prevents
 // unbounded growth under adversarial (pair, condition) churn.

@@ -16,17 +16,18 @@
 //   - the engine's per-(pair, condition) structures (core.Resident: the
 //     full-R2 join index, probe orders, base-point tables) are built once
 //     and shared by every admitted query over that pair;
-//   - answers are cached under the normalized query (versions, condition,
+//   - answers stand in the cache under the normalized query (condition,
 //     aggregator, k — algorithm is deliberately not part of the key, every
-//     strategy computes the same skyline);
-//   - an insert does not blow the cache away: entries at the current
-//     version are promoted, for free, to core.Maintainer-backed live
-//     entries (core.NewMaintainerFrom) and the new tuple is absorbed
+//     strategy computes the same skyline) stamped with the versions they
+//     are valid at (cache.go);
+//   - an insert does not blow the cache away: the first mutation promotes
+//     each affected answer, for free, to a core.Maintainer-backed live one
+//     (core.NewMaintainerFrom) and the new tuples are absorbed
 //     incrementally, so dashboard-style repeated queries keep hitting
 //     warm answers across updates;
-//   - the same maintainer machinery points outward through Watch
-//     (watch.go): a query becomes a standing subscription whose
-//     Added/Removed deltas are published on every mutation;
+//   - the same standing answer points outward through Watch (watch.go):
+//     subscribers attach to it and receive the Added/Removed delta of
+//     every mutation;
 //   - deletes ride the same rails in the other direction: DeleteBatch is
 //     a group commit that retracts resident indexes in place, evicts
 //     skyline members whose pairs died, and re-verifies only the
@@ -38,18 +39,19 @@
 //     delete nobody had to issue.
 //
 // Concurrency model: queries hold the service's read lock while they
-// execute (relations are read-only during evaluation). Ingest is a group
-// commit in three phases: a short exclusive section appends the whole
-// batch, bumps the version once, and pulls every affected cache entry,
-// watch set, and resident out of reach; the expensive maintainer
-// absorption then runs with no service lock held at all — concurrent
-// queries proceed, recomputing at the new versions; a second short
-// exclusive section publishes the updated entries and residents and fans
-// one coalesced delta per batch out to watchers. Batches themselves are
-// serialized by a dedicated ingest mutex (single writer), so version
-// history stays linear. The answer cache has its own mutex for O(1) hit
-// bookkeeping, and entries being mutated by an ingest are removed from
-// the cache first, so a cache hit never observes a half-absorbed answer.
+// execute (relations are read-only during evaluation). Every mutation —
+// insert, delete, window expiry, WAL replay — is one three-phase group
+// commit (commit.go): a short exclusive section applies the whole batch,
+// bumps the version once, and pins every affected standing answer and
+// resident; the expensive maintainer work then runs with no service lock
+// held at all — concurrent queries proceed, recomputing at the new
+// versions; a second short exclusive section publishes the advanced
+// answers and residents and fans one coalesced delta per batch out to
+// subscribers. Commits themselves are serialized by a dedicated ingest
+// mutex (single writer), so version history stays linear. The answer cache
+// has its own mutex for O(1) hit bookkeeping, and an answer pinned by a
+// commit is a miss until the commit publishes it, so a hit never observes
+// a half-absorbed answer.
 package service
 
 import (
@@ -58,7 +60,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,10 +291,9 @@ type Service struct {
 	// exclusively only for its two short commit sections; absorption runs
 	// with mu released so readers are never blocked behind maintainer
 	// work.
-	mu      sync.RWMutex
-	rels    map[string]*regRelation
-	watches map[watchKey]*watchSet
-	closed  atomic.Bool
+	mu     sync.RWMutex
+	rels   map[string]*regRelation
+	closed atomic.Bool
 
 	// now is the clock windowed relations age against. Production uses
 	// time.Now; in-package tests substitute a fake to drive expiry
@@ -350,7 +350,6 @@ func newService(cfg Config) *Service {
 		cache:     newAnswerCache(cfg.CacheEntries),
 		residents: newResidentCache(),
 		rels:      make(map[string]*regRelation),
-		watches:   make(map[watchKey]*watchSet),
 		now:       time.Now,
 	}
 }
@@ -533,16 +532,17 @@ func parseRequest(req QueryRequest) (parsed, error) {
 	return p, nil
 }
 
-// resolveLocked builds the normalized query and cache key; the caller
-// holds s.mu (read or write).
-func (s *Service) resolveLocked(req QueryRequest, p parsed) (core.Query, cacheKey, error) {
+// resolveLocked builds the normalized query, its answer key, and the
+// registry versions it would be answered at; the caller holds s.mu (read
+// or write).
+func (s *Service) resolveLocked(req QueryRequest, p parsed) (core.Query, answerKey, [2]uint64, error) {
 	rr1, ok := s.rels[req.R1]
 	if !ok {
-		return core.Query{}, cacheKey{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R1)
+		return core.Query{}, answerKey{}, [2]uint64{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R1)
 	}
 	rr2, ok := s.rels[req.R2]
 	if !ok {
-		return core.Query{}, cacheKey{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R2)
+		return core.Query{}, answerKey{}, [2]uint64{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R2)
 	}
 	q := core.Query{
 		R1:   rr1.rel,
@@ -550,12 +550,8 @@ func (s *Service) resolveLocked(req QueryRequest, p parsed) (core.Query, cacheKe
 		Spec: join.Spec{Cond: p.cond, Agg: p.agg},
 		K:    req.K,
 	}
-	key := cacheKey{
-		r1: req.R1, r2: req.R2,
-		v1: rr1.version, v2: rr2.version,
-		cond: p.cond, agg: p.agg.Name, k: req.K,
-	}
-	return q, key, nil
+	key := answerKey{r1: req.R1, r2: req.R2, cond: p.cond, agg: p.agg.Name, k: req.K}
+	return q, key, [2]uint64{rr1.version, rr2.version}, nil
 }
 
 // resolveAndValidate resolves the request and fail-fasts malformed
@@ -566,17 +562,17 @@ func (s *Service) resolveLocked(req QueryRequest, p parsed) (core.Query, cacheKe
 // q.Validate would rescan every tuple on every request, warm hits
 // included. The computed path still runs the full validation inside
 // core.Exec, under the same read lock.
-func (s *Service) resolveAndValidate(req QueryRequest, p parsed) (core.Query, cacheKey, error) {
+func (s *Service) resolveAndValidate(req QueryRequest, p parsed) (answerKey, [2]uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	q, key, err := s.resolveLocked(req, p)
+	q, key, versions, err := s.resolveLocked(req, p)
 	if err != nil {
-		return q, key, err
+		return key, versions, err
 	}
 	if err := checkRequest(q, p); err != nil {
-		return q, key, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return key, versions, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return q, key, nil
+	return key, versions, nil
 }
 
 // checkRequest is the O(1) structural subset of core's query validation.
@@ -598,7 +594,7 @@ func checkRequest(q core.Query, p parsed) error {
 
 // hitResponse assembles a cache/maintained-hit response and bumps the
 // counters.
-func (s *Service) hitResponse(sky []join.Pair, algo string, maintained bool, key cacheKey, start time.Time) *QueryResponse {
+func (s *Service) hitResponse(sky []join.Pair, algo string, maintained bool, versions [2]uint64, start time.Time) *QueryResponse {
 	src := SourceCached
 	if maintained {
 		src = SourceMaintained
@@ -610,7 +606,7 @@ func (s *Service) hitResponse(sky []join.Pair, algo string, maintained bool, key
 		Skyline:   sky,
 		Source:    src,
 		Algorithm: algo,
-		Versions:  [2]uint64{key.v1, key.v2},
+		Versions:  versions,
 		Elapsed:   time.Since(start),
 	}
 }
@@ -638,13 +634,13 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// must be rejected if it is malformed, so accept/reject behavior
 	// never depends on cache state. Then the fast path: a warm answer
 	// needs no admission and no engine work.
-	q, key, err := s.resolveAndValidate(req, p)
+	key, versions, err := s.resolveAndValidate(req, p)
 	if err != nil {
 		return nil, err
 	}
 	if !req.NoCache {
-		if sky, algo, maintained, ok := s.cache.lookup(key); ok {
-			return s.hitResponse(sky, algo, maintained, key, start), nil
+		if sky, algo, maintained, ok := s.cache.lookup(key, versions); ok {
+			return s.hitResponse(sky, algo, maintained, versions, start), nil
 		}
 	}
 
@@ -675,12 +671,13 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// Versions may have moved while the request was queued; resolve again
 	// and re-check the cache — an identical query ahead of us in the pool
 	// may already have warmed it.
-	if q, key, err = s.resolveLocked(req, p); err != nil {
+	q, key, versions, err := s.resolveLocked(req, p)
+	if err != nil {
 		return nil, err
 	}
 	if !req.NoCache {
-		if sky, algo, maintained, ok := s.cache.lookup(key); ok {
-			return s.hitResponse(sky, algo, maintained, key, start), nil
+		if sky, algo, maintained, ok := s.cache.lookup(key, versions); ok {
+			return s.hitResponse(sky, algo, maintained, versions, start), nil
 		}
 	}
 
@@ -688,7 +685,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// and ignores resident structures; don't build them for it.
 	var res *core.Resident
 	if p.auto || p.alg != core.Naive {
-		res, err = s.residents.get(residentKey{r1: key.r1, r2: key.r2, v1: key.v1, v2: key.v2, cond: key.cond}, q)
+		res, err = s.residents.get(residentKeyOf(key, versions), q)
 		if err != nil {
 			return nil, err
 		}
@@ -722,678 +719,22 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	}
 	s.computed.Add(1)
 	algo := alg.Token()
-	s.cache.store(key, q, out.Skyline, algo)
+	s.cache.store(key, versions, q, out.Skyline, algo)
 	return &QueryResponse{
 		Skyline:   out.Skyline,
 		Source:    SourceComputed,
 		Algorithm: algo,
-		Versions:  [2]uint64{key.v1, key.v2},
+		Versions:  versions,
 		Elapsed:   time.Since(start),
 		Stats:     &out.Stats,
 	}, nil
 }
 
-// Insert appends one tuple to a registered relation and brings the
-// resident state with it. It is InsertBatch with a one-tuple batch —
-// the per-tuple path IS the batch path, so the two can never diverge.
-func (s *Service) Insert(name string, t dataset.Tuple) (*InsertResult, error) {
-	return s.InsertBatch(name, []dataset.Tuple{t})
-}
-
-// ingestCombo is the per-(pair, condition) state one batch threads through
-// its phases: a representative query (the resident structures are k- and
-// aggregator-independent, so any query over the combo serves) and the
-// shared Resident every maintained entry and watch set over the combo
-// absorbs through.
-type ingestCombo struct {
-	q   core.Query
-	res *core.Resident
-}
-
-// InsertBatch appends a batch of tuples to a registered relation as one
-// group commit: one physical append, one version bump, one resident
-// build (or in-place extension) per affected (pair, condition), one
-// maintainer absorption per cache entry and watch set, one coalesced
-// WatchEvent per subscriber. The final skyline is identical to inserting
-// the tuples one at a time (insert-monotonicity makes batch absorption
-// order-insensitive); only the intermediate versions are skipped.
-//
-// Locking: the batch runs in three phases. Phase 1 (exclusive) appends
-// and unhooks every affected entry, watch set, and resident. Phase 2
-// holds no service lock — the expensive verification work runs while
-// concurrent queries execute freely, recomputing at the new versions.
-// Phase 3 (exclusive) publishes the absorbed state and watch deltas.
-// Batches are serialized against each other by ingestMu.
-func (s *Service) InsertBatch(name string, ts []dataset.Tuple) (*InsertResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := s.durableOK(); err != nil {
-		return nil, err
-	}
-	if len(ts) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-
-	// Phase 1 — group commit under the exclusive lock: append the batch,
-	// bump the version, and pull everything the batch must update out of
-	// reach of concurrent readers.
-	s.mu.Lock()
-	rr, ok := s.rels[name]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
-	}
-	first, err := rr.rel.AppendBatch(ts)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if rr.window > 0 {
-		now := s.now().UnixNano()
-		for range ts {
-			rr.arrivals = append(rr.arrivals, now)
-		}
-	}
-	oldV := rr.version
-	rr.version++
-	newV := rr.version
-	s.inserts.Add(uint64(len(ts)))
-	s.batches.Add(1)
-	ids := make([]int, len(ts))
-	for i := range ids {
-		ids[i] = first + i
-	}
-	out := &InsertResult{ID: first, Count: len(ts), Version: newV}
-	plan, invalidated := s.takeAffectedLocked(name, oldV, newV)
-	out.Invalidated += invalidated
-	// WAL append happens inside the exclusive section so the log order is
-	// the commit order; the fsync (the durability point the ack waits on)
-	// runs after the lock drops, overlapping the absorption phase.
-	walSeq, walErr := s.logAppend(store.Record{Type: store.RecInsert, Relation: name, Tuples: ts})
-	s.mu.Unlock()
-	if walErr == nil {
-		walErr = s.logSync(walSeq)
-	}
-
-	// Phase 2 — absorb with no service lock held. Everything touched here
-	// (taken entries, watch maintainers, reclaimed residents) is
-	// unreachable by concurrent queries; readers run freely and recompute
-	// at the new versions.
-	for key, cs := range plan.combos {
-		if cs.res != nil {
-			if err := extendResident(cs.res, key.r1 == name, key.r2 == name, ids); err != nil {
-				cs.res = nil // fall back to a fresh build
-			}
-		}
-		if cs.res == nil {
-			// Best effort: a failed build (unreachable for registry-owned
-			// relations) just means this combo absorbs without sharing.
-			cs.res, _ = core.NewResident(cs.q)
-		}
-	}
-	entOut := make([]mutationOutcome, len(plan.live))
-	for i, e := range plan.live {
-		if res := plan.combos[plan.liveCombos[i]].res; res != nil {
-			e.m.UseResident(res)
-		}
-		d, a, err := absorbBatchInto(e.m, e.key.r1 == name, e.key.r2 == name, ids)
-		if err != nil {
-			entOut[i].err = err
-			continue
-		}
-		entOut[i].churnA, entOut[i].churnB = d, a
-		// Refresh the served snapshot once per batch so cache hits stay
-		// O(1) instead of paying the maintainer's copy-and-sort.
-		e.skyline = e.m.Skyline()
-	}
-	wsOut := make([]mutationOutcome, len(plan.wsets))
-	for i, ws := range plan.wsets {
-		if res := plan.combos[plan.wsCombos[i]].res; res != nil {
-			ws.m.UseResident(res)
-		}
-		if _, _, err := absorbBatchInto(ws.m, ws.key.r1 == name, ws.key.r2 == name, ids); err != nil {
-			wsOut[i].err = err
-			continue
-		}
-		wsOut[i].cur = ws.m.Skyline()
-	}
-
-	// Phase 3.
-	s.mu.Lock()
-	maintained, invalidated, displaced, admitted := s.publishLocked(plan, entOut, wsOut)
-	s.mu.Unlock()
-	out.Maintained += maintained
-	out.Invalidated += invalidated
-	out.Displaced += displaced
-	out.Admitted += admitted
-	if walErr != nil {
-		// The batch is applied in memory (phases ran, so resident state
-		// stays coherent) but its durability is unknown — refuse the ack.
-		// logAppend/logSync already latched storeBroken.
-		return nil, walErr
-	}
-	return out, nil
-}
-
-// mutationPlan is everything one mutation batch (insert or delete) pulled
-// out of reach of concurrent readers during its first exclusive section:
-// the still-current cache entries (promoted to live maintenance), the
-// affected watch sets (flagged absorbing), and one shared resident slot
-// per (pair, condition) combo.
-type mutationPlan struct {
-	live       []*entry
-	liveCombos []residentKey
-	wsets      []*watchSet
-	wsCombos   []residentKey
-	wsVersions [][2]uint64
-	combos     map[residentKey]*ingestCombo
-}
-
-// mutationOutcome is what phase 2 produced for one taken entry or watch
-// set. churnA/churnB are displaced/admitted for inserts and
-// evicted/resurrected for deletes.
-type mutationOutcome struct {
-	churnA, churnB int
-	cur            []join.Pair
-	err            error
-}
-
-// takeAffectedLocked is the shared tail of phase 1: with the relation
-// already mutated and its version bumped oldV→newV, pull every affected
-// cache entry, watch set, and resident out of reach. Stale entries are
-// dropped (counted in the returned invalidated); current ones are
-// promoted to live maintenance and re-stamped at newV. The caller holds
-// s.mu exclusively.
-func (s *Service) takeAffectedLocked(name string, oldV, newV uint64) (*mutationPlan, int) {
-	plan := &mutationPlan{combos: make(map[residentKey]*ingestCombo)}
-	invalidated := 0
-
-	// Cache entries still current at the old version are promoted to live
-	// maintenance; stale ones drop. Taken entries are unreachable by
-	// lookups until phase 3 restores them.
-	for _, e := range s.cache.takeForRelation(name) {
-		if !s.entryCurrent(e, name, oldV) {
-			s.cache.drop(e)
-			invalidated++
-			continue
-		}
-		if e.key.r1 == name {
-			e.key.v1 = newV
-		}
-		if e.key.r2 == name {
-			e.key.v2 = newV
-		}
-		if e.m == nil {
-			// Promotion is free: the cached skyline at the pre-batch
-			// version seeds the maintainer, no recomputation. Queries the
-			// maintainer cannot take (non-strict aggregators) fall back
-			// to invalidation.
-			m, err := core.NewMaintainerFrom(e.q, e.skyline)
-			if err != nil {
-				s.cache.drop(e)
-				invalidated++
-				continue
-			}
-			e.m = m
-		}
-		plan.live = append(plan.live, e)
-		plan.liveCombos = append(plan.liveCombos, residentKey{r1: e.key.r1, r2: e.key.r2, v1: e.key.v1, v2: e.key.v2, cond: e.key.cond})
-	}
-
-	// Affected watch sets: flag them as absorbing so a last unsubscribe
-	// during phase 2 cannot close the maintainer out from under us —
-	// phase 3 finishes such a teardown itself.
-	for wkey, ws := range s.watches {
-		if wkey.r1 != name && wkey.r2 != name {
-			continue
-		}
-		v1, v2 := s.rels[wkey.r1].version, s.rels[wkey.r2].version
-		ws.absorbing = true
-		plan.wsets = append(plan.wsets, ws)
-		plan.wsCombos = append(plan.wsCombos, residentKey{r1: wkey.r1, r2: wkey.r2, v1: v1, v2: v2, cond: wkey.cond})
-		plan.wsVersions = append(plan.wsVersions, [2]uint64{v1, v2})
-	}
-
-	// One shared Resident per affected combo. Reclaim the pre-batch
-	// snapshot where the cache has one — phase 2 advances it in place
-	// instead of rebuilding — then orphan whatever else references the
-	// mutated relation.
-	addCombo := func(key residentKey, q core.Query) {
-		if _, ok := plan.combos[key]; !ok {
-			plan.combos[key] = &ingestCombo{q: q}
-		}
-	}
-	for i, e := range plan.live {
-		addCombo(plan.liveCombos[i], e.q)
-	}
-	for i, ws := range plan.wsets {
-		addCombo(plan.wsCombos[i], ws.q)
-	}
-	for key, cs := range plan.combos {
-		oldKey := key
-		if oldKey.r1 == name {
-			oldKey.v1 = oldV
-		}
-		if oldKey.r2 == name {
-			oldKey.v2 = oldV
-		}
-		cs.res = s.residents.take(oldKey)
-	}
-	s.residents.dropRelation(name)
-	return plan, invalidated
-}
-
-// publishLocked is the shared phase 3: restore maintained entries, fan
-// one coalesced delta per batch out to watchers, seed the resident cache
-// for the next query. Returns the maintained/invalidated entry counts and
-// the summed churn. The caller holds s.mu exclusively.
-func (s *Service) publishLocked(plan *mutationPlan, entOut, wsOut []mutationOutcome) (maintained, invalidated, churnA, churnB int) {
-	for i, e := range plan.live {
-		if entOut[i].err != nil {
-			s.cache.drop(e)
-			invalidated++
-			continue
-		}
-		churnA += entOut[i].churnA
-		churnB += entOut[i].churnB
-		s.cache.restore(e)
-		maintained++
-	}
-	for i, ws := range plan.wsets {
-		ws.absorbing = false
-		if wsOut[i].err != nil {
-			// Unreachable for registry-owned relations; fail loudly rather
-			// than silently drift: every subscriber ends with the error.
-			if s.watches[ws.key] == ws {
-				delete(s.watches, ws.key)
-			}
-			ws.m.Close()
-			for sub := range ws.subs {
-				sub.terminate(wsOut[i].err)
-			}
-			continue
-		}
-		if len(ws.subs) == 0 {
-			// The last subscriber left during phase 2; removeWatch deferred
-			// the teardown to us.
-			if s.watches[ws.key] == ws {
-				delete(s.watches, ws.key)
-			}
-			ws.m.Close()
-			continue
-		}
-		added, removed := diffPairs(ws.last, wsOut[i].cur)
-		ws.last = wsOut[i].cur
-		ws.versions = plan.wsVersions[i]
-		for sub := range ws.subs {
-			sub.enqueue(WatchEvent{Added: added, Removed: removed, Versions: ws.versions})
-		}
-	}
-	for key, cs := range plan.combos {
-		if cs.res != nil {
-			s.residents.put(key, cs.res)
-		}
-	}
-	return maintained, invalidated, churnA, churnB
-}
-
-// entryCurrent reports whether a cache entry is valid at the registry
-// state immediately before the current insert: the inserted relation at
-// its pre-bump version, every other relation at its live version. The
-// caller holds s.mu.
-func (s *Service) entryCurrent(e *entry, name string, oldV uint64) bool {
-	versionOf := func(rel string) (uint64, bool) {
-		if rel == name {
-			return oldV, true
-		}
-		rr, ok := s.rels[rel]
-		if !ok {
-			return 0, false
-		}
-		return rr.version, true
-	}
-	v1, ok1 := versionOf(e.key.r1)
-	v2, ok2 := versionOf(e.key.r2)
-	return ok1 && ok2 && e.key.v1 == v1 && e.key.v2 == v2
-}
-
-// extendResident advances a reclaimed pre-batch Resident over the
-// appended tail, on every side the mutated relation occupies (both, for a
-// self-join).
-func extendResident(res *core.Resident, left, right bool, ids []int) error {
-	if left {
-		if err := res.Absorb(core.Left, ids); err != nil {
-			return err
-		}
-	}
-	if right {
-		if err := res.Absorb(core.Right, ids); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete removes one tuple from a registered relation and brings the
-// resident state with it. It is DeleteBatch with a one-id batch — the
-// per-tuple path IS the batch path, so the two can never diverge.
-func (s *Service) Delete(name string, id int) (*DeleteResult, error) {
-	return s.DeleteBatch(name, []int{id})
-}
-
-// DeleteBatch removes a batch of tuples (by current row id) from a
-// registered relation as one group commit: one physical compaction, one
-// version bump, one resident retract (or rebuild) per affected (pair,
-// condition), one maintainer retraction per cache entry and watch set,
-// one coalesced WatchEvent per subscriber carrying the genuine Removed
-// deltas plus any resurrection Added deltas. Ids may arrive in any order
-// but must be in range and free of duplicates; the batch is rejected
-// whole before anything mutates. Deleting every row is rejected too —
-// registered relations stay non-empty.
-//
-// Locking mirrors InsertBatch: phase 1 (exclusive) compacts the relation
-// and unhooks every affected entry, watch set, and resident; phase 2
-// holds no service lock — eviction and resurrection re-verification run
-// while concurrent queries execute freely at the new versions; phase 3
-// (exclusive) publishes the retracted state and watch deltas. Batches are
-// serialized against inserts and other deletes by ingestMu.
-func (s *Service) DeleteBatch(name string, ids []int) (*DeleteResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := s.durableOK(); err != nil {
-		return nil, err
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	return s.deleteBatchLocked(name, ids, false)
-}
-
-// deleteBatchLocked is DeleteBatch after admission: the caller holds
-// ingestMu (the sweeper calls it directly, already inside its own ingest
-// turn). expiry marks sweeper-driven deletes in the counters.
-func (s *Service) deleteBatchLocked(name string, ids []int, expiry bool) (*DeleteResult, error) {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-
-	// Phase 1 — group commit under the exclusive lock: validate the whole
-	// batch, snapshot the doomed rows if the incremental path will want
-	// them, compact the relation, bump the version, and pull everything
-	// the batch must update out of reach of concurrent readers.
-	s.mu.Lock()
-	rr, ok := s.rels[name]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
-	}
-	n := rr.rel.Len()
-	for i, id := range sorted {
-		if id < 0 || id >= n {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: delete index %d out of range [0,%d)", ErrBadRequest, id, n)
-		}
-		if i > 0 && sorted[i-1] == id {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: duplicate delete index %d", ErrBadRequest, id)
-		}
-	}
-	if len(sorted) >= n {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: cannot delete all %d rows of %q (registered relations stay non-empty)", ErrBadRequest, n, name)
-	}
-	// The resurrection filter needs the deleted rows' pairs, and the rows
-	// are unrecoverable once the columns compact — snapshot them now, but
-	// only when the batch is small enough that maintainers will take the
-	// incremental arm (past the hybrid threshold they recompute and the
-	// snapshot would be dead weight).
-	var del *dataset.Relation
-	if !core.RetractPrefersRecompute(len(sorted), n-len(sorted)) {
-		del = core.SnapshotRows(rr.rel, sorted)
-	}
-	if err := rr.rel.DeleteBatch(sorted); err != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if rr.window > 0 {
-		keep := rr.arrivals[:0]
-		next := 0
-		for i, at := range rr.arrivals {
-			if next < len(sorted) && sorted[next] == i {
-				next++
-				continue
-			}
-			keep = append(keep, at)
-		}
-		rr.arrivals = keep
-	}
-	oldV := rr.version
-	rr.version++
-	newV := rr.version
-	s.deletes.Add(uint64(len(sorted)))
-	s.deleteBatches.Add(1)
-	if expiry {
-		s.expired.Add(uint64(len(sorted)))
-	}
-	out := &DeleteResult{Count: len(sorted), Version: newV}
-	plan, invalidated := s.takeAffectedLocked(name, oldV, newV)
-	out.Invalidated += invalidated
-	// Log inside the exclusive section (commit order), fsync after it
-	// (overlapping retraction). Expiry-driven deletes are logged like any
-	// other: replay reproduces them verbatim instead of re-deriving them
-	// from a clock that no longer matches the rows' arrival times.
-	walSeq, walErr := s.logAppend(store.Record{Type: store.RecDelete, Relation: name, IDs: sorted, Expiry: expiry})
-	s.mu.Unlock()
-	if walErr == nil {
-		walErr = s.logSync(walSeq)
-	}
-
-	// Phase 2 — retract with no service lock held. Reclaimed residents
-	// compact in place (O(survivors)); a failed retract falls back to a
-	// fresh build over the compacted relation.
-	for key, cs := range plan.combos {
-		if cs.res != nil {
-			if err := retractResident(cs.res, key.r1 == name, key.r2 == name, sorted); err != nil {
-				cs.res = nil
-			}
-		}
-		if cs.res == nil {
-			cs.res, _ = core.NewResident(cs.q)
-		}
-	}
-	// One RetractSet per (sides, condition, aggregator, k) the live
-	// entries and watch sets actually use. The combo key alone is not
-	// enough: the group-prune thresholds bake in k and the pair points
-	// bake in the aggregator.
-	type retractSetKey struct {
-		r1, r2 string
-		cond   join.Condition
-		agg    string
-		k      int
-	}
-	rsets := make(map[retractSetKey]*core.RetractSet)
-	rsFor := func(q core.Query, r1, r2 string) *core.RetractSet {
-		if del == nil {
-			return nil // past the hybrid threshold: maintainers recompute
-		}
-		rk := retractSetKey{r1: r1, r2: r2, cond: q.Spec.Cond, agg: q.Spec.Agg.Name, k: q.K}
-		rs, ok := rsets[rk]
-		if !ok {
-			rs = core.NewRetractSet(q, r1 == name, r2 == name, del)
-			rsets[rk] = rs
-		}
-		return rs
-	}
-	entOut := make([]mutationOutcome, len(plan.live))
-	for i, e := range plan.live {
-		if res := plan.combos[plan.liveCombos[i]].res; res != nil {
-			e.m.UseResident(res)
-		}
-		ev, ad, err := e.m.RetractBatch(e.key.r1 == name, e.key.r2 == name, sorted, rsFor(e.q, e.key.r1, e.key.r2))
-		if err != nil {
-			entOut[i].err = err
-			continue
-		}
-		entOut[i].churnA, entOut[i].churnB = ev, ad
-		e.skyline = e.m.Skyline()
-	}
-	wsOut := make([]mutationOutcome, len(plan.wsets))
-	for i, ws := range plan.wsets {
-		if res := plan.combos[plan.wsCombos[i]].res; res != nil {
-			ws.m.UseResident(res)
-		}
-		if _, _, err := ws.m.RetractBatch(ws.key.r1 == name, ws.key.r2 == name, sorted, rsFor(ws.q, ws.key.r1, ws.key.r2)); err != nil {
-			wsOut[i].err = err
-			continue
-		}
-		wsOut[i].cur = ws.m.Skyline()
-	}
-
-	// Phase 3.
-	s.mu.Lock()
-	maintained, invalidated, evicted, resurrected := s.publishLocked(plan, entOut, wsOut)
-	s.mu.Unlock()
-	out.Maintained += maintained
-	out.Invalidated += invalidated
-	out.Evicted += evicted
-	out.Resurrected += resurrected
-	if walErr != nil {
-		return nil, walErr // applied in memory, durability unknown — no ack
-	}
-	return out, nil
-}
-
-// Sweep ages expired rows out of every windowed relation immediately,
-// regardless of the sweep interval, and reports how many rows it removed.
-// The background sweeper calls it on its ticker; tests that disabled the
-// sweeper (negative Config.SweepInterval) call it to drive expiry
-// deterministically.
-func (s *Service) Sweep() int {
-	if s.closed.Load() || s.durableOK() != nil {
-		return 0
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.closed.Load() {
-		return 0
-	}
-
-	// Arrival stamps are ascending, so the expired rows of each relation
-	// are a prefix: one binary search per relation finds the cut. The
-	// newest row is always retained (registered relations stay non-empty).
-	now := s.now().UnixNano()
-	type cut struct {
-		name string
-		n    int
-	}
-	var cuts []cut
-	s.mu.RLock()
-	for name, rr := range s.rels {
-		if rr.window <= 0 {
-			continue
-		}
-		deadline := now - int64(rr.window)
-		j := sort.Search(len(rr.arrivals), func(i int) bool { return rr.arrivals[i] > deadline })
-		if j >= rr.rel.Len() {
-			j = rr.rel.Len() - 1
-		}
-		if j > 0 {
-			cuts = append(cuts, cut{name: name, n: j})
-		}
-	}
-	s.mu.RUnlock()
-
-	total := 0
-	for _, c := range cuts {
-		ids := make([]int, c.n)
-		for i := range ids {
-			ids[i] = i
-		}
-		// The only failure mode left after the scan is the relation having
-		// been deleted between locks — impossible while we hold ingestMu —
-		// so errors here are structural and safe to skip past.
-		if res, err := s.deleteBatchLocked(c.name, ids, true); err == nil {
-			total += res.Count
-		}
-	}
-	return total
-}
-
-// sweepLoop is the background sweeper goroutine: one Sweep per tick until
-// Close.
-func (s *Service) sweepLoop(interval time.Duration) {
-	defer close(s.sweepDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.sweepStop:
-			return
-		case <-t.C:
-			s.Sweep()
-		}
-	}
-}
-
-// retractResident compacts a reclaimed pre-batch Resident around the
-// deleted rows, on every side the mutated relation occupies (both, for a
-// self-join).
-func retractResident(res *core.Resident, left, right bool, ids []int) error {
-	if left {
-		if err := res.Retract(core.Left, ids); err != nil {
-			return err
-		}
-	}
-	if right {
-		if err := res.Retract(core.Right, ids); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// absorbBatchInto folds the appended tail into a maintainer on every side
-// the mutated relation occupies (both, for a self-join).
-func absorbBatchInto(m *core.Maintainer, left, right bool, ids []int) (displaced, admitted int, err error) {
-	if left {
-		d, a, err := m.AbsorbBatchLeft(ids)
-		if err != nil {
-			return 0, 0, err
-		}
-		displaced += d
-		admitted += a
-	}
-	if right {
-		d, a, err := m.AbsorbBatchRight(ids)
-		if err != nil {
-			return 0, 0, err
-		}
-		displaced += d
-		admitted += a
-	}
-	return displaced, admitted, nil
-}
-
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
-	entries, maintained, evictions := s.cache.stats()
+	entries, maintained, watches, evictions := s.cache.stats()
 	s.mu.RLock()
 	rels := relationInfos(s.rels)
-	watches := 0
-	for _, ws := range s.watches {
-		watches += len(ws.subs)
-	}
 	s.mu.RUnlock()
 	out := Stats{
 		Queries:           s.queries.Load(),
@@ -1460,9 +801,9 @@ func (s *Service) Close() error {
 	if s.store != nil && !s.storeBroken.Load() {
 		ckptErr = s.checkpointLocked()
 	}
-	s.cache.closeAll()
-	s.closeWatchesLocked() // every subscription ends with ErrClosed
-	s.residents.clear()    // resident indexes pin O(n) per pair — release them
+	// Every maintainer closes; every subscription ends with ErrClosed.
+	s.cache.purge(func(answerKey) bool { return true }, ErrClosed)
+	s.residents.clear() // resident indexes pin O(n) per pair — release them
 	s.rels = make(map[string]*regRelation)
 	s.mu.Unlock()
 	s.ingestMu.Unlock()

@@ -83,7 +83,7 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	q, key, err := s.resolveLocked(QueryRequest{R1: req.R1, R2: req.R2, K: req.K}, p)
+	q, key, versions, err := s.resolveLocked(QueryRequest{R1: req.R1, R2: req.R2, K: req.K}, p)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 		// The checker path probes the resident index, so repeated
 		// verification rounds over an unchanged partition skip the build —
 		// the same amortization the query path gets.
-		res, err := s.residents.get(residentKey{r1: key.r1, r2: key.r2, v1: key.v1, v2: key.v2, cond: key.cond}, q)
+		res, err := s.residents.get(residentKeyOf(key, versions), q)
 		if err != nil {
 			return nil, err
 		}
@@ -122,14 +122,14 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	}
 	return &VerifyResponse{
 		Dominated: dominated,
-		Versions:  [2]uint64{key.v1, key.v2},
+		Versions:  versions,
 		Elapsed:   time.Since(start),
 	}, nil
 }
 
 // Unregister removes a relation from the registry, dropping every answer
-// cached over it, its resident indexes, and any watches naming it (their
-// subscriptions end with ErrUnknownRelation). The gateway uses this when
+// standing over it (subscriptions to them end with ErrUnknownRelation)
+// and its resident indexes. The gateway uses this when
 // a delete batch drains a shard's entire partition of a relation —
 // registered relations stay non-empty, so an empty partition must leave
 // the registry rather than linger at zero rows.
@@ -140,9 +140,8 @@ func (s *Service) Unregister(name string) error {
 	if err := s.durableOK(); err != nil {
 		return err
 	}
-	// Take the ingest mutex so no mutation batch is mid-absorption: every
-	// watch set is quiescent (absorbing is only set inside an ingest turn)
-	// and cache entries are reachable.
+	// Take the ingest mutex so no commit is mid-flight: no standing answer
+	// is pinned as absorbing, so every one naming the relation can go.
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.closed.Load() {
@@ -159,29 +158,7 @@ func (s *Service) Unregister(name string) error {
 		return err
 	}
 	delete(s.rels, name)
-	for _, e := range s.cache.takeForRelation(name) {
-		s.cache.drop(e)
-	}
+	s.cache.purge(func(key answerKey) bool { return key.names(name) }, fmt.Errorf("%w: %q", ErrUnknownRelation, name))
 	s.residents.dropRelation(name)
-	for wkey, ws := range s.watches {
-		if wkey.r1 != name && wkey.r2 != name {
-			continue
-		}
-		delete(s.watches, wkey)
-		ws.m.Close()
-		for sub := range ws.subs {
-			sub.terminate(fmt.Errorf("%w: %q", ErrUnknownRelation, name))
-		}
-	}
 	return nil
-}
-
-// DiffPairs computes the delta between two (Left, Right)-sorted answers:
-// pairs that entered, pairs that left, and — when an index pair survives
-// with different joined attributes (a delete renumbering a neighbor onto
-// the same key) — a remove-then-add of that key. It is the exact diff the
-// watch path publishes (see diffPairs); the gateway reuses it to emit
-// cluster-wide watch deltas from re-merged global answers.
-func DiffPairs(old, cur []join.Pair) (added, removed []join.Pair) {
-	return diffPairs(old, cur)
 }

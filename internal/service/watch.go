@@ -5,29 +5,30 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/join"
 )
 
 // Watchable answers: Service.Watch turns a query into a subscription. The
-// service computes the answer once, parks a live core.Maintainer on it,
-// and from then on every Insert that touches the watched relations is
-// absorbed incrementally and published as a delta — the Added/Removed
-// pairs — instead of the subscriber re-polling and re-diffing snapshots.
-// This is the same maintainer promotion machinery the answer cache uses,
-// pointed outward: cache entries keep answers warm for the next query,
-// watch sets push answer changes to standing subscribers.
+// subscriber attaches to the standing answer (cache.go) the query path
+// stored — the same structure cache hits read and commits maintain — and
+// from then on every commit touching the watched relations publishes the
+// answer's delta, the Added/Removed pairs, instead of the subscriber
+// re-polling and re-diffing snapshots. Subscribers pin their answer
+// against LRU eviction; nothing else distinguishes a watched answer from
+// a cached one.
 //
-// Concurrency model: watch sets live in the service registry map, guarded
-// by the service lock. The ingest path (Service.InsertBatch) flags each
-// affected set in its locked commit phase, absorbs the batch into the
-// set's maintainer with the lock released, then — back under the lock —
-// diffs the served snapshot and enqueues one coalesced delta per batch on
-// every subscriber. Enqueueing only appends to a per-subscriber buffer
-// and never blocks, so a slow consumer cannot stall ingest (its deltas
-// queue in memory until it drains them). A per-subscription goroutine
-// forwards queued events to the Events channel, honoring the subscriber's
-// context.
+// Concurrency model: a commit (commit.go) pins each affected answer in
+// its locked phase 1, advances the maintainer with the lock released,
+// then — back under the lock — diffs the served snapshot and publishes one
+// coalesced delta per batch to every subscriber. Publishing only appends
+// to a per-subscriber buffer and never blocks, so a slow consumer cannot
+// stall ingest (its deltas queue in memory until it drains them). A
+// per-subscription goroutine forwards queued events to the Events
+// channel, honoring the subscriber's context.
+//
+// Watch is the one subscription implementation: the sharded gateway
+// (internal/shard) builds its cluster-wide watches from NewWatch, Publish
+// and Terminate instead of keeping a queue and pump of its own.
 
 // WatchEvent is one change to a watched answer. The first event of every
 // subscription (Seq 0) is the full current answer as Added; each later
@@ -48,15 +49,15 @@ type WatchEvent struct {
 
 // Watch is one live subscription to a query's answer. Receive from
 // Events until it closes, then consult Err; Close releases the
-// subscription (and, when it is the last one on its query, the query's
-// maintainer).
+// subscription.
 type Watch struct {
-	svc *Service
-	set *watchSet
+	// detach unhooks the subscription from whoever publishes to it (the
+	// service's standing answer, the gateway's watch set).
+	detach func(*Watch)
 
 	events chan WatchEvent
 	wake   chan struct{} // cap 1: "pending is non-empty"
-	done   chan struct{} // closed by Close/service shutdown
+	done   chan struct{} // closed by Close/Terminate
 	once   sync.Once
 
 	mu      sync.Mutex
@@ -65,39 +66,27 @@ type Watch struct {
 	err     error
 }
 
-// watchKey is the normalized identity of a watched query: like cacheKey
-// but version-free — a watch follows the answer across versions, it is
-// not pinned to one.
-type watchKey struct {
-	r1, r2 string
-	cond   join.Condition
-	agg    string
-	k      int
-}
-
-// watchSet is the shared state of all subscriptions to one watched query:
-// a live maintainer, the served snapshot its deltas are diffed against,
-// and the subscriber list. All fields except m are mutated only under the
-// service lock; m is absorbed by the ingest path with the lock released,
-// protected instead by the absorbing flag (see below) and the ingest
-// mutex.
-type watchSet struct {
-	key      watchKey
-	q        core.Query
-	m        *core.Maintainer
-	last     []join.Pair // sorted; the snapshot the next delta diffs against
-	versions [2]uint64
-	subs     map[*Watch]struct{}
-	// absorbing is set (under the service lock) by ingest phase 1 and
-	// cleared by phase 3. While it is set the maintainer may be in use
-	// with no lock held, so removeWatch must not close it — phase 3
-	// finishes the teardown of a set whose last subscriber left mid-batch.
-	absorbing bool
+// NewWatch starts a subscription whose lifetime ctx governs: when it is
+// cancelled the Events channel closes and Err reports the cause. detach
+// unhooks the subscription from its publisher — on every Close and on
+// cancellation, from another goroutine, possibly before NewWatch returns
+// (an already-cancelled ctx). Publishers therefore call NewWatch holding
+// the lock detach takes, and register the subscription before releasing
+// it.
+func NewWatch(ctx context.Context, detach func(*Watch)) *Watch {
+	w := &Watch{
+		detach: detach,
+		events: make(chan WatchEvent, 16),
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
+	}
+	go w.pump(ctx)
+	return w
 }
 
 // Watch subscribes to a query's answer. The first event is the current
 // answer (computed through the normal admitted query path, so cache hits
-// apply); every later event is the delta caused by one Insert touching
+// apply); every later event is the delta caused by one commit touching
 // either relation. Watch requires a query the incremental maintainer can
 // take — a strictly monotonic aggregator — and rejects others with
 // ErrBadRequest. The context governs the subscription's lifetime: when it
@@ -116,98 +105,54 @@ func (s *Service) Watch(ctx context.Context, req QueryRequest) (*Watch, error) {
 		return nil, fmt.Errorf("%w: watch requires a strictly monotonic aggregator (got %q)", ErrBadRequest, p.agg.Name)
 	}
 
-	// Establishing a watch must not miss or double-count an insert: the
+	// Establishing a watch must not miss or double-count a commit: the
 	// snapshot event and the subscription have to be atomic against the
-	// insert path. Queries execute under the read lock, so compute first,
-	// then take the write lock and verify no insert moved the versions in
-	// between; retry on the (rare) race.
+	// commit path. Queries execute under the read lock, so let Query
+	// compute and store the answer, then attach under the write lock if it
+	// still stands at the registry's versions; retry on the (rare) race
+	// with a commit or an eviction in between.
 	const maxAttempts = 8
-	for attempt := 0; ; attempt++ {
-		if w, ok, err := s.tryAttach(ctx, req, p, nil, [2]uint64{}); err != nil || ok {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if w, err := s.tryAttach(ctx, req, p); err != nil || w != nil {
 			return w, err
 		}
-		resp, err := s.Query(ctx, req)
-		if err != nil {
+		if _, err := s.Query(ctx, req); err != nil {
 			return nil, err
-		}
-		snapshot := resp.Skyline
-		if snapshot == nil {
-			// An empty answer is a perfectly watchable snapshot; nil is
-			// tryAttach's "no snapshot computed yet" sentinel, so make the
-			// empty case explicit rather than spin on the retry loop.
-			snapshot = []join.Pair{}
-		}
-		w, ok, err := s.tryAttach(ctx, req, p, snapshot, resp.Versions)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return w, nil
-		}
-		if attempt+1 >= maxAttempts {
-			return nil, fmt.Errorf("%w: relations kept changing while establishing the watch", ErrOverloaded)
 		}
 	}
+	return nil, fmt.Errorf("%w: relations kept changing while establishing the watch", ErrOverloaded)
 }
 
-// tryAttach subscribes under the write lock. With a nil snapshot it only
-// succeeds when a live watch set for the key already exists (its
-// maintainer is current by construction); with a snapshot it creates the
-// set, provided the registry versions still match the snapshot's. The
-// third return reports whether attachment happened.
-func (s *Service) tryAttach(ctx context.Context, req QueryRequest, p parsed, snapshot []join.Pair, versions [2]uint64) (*Watch, bool, error) {
+// tryAttach subscribes to the standing answer under the write lock; nil
+// without error means there is no current answer to attach to yet.
+func (s *Service) tryAttach(ctx context.Context, req QueryRequest, p parsed) (*Watch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return nil, false, ErrClosed
+		return nil, ErrClosed
 	}
-	q, key, err := s.resolveLocked(req, p)
+	_, key, versions, err := s.resolveLocked(req, p)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	wkey := watchKey{r1: key.r1, r2: key.r2, cond: key.cond, agg: key.agg, k: key.k}
-	ws, live := s.watches[wkey]
-	if !live {
-		if snapshot == nil {
-			return nil, false, nil
-		}
-		if key.v1 != versions[0] || key.v2 != versions[1] {
-			return nil, false, nil // an insert interleaved; recompute
-		}
-		m, err := core.NewMaintainerFrom(q, snapshot)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		ws = &watchSet{
-			key: wkey, q: q, m: m,
-			last:     snapshot,
-			versions: versions,
-			subs:     make(map[*Watch]struct{}),
-		}
-		s.watches[wkey] = ws
+	a := s.cache.standing(key, versions)
+	if a == nil {
+		return nil, nil
 	}
-	w := &Watch{
-		svc:    s,
-		set:    ws,
-		events: make(chan WatchEvent, 16),
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	ws.subs[w] = struct{}{}
-	w.enqueue(WatchEvent{Added: ws.last, Versions: ws.versions})
-	go w.pump(ctx)
-	return w, true, nil
+	return s.cache.attach(ctx, a), nil
 }
 
-// diffPairs computes the delta between two (Left, Right)-sorted answers.
-// Pair identity is the index pair. Under inserts a pair's joined
+// DiffPairs computes the delta between two (Left, Right)-sorted answers —
+// the exact diff watch events carry; the gateway reuses it to emit
+// cluster-wide deltas from re-merged global answers. Pair identity is the
+// index pair. Under inserts a pair's joined
 // attributes are fixed by the relations, so only membership changes —
 // but a delete renumbers the surviving rows, and a survivor can inherit
 // the exact index pair of a simultaneously evicted member. Identity alone
 // would call that "unchanged" and leave subscribers holding the dead
 // pair's attributes, so an identity match with different attributes is
 // emitted as a remove-then-add of the same key.
-func diffPairs(old, cur []join.Pair) (added, removed []join.Pair) {
+func DiffPairs(old, cur []join.Pair) (added, removed []join.Pair) {
 	i, j := 0, 0
 	for i < len(old) && j < len(cur) {
 		a, b := old[i], cur[j]
@@ -246,32 +191,31 @@ func equalAttrs(a, b []float64) bool {
 }
 
 // Events is the subscription's delivery channel. It closes when the watch
-// ends — Close, context cancellation, or service shutdown; Err reports
-// which.
+// ends — Close, context cancellation, or its publisher shutting down; Err
+// reports which.
 func (w *Watch) Events() <-chan WatchEvent { return w.events }
 
 // Err reports why the Events channel closed: nil after a clean Close, the
-// context's error after cancellation, ErrClosed after service shutdown.
-// Only meaningful once Events is closed.
+// context's error after cancellation, otherwise whatever the publisher
+// terminated it with (ErrClosed after service shutdown). Only meaningful
+// once Events is closed.
 func (w *Watch) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
 }
 
-// Close ends the subscription and releases it from the service; the last
-// subscriber of a query releases its maintainer too. Close is idempotent
-// and safe to call concurrently with event delivery.
+// Close ends the subscription and detaches it from its publisher. Close is
+// idempotent and safe to call concurrently with event delivery.
 func (w *Watch) Close() error {
-	w.svc.removeWatch(w)
-	w.once.Do(func() { close(w.done) })
+	w.detach(w)
+	w.Terminate(nil)
 	return nil
 }
 
-// terminate ends the subscription with an error, without touching the
-// service registry — the caller (insert path or service Close) already
-// holds the service lock and has unregistered the set.
-func (w *Watch) terminate(err error) {
+// Terminate ends the subscription with err as its Err, without detaching
+// — for publishers that already unhooked it under their own lock.
+func (w *Watch) Terminate(err error) {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
@@ -280,9 +224,10 @@ func (w *Watch) terminate(err error) {
 	w.once.Do(func() { close(w.done) })
 }
 
-// enqueue appends an event to the pending buffer and nudges the pump. It
-// never blocks: the insert path calls it under the service's write lock.
-func (w *Watch) enqueue(ev WatchEvent) {
+// Publish stamps the event with the subscription's next sequence number,
+// appends it to the pending buffer and nudges the pump. It never blocks:
+// publishers call it holding their own locks.
+func (w *Watch) Publish(ev WatchEvent) {
 	w.mu.Lock()
 	ev.Seq = w.seq
 	w.seq++
@@ -304,8 +249,8 @@ func (w *Watch) pump(ctx context.Context) {
 		case <-w.done:
 			return
 		case <-ctx.Done():
-			w.svc.removeWatch(w)
-			w.terminate(ctx.Err())
+			w.detach(w)
+			w.Terminate(ctx.Err())
 			return
 		case <-w.wake:
 		}
@@ -323,39 +268,10 @@ func (w *Watch) pump(ctx context.Context) {
 			case <-w.done:
 				return
 			case <-ctx.Done():
-				w.svc.removeWatch(w)
-				w.terminate(ctx.Err())
+				w.detach(w)
+				w.Terminate(ctx.Err())
 				return
 			}
 		}
-	}
-}
-
-// removeWatch unsubscribes w, closing its set's maintainer when it was
-// the last subscriber — unless an ingest batch is mid-absorption on the
-// set, in which case the batch's publish phase finishes the teardown.
-func (s *Service) removeWatch(w *Watch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ws := w.set
-	if current, ok := s.watches[ws.key]; !ok || current != ws {
-		return // already detached (service closed, or set torn down)
-	}
-	delete(ws.subs, w)
-	if len(ws.subs) == 0 && !ws.absorbing {
-		ws.m.Close()
-		delete(s.watches, ws.key)
-	}
-}
-
-// closeWatchesLocked tears down every subscription; the caller holds the
-// write lock (service Close).
-func (s *Service) closeWatchesLocked() {
-	for key, ws := range s.watches {
-		ws.m.Close()
-		for sub := range ws.subs {
-			sub.terminate(ErrClosed)
-		}
-		delete(s.watches, key)
 	}
 }

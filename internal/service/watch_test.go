@@ -122,7 +122,7 @@ func TestWatchDeltasMatchOracle(t *testing.T) {
 
 // TestWatchSharedSetAndClose exercises two subscribers on one query: both
 // see the same deltas, closing one leaves the other live, closing the
-// last releases the watch set.
+// last returns the answer to the unpinned LRU.
 func TestWatchSharedSetAndClose(t *testing.T) {
 	s := newTestService(t, Config{})
 	registerPair(t, s, 40)
@@ -230,6 +230,20 @@ func TestWatchEndsOnContextCancel(t *testing.T) {
 				}
 				if got := s.Stats().Watches; got != 0 {
 					t.Fatalf("Stats.Watches = %d after cancel, want 0", got)
+				}
+				// A context cancelled before the subscription exists must
+				// not leave the (now cached) answer pinned by a dead
+				// subscriber: the pump's detach may run before Watch
+				// returns.
+				dead, err := s.Watch(ctx, QueryRequest{R1: "r1", R2: "r2", K: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range dead.Events() {
+				}
+				if st := s.Stats(); st.Watches != 0 || len(s.cache.entries) != s.cache.lru.Len() {
+					t.Fatalf("dead subscription left watches=%d, %d answers of %d unpinned",
+						st.Watches, s.cache.lru.Len(), len(s.cache.entries))
 				}
 				return
 			}

@@ -140,6 +140,19 @@ func (g *Gateway) cachePut(key gwWatchKey, e *gwCacheEntry) {
 	g.cache[key] = e
 }
 
+// cachePurge drops every cached answer naming the relation. Version
+// equality cannot prove those fresh once the relation is unregistered: a
+// re-registered relation restarts at placement version 1.
+func (g *Gateway) cachePurge(name string) {
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
+	for key := range g.cache {
+		if key.names(name) {
+			delete(g.cache, key)
+		}
+	}
+}
+
 // New connects to the shard processes and verifies each is alive. The
 // shard list is fixed for the gateway's lifetime — placement hashes over
 // its length, so changing the cluster size means re-sharding, which is
@@ -202,12 +215,7 @@ func (g *Gateway) Close() error {
 	}
 	g.wg.Wait()
 	g.mu.Lock()
-	for key, ws := range g.watches {
-		for sub := range ws.subs {
-			sub.terminate(ErrClosed)
-		}
-		delete(g.watches, key)
-	}
+	g.dropWatchesLocked(func(gwWatchKey) bool { return true }, ErrClosed)
 	g.mu.Unlock()
 	return nil
 }
@@ -531,12 +539,8 @@ func (g *Gateway) Register(ctx context.Context, name string, local, agg int, ts 
 		if len(batch) == 0 {
 			continue
 		}
-		wire := make([]httpapi.TupleJSON, len(batch))
-		for i, t := range batch {
-			wire[i] = httpapi.FromTuple(t)
-		}
 		if _, err := g.shards[s].register(ctx, httpapi.RegisterJSON{
-			Name: name, Local: local, Agg: agg, Tuples: wire,
+			Name: name, Local: local, Agg: agg, Tuples: wireTuples(batch),
 		}); err != nil {
 			for s2, done := range ok {
 				if done {
@@ -576,7 +580,9 @@ func (g *Gateway) Unregister(ctx context.Context, name string) error {
 		}
 	}
 	delete(g.rels, name)
-	g.dropWatchesLocked(name, fmt.Errorf("%w: %q", service.ErrUnknownRelation, name))
+	g.cachePurge(name)
+	g.dropWatchesLocked(func(key gwWatchKey) bool { return key.names(name) },
+		fmt.Errorf("%w: %q", service.ErrUnknownRelation, name))
 	return firstErr
 }
 
@@ -610,6 +616,77 @@ type RelationPlacement struct {
 	PerShard []int  `json:"per_shard"`
 }
 
+// shardPlan is one validated mutation batch split by owning shard.
+type shardPlan struct {
+	// size is how many of the batch's rows shard s's group carries.
+	size func(s int) int
+	// send commits shard s's group on that shard.
+	send func(s int) error
+	// apply folds the groups that landed into the placement.
+	apply func(landed []bool)
+}
+
+// mutate is the skeleton every gateway mutation shares: under the write
+// lock, plan validates the whole batch before any shard sees any of it
+// and splits it by owning shard; the groups then commit shard by shard,
+// the placement takes exactly what landed, the version moves once, and
+// the watches over the relation refresh. It returns how many rows landed
+// and the relation's placement afterwards.
+//
+// Failure semantics: shards commit sequentially; a failing shard keeps
+// its group un-applied while earlier groups stay committed, the mapping
+// reflects exactly the surviving state, and the error (naming the shard)
+// is returned beside a non-zero count — the batch is partially applied.
+// Cross-shard atomicity would need a transaction protocol the scheme
+// deliberately avoids.
+func (g *Gateway) mutate(ctx context.Context, name string, n int, batches *atomic.Uint64,
+	plan func(rp *relPlace) (shardPlan, error)) (applied int, rp *relPlace, err error) {
+	if err := g.track(); err != nil {
+		return 0, nil, err
+	}
+	defer g.wg.Done()
+	if n == 0 {
+		return 0, nil, fmt.Errorf("%w: empty batch", service.ErrBadRequest)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	rp, ok := g.rels[name]
+	if !ok {
+		return 0, nil, fmt.Errorf("%w: %q", service.ErrUnknownRelation, name)
+	}
+	p, err := plan(rp)
+	if err != nil {
+		return 0, nil, err
+	}
+	landed := make([]bool, len(g.shards))
+	for s := range g.shards {
+		if p.size(s) == 0 {
+			continue
+		}
+		if err = p.send(s); err != nil {
+			break
+		}
+		landed[s] = true
+		applied += p.size(s)
+	}
+	if applied == 0 {
+		return 0, nil, err
+	}
+	p.apply(landed)
+	rp.version++
+	batches.Add(1)
+	g.refreshWatchesLocked(ctx, name)
+	return applied, rp, err
+}
+
+func wireTuples(ts []dataset.Tuple) []httpapi.TupleJSON {
+	wire := make([]httpapi.TupleJSON, len(ts))
+	for i, t := range ts {
+		wire[i] = httpapi.FromTuple(t)
+	}
+	return wire
+}
+
 // InsertResult mirrors the single-node InsertResult's geometry fields.
 type InsertResult struct {
 	ID      int
@@ -619,79 +696,42 @@ type InsertResult struct {
 
 // InsertBatch appends a batch through the placement: tuples group by
 // owning shard, each group commits as one shard-side group commit, and
-// the mapping extends with what actually landed. First tuples for a
-// shard register the relation there (lazy registration keeps empty
-// partitions off the registry — shards reject empty relations).
-//
-// Failure semantics: shards commit sequentially; a failing shard keeps
-// its group un-applied while earlier groups stay committed, the mapping
-// reflects exactly the surviving state, and the error (naming the shard)
-// reports the batch as partially applied. Cross-shard atomicity would
-// need a transaction protocol the scheme deliberately avoids.
+// the mapping extends with what actually landed (see mutate for partial
+// failure). First tuples for a shard register the relation there (lazy
+// registration keeps empty partitions off the registry — shards reject
+// empty relations).
 func (g *Gateway) InsertBatch(ctx context.Context, name string, ts []dataset.Tuple) (*InsertResult, error) {
-	if err := g.track(); err != nil {
+	first := 0
+	applied, rp, err := g.mutate(ctx, name, len(ts), &g.inserts, func(rp *relPlace) (shardPlan, error) {
+		for i, t := range ts {
+			if len(t.Attrs) != rp.local+rp.agg {
+				return shardPlan{}, fmt.Errorf("%w: tuple %d has %d attributes, want %d", service.ErrBadRequest, i, len(t.Attrs), rp.local+rp.agg)
+			}
+		}
+		first = rp.size()
+		batches := rp.planInsert(ts)
+		return shardPlan{
+			size: func(s int) int { return len(batches[s]) },
+			send: func(s int) error {
+				if rp.registered[s] {
+					_, err := g.shards[s].insert(ctx, httpapi.InsertJSON{Relation: name, Tuples: wireTuples(batches[s])})
+					return err
+				}
+				_, err := g.shards[s].register(ctx, httpapi.RegisterJSON{
+					Name: name, Local: rp.local, Agg: rp.agg, Tuples: wireTuples(batches[s]),
+				})
+				if err == nil {
+					rp.registered[s] = true
+				}
+				return err
+			},
+			apply: func(landed []bool) { rp.applyInsert(ts, landed) },
+		}, nil
+	})
+	if applied == 0 {
 		return nil, err
 	}
-	defer g.wg.Done()
-	if len(ts) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", service.ErrBadRequest)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rp, ok := g.rels[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", service.ErrUnknownRelation, name)
-	}
-	// Validate the whole batch before any shard sees any of it.
-	for i, t := range ts {
-		if len(t.Attrs) != rp.local+rp.agg {
-			return nil, fmt.Errorf("%w: tuple %d has %d attributes, want %d", service.ErrBadRequest, i, len(t.Attrs), rp.local+rp.agg)
-		}
-	}
-	batches := rp.planInsert(ts)
-	okShards := make([]bool, len(g.shards))
-	var commitErr error
-	for s, batch := range batches {
-		if len(batch) == 0 {
-			continue
-		}
-		wire := make([]httpapi.TupleJSON, len(batch))
-		for i, t := range batch {
-			wire[i] = httpapi.FromTuple(t)
-		}
-		var err error
-		if !rp.registered[s] {
-			_, err = g.shards[s].register(ctx, httpapi.RegisterJSON{
-				Name: name, Local: rp.local, Agg: rp.agg, Tuples: wire,
-			})
-			if err == nil {
-				rp.registered[s] = true
-			}
-		} else {
-			_, err = g.shards[s].insert(ctx, httpapi.InsertJSON{Relation: name, Tuples: wire})
-		}
-		if err != nil {
-			commitErr = err
-			break
-		}
-		okShards[s] = true
-	}
-	first := rp.size()
-	applied := 0
-	for s, done := range okShards {
-		if done {
-			applied += len(batches[s])
-		}
-	}
-	if applied == 0 {
-		return nil, commitErr
-	}
-	rp.applyInsert(ts, okShards)
-	rp.version++
-	g.inserts.Add(1)
-	g.refreshWatchesLocked(ctx, name)
-	res := &InsertResult{ID: first, Count: applied, Version: rp.version}
-	return res, commitErr
+	return &InsertResult{ID: first, Count: applied, Version: rp.version}, err
 }
 
 // DeleteResult mirrors the single-node DeleteResult's geometry fields.
@@ -703,76 +743,47 @@ type DeleteResult struct {
 // DeleteBatch removes rows by global id through the placement. A batch
 // that drains a shard's entire partition unregisters the relation there
 // instead (shards keep registered relations non-empty); the shard
-// re-registers lazily on the next insert that hashes to it. Failure
-// semantics mirror InsertBatch: per-shard groups commit sequentially and
-// the mapping keeps exactly what survived.
+// re-registers lazily on the next insert that hashes to it. Partial
+// failure is as for InsertBatch (see mutate).
 func (g *Gateway) DeleteBatch(ctx context.Context, name string, ids []int) (*DeleteResult, error) {
-	if err := g.track(); err != nil {
+	applied, rp, err := g.mutate(ctx, name, len(ids), &g.deletes, func(rp *relPlace) (shardPlan, error) {
+		sorted := append([]int(nil), ids...)
+		sort.Ints(sorted)
+		n := rp.size()
+		for i, id := range sorted {
+			if id < 0 || id >= n {
+				return shardPlan{}, fmt.Errorf("%w: delete index %d out of range [0,%d)", service.ErrBadRequest, id, n)
+			}
+			if i > 0 && sorted[i-1] == id {
+				return shardPlan{}, fmt.Errorf("%w: duplicate delete index %d", service.ErrBadRequest, id)
+			}
+		}
+		if len(sorted) >= n {
+			return shardPlan{}, fmt.Errorf("%w: cannot delete all %d rows of %q (registered relations stay non-empty)", service.ErrBadRequest, n, name)
+		}
+		del := rp.planRemove(sorted)
+		return shardPlan{
+			size: func(s int) int { return len(del[s]) },
+			send: func(s int) error {
+				if len(del[s]) < rp.rows(s) {
+					_, err := g.shards[s].delete(ctx, httpapi.DeleteJSON{Relation: name, IDs: del[s]})
+					return err
+				}
+				// The batch drains this shard's whole partition; an empty
+				// relation cannot stay registered, so drop it shard-side.
+				err := g.shards[s].unregister(ctx, name)
+				if err == nil {
+					rp.registered[s] = false
+				}
+				return err
+			},
+			apply: func(landed []bool) { rp.applyRemove(sorted, landed) },
+		}, nil
+	})
+	if applied == 0 {
 		return nil, err
 	}
-	defer g.wg.Done()
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", service.ErrBadRequest)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rp, ok := g.rels[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", service.ErrUnknownRelation, name)
-	}
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	n := rp.size()
-	for i, id := range sorted {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("%w: delete index %d out of range [0,%d)", service.ErrBadRequest, id, n)
-		}
-		if i > 0 && sorted[i-1] == id {
-			return nil, fmt.Errorf("%w: duplicate delete index %d", service.ErrBadRequest, id)
-		}
-	}
-	if len(sorted) >= n {
-		return nil, fmt.Errorf("%w: cannot delete all %d rows of %q (registered relations stay non-empty)", service.ErrBadRequest, n, name)
-	}
-	del := rp.planRemove(sorted)
-	okShards := make([]bool, len(g.shards))
-	var commitErr error
-	for s, batch := range del {
-		if len(batch) == 0 {
-			continue
-		}
-		var err error
-		if len(batch) == rp.rows(s) {
-			// The batch drains this shard's whole partition; an empty
-			// relation cannot stay registered, so drop it shard-side.
-			err = g.shards[s].unregister(ctx, name)
-			if err == nil {
-				rp.registered[s] = false
-			}
-		} else {
-			_, err = g.shards[s].delete(ctx, httpapi.DeleteJSON{Relation: name, IDs: batch})
-		}
-		if err != nil {
-			commitErr = err
-			break
-		}
-		okShards[s] = true
-	}
-	applied := 0
-	for s, done := range okShards {
-		if done {
-			applied += len(del[s])
-		}
-	}
-	if applied == 0 {
-		return nil, commitErr
-	}
-	rp.applyRemove(sorted, okShards)
-	rp.version++
-	g.deletes.Add(1)
-	g.refreshWatchesLocked(ctx, name)
-	res := &DeleteResult{Count: applied, Version: rp.version}
-	return res, commitErr
+	return &DeleteResult{Count: applied, Version: rp.version}, err
 }
 
 // ShardStats is one shard's counter snapshot (or the error that kept it

@@ -740,3 +740,56 @@ func TestGatewayWarmRepeat(t *testing.T) {
 	}
 	samePairs(t, "warm repeat", warm.Skyline, cold.Skyline)
 }
+
+// TestGatewayUnregisterPurgesAnswerCache pins the stale-answer bug: a
+// re-registered relation restarts at placement version 1, so an answer
+// cached before the Unregister would pass the version check and be served
+// over the new rows. Checked against the single-node mirror, which purges
+// its cache on Unregister.
+func TestGatewayUnregisterPurgesAnswerCache(t *testing.T) {
+	ctx := context.Background()
+	const local, agg, groups = 2, 1, 4
+	rng := rand.New(rand.NewSource(21))
+	t1 := genTuples(rng, 30, local, agg, groups)
+	t2 := genTuples(rng, 30, local, agg, groups)
+	t1b := genTuples(rng, 30, local, agg, groups)
+
+	c := newCluster(t, 2)
+	mirror := newMirror(t)
+	register := func(name string, ts []dataset.Tuple) {
+		t.Helper()
+		if _, err := c.gw.Register(ctx, name, local, agg, ts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mirror.Register(name, mustRelation(t, name, local, agg, ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := service.QueryRequest{R1: "r1", R2: "r2", K: 4}
+	check := func(label string) {
+		t.Helper()
+		got, err := c.gw.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mirror.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, label, got.Skyline, want.Skyline)
+	}
+
+	register("r1", t1)
+	register("r2", t2)
+	check("first registration")
+	check("first registration, warm") // the gateway now holds a cached answer at versions [1 1]
+
+	if err := c.gw.Unregister(ctx, "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mirror.Unregister("r1"); err != nil {
+		t.Fatal(err)
+	}
+	register("r1", t1b) // different rows, placement version 1 again
+	check("after re-registration")
+}

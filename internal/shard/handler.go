@@ -10,7 +10,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distributed"
 	"repro/internal/httpapi"
-	"repro/internal/service"
 )
 
 // handler re-serves the ksjqd wire surface cluster-wide: the same
@@ -93,23 +92,15 @@ func writeGatewayError(w http.ResponseWriter, err error) {
 	httpapi.WriteServiceError(w, err)
 }
 
-func (h *handler) clamp(timeoutMS int64) time.Duration {
-	timeout := time.Duration(timeoutMS) * time.Millisecond
-	if timeout < 0 || (h.maxTimeout > 0 && (timeout == 0 || timeout > h.maxTimeout)) {
-		timeout = h.maxTimeout
-	}
-	return timeout
-}
-
 func (h *handler) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "csv" {
 		q := r.URL.Query()
-		if q.Get("window_ms") != "" && q.Get("window_ms") != "0" {
+		if httpapi.Atoi(q.Get("window_ms")) != 0 {
 			httpapi.WriteError(w, http.StatusBadRequest, errors.New("sliding windows are not supported in gateway mode"))
 			return
 		}
 		name := q.Get("name")
-		local, agg := atoiQ(q.Get("local")), atoiQ(q.Get("agg"))
+		local, agg := httpapi.Atoi(q.Get("local")), httpapi.Atoi(q.Get("agg"))
 		hasBand := q.Get("band") != "" && q.Get("band") != "0"
 		rel, err := dataset.ReadCSV(r.Body, dataset.ReadOptions{
 			Name: name, Local: local, Agg: agg, HasBand: hasBand,
@@ -170,27 +161,20 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	resp, err := h.gw.Query(r.Context(), service.QueryRequest{
-		R1: req.R1, R2: req.R2, K: req.K,
-		Join: req.Join, Agg: req.Agg, Algorithm: req.Algorithm,
-		Workers: req.Workers,
-		Timeout: h.clamp(req.TimeoutMS),
-		NoCache: req.NoCache,
-	})
+	sreq := req.Request()
+	sreq.Timeout, sreq.NoCache = httpapi.Clamp(req.TimeoutMS, h.maxTimeout), req.NoCache
+	resp, err := h.gw.Query(r.Context(), sreq)
 	if err != nil {
 		writeGatewayError(w, err)
 		return
 	}
 	out := httpapi.QueryResponseJSON{
-		Skyline:   make([]httpapi.PairJSON, len(resp.Skyline)),
+		Skyline:   httpapi.Pairs(resp.Skyline),
 		Count:     len(resp.Skyline),
 		Source:    string(resp.Source),
 		Algorithm: resp.Algorithm,
 		Versions:  resp.Versions,
 		ElapsedUS: resp.Elapsed.Microseconds(),
-	}
-	for i, p := range resp.Skyline {
-		out.Skyline[i] = httpapi.PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs}
 	}
 	httpapi.WriteJSON(w, http.StatusOK, struct {
 		httpapi.QueryResponseJSON
@@ -224,36 +208,12 @@ func (h *handler) handleWatch(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	watch, err := h.gw.Watch(r.Context(), service.QueryRequest{
-		R1: req.R1, R2: req.R2, K: req.K,
-		Join: req.Join, Agg: req.Agg, Algorithm: req.Algorithm,
-		Workers: req.Workers,
-	})
+	watch, err := h.gw.Watch(r.Context(), req.Request())
 	if err != nil {
 		writeGatewayError(w, err)
 		return
 	}
-	defer watch.Close()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for ev := range watch.Events() {
-		out := httpapi.WatchEventJSON{Seq: ev.Seq, Versions: ev.Versions}
-		for _, p := range ev.Added {
-			out.Added = append(out.Added, httpapi.PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs})
-		}
-		for _, p := range ev.Removed {
-			out.Removed = append(out.Removed, httpapi.PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs})
-		}
-		if err := enc.Encode(out); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	httpapi.StreamWatch(w, watch)
 }
 
 func (h *handler) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -262,18 +222,10 @@ func (h *handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	var tuples []dataset.Tuple
-	switch {
-	case req.Tuple != nil && len(req.Tuples) > 0:
-		httpapi.WriteError(w, http.StatusBadRequest, errors.New(`give "tuple" or "tuples", not both`))
+	tuples, err := req.Batch()
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
-	case req.Tuple != nil:
-		tuples = []dataset.Tuple{req.Tuple.Tuple()}
-	default:
-		tuples = make([]dataset.Tuple, len(req.Tuples))
-		for i, t := range req.Tuples {
-			tuples[i] = t.Tuple()
-		}
 	}
 	res, err := h.gw.InsertBatch(r.Context(), req.Relation, tuples)
 	if err != nil {
@@ -291,15 +243,10 @@ func (h *handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	var ids []int
-	switch {
-	case req.ID != nil && len(req.IDs) > 0:
-		httpapi.WriteError(w, http.StatusBadRequest, errors.New(`give "id" or "ids", not both`))
+	ids, err := req.Batch()
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
-	case req.ID != nil:
-		ids = []int{*req.ID}
-	default:
-		ids = req.IDs
 	}
 	res, err := h.gw.DeleteBatch(r.Context(), req.Relation, ids)
 	if err != nil {
@@ -309,13 +256,4 @@ func (h *handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, httpapi.DeleteResponseJSON{
 		Count: res.Count, Version: res.Version,
 	})
-}
-
-// atoiQ parses a non-negative query parameter, anything else is 0.
-func atoiQ(s string) int {
-	var n int
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 {
-		return 0
-	}
-	return n
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/join"
 	"repro/internal/service"
@@ -29,6 +28,8 @@ type gwWatchKey struct {
 	k      int
 }
 
+func (k gwWatchKey) names(rel string) bool { return k.r1 == rel || k.r2 == rel }
+
 // gwWatchSet is the shared state of all subscriptions to one watched
 // query: the served snapshot deltas diff against, and the subscriber
 // list. Mutated only under the gateway's write lock.
@@ -40,22 +41,10 @@ type gwWatchSet struct {
 	subs     map[*Watch]struct{}
 }
 
-// Watch is one live gateway subscription; the API mirrors service.Watch
-// (Events / Err / Close) so the NDJSON wire surface is identical.
-type Watch struct {
-	gw  *Gateway
-	set *gwWatchSet
-
-	events chan service.WatchEvent
-	wake   chan struct{} // cap 1: "pending is non-empty"
-	done   chan struct{}
-	once   sync.Once
-
-	mu      sync.Mutex
-	pending []service.WatchEvent
-	seq     uint64
-	err     error
-}
+// Watch is the single-node service's subscription type: the gateway
+// publishes its re-merged deltas through it, so the Events / Err / Close
+// contract and the NDJSON wire surface are identical by construction.
+type Watch = service.Watch
 
 // Watch subscribes to a query's merged answer. The first event (Seq 0)
 // is the current answer as Added; each later event is the coalesced
@@ -98,16 +87,9 @@ func (g *Gateway) Watch(ctx context.Context, req service.QueryRequest) (*Watch, 
 		}
 		g.watches[key] = ws
 	}
-	w := &Watch{
-		gw:     g,
-		set:    ws,
-		events: make(chan service.WatchEvent, 16),
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
+	w := service.NewWatch(ctx, func(w *Watch) { g.removeWatch(ws, w) })
 	ws.subs[w] = struct{}{}
-	w.enqueue(service.WatchEvent{Added: ws.last, Versions: ws.versions})
-	go w.pump(ctx)
+	w.Publish(service.WatchEvent{Added: ws.last, Versions: ws.versions})
 	return w, nil
 }
 
@@ -118,7 +100,7 @@ func (g *Gateway) Watch(ctx context.Context, req service.QueryRequest) (*Watch, 
 // watchers must hear about it even if the client hung up.
 func (g *Gateway) refreshWatchesLocked(ctx context.Context, name string) {
 	for key, ws := range g.watches {
-		if key.r1 != name && key.r2 != name {
+		if !key.names(name) {
 			continue
 		}
 		resp, err := g.queryLocked(context.WithoutCancel(ctx), ws.req)
@@ -127,7 +109,7 @@ func (g *Gateway) refreshWatchesLocked(ctx context.Context, name string) {
 			// down mid-watch). A silent gap would leave subscribers
 			// believing a stale snapshot, so fail the subscription loudly.
 			for sub := range ws.subs {
-				sub.terminate(err)
+				sub.Terminate(err)
 			}
 			delete(g.watches, key)
 			continue
@@ -137,108 +119,30 @@ func (g *Gateway) refreshWatchesLocked(ctx context.Context, name string) {
 		ws.last = cur
 		ws.versions = resp.Versions
 		for sub := range ws.subs {
-			sub.enqueue(service.WatchEvent{Added: added, Removed: removed, Versions: ws.versions})
+			sub.Publish(service.WatchEvent{Added: added, Removed: removed, Versions: ws.versions})
 		}
 	}
 }
 
-// dropWatchesLocked terminates every subscription naming the relation;
-// caller holds the write lock (Unregister).
-func (g *Gateway) dropWatchesLocked(name string, cause error) {
+// dropWatchesLocked terminates every subscription whose key matches;
+// caller holds the write lock (Unregister, Close).
+func (g *Gateway) dropWatchesLocked(match func(gwWatchKey) bool, cause error) {
 	for key, ws := range g.watches {
-		if key.r1 != name && key.r2 != name {
+		if !match(key) {
 			continue
 		}
 		for sub := range ws.subs {
-			sub.terminate(cause)
+			sub.Terminate(cause)
 		}
 		delete(g.watches, key)
 	}
 }
 
-// Events is the subscription's delivery channel; it closes when the
-// watch ends and Err reports why.
-func (w *Watch) Events() <-chan service.WatchEvent { return w.events }
-
-// Err reports why Events closed: nil after a clean Close, the context's
-// error after cancellation, ErrClosed after gateway shutdown, or the
-// scatter-gather error that broke the watch refresh.
-func (w *Watch) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
-// Close ends the subscription; idempotent.
-func (w *Watch) Close() error {
-	w.gw.removeWatch(w)
-	w.once.Do(func() { close(w.done) })
-	return nil
-}
-
-func (w *Watch) terminate(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-	w.once.Do(func() { close(w.done) })
-}
-
-// enqueue appends an event and nudges the pump; never blocks (callers
-// hold the gateway's write lock).
-func (w *Watch) enqueue(ev service.WatchEvent) {
-	w.mu.Lock()
-	ev.Seq = w.seq
-	w.seq++
-	w.pending = append(w.pending, ev)
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (w *Watch) pump(ctx context.Context) {
-	defer close(w.events)
-	for {
-		select {
-		case <-w.done:
-			return
-		case <-ctx.Done():
-			w.gw.removeWatch(w)
-			w.terminate(ctx.Err())
-			return
-		case <-w.wake:
-		}
-		for {
-			w.mu.Lock()
-			if len(w.pending) == 0 {
-				w.mu.Unlock()
-				break
-			}
-			ev := w.pending[0]
-			w.pending = w.pending[1:]
-			w.mu.Unlock()
-			select {
-			case w.events <- ev:
-			case <-w.done:
-				return
-			case <-ctx.Done():
-				w.gw.removeWatch(w)
-				w.terminate(ctx.Err())
-				return
-			}
-		}
-	}
-}
-
 // removeWatch unsubscribes w, dropping its set when it was the last
 // subscriber.
-func (g *Gateway) removeWatch(w *Watch) {
+func (g *Gateway) removeWatch(ws *gwWatchSet, w *Watch) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ws := w.set
 	if current, ok := g.watches[ws.key]; !ok || current != ws {
 		return
 	}
