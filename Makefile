@@ -1,9 +1,12 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-check loc coverage docs-check examples staticcheck apicheck shuffle shard-smoke persist-smoke ci
+.PHONY: build vet test race bench bench-compare bench-check loc coverage docs-check examples staticcheck apicheck shuffle shard-smoke persist-smoke ci
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -77,4 +80,4 @@ staticcheck:
 		echo "staticcheck not installed; run: go install honnef.co/go/tools/cmd/staticcheck@latest"; exit 1; }
 	staticcheck ./...
 
-ci: build test race shuffle apicheck bench-check coverage examples docs-check shard-smoke persist-smoke
+ci: build vet test race shuffle apicheck bench-check coverage examples docs-check shard-smoke persist-smoke

@@ -63,7 +63,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -76,6 +75,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/shard"
 	"repro/ksjq"
 )
 
@@ -136,54 +136,6 @@ func main() {
 	flag.Var(&loads, "load", "preload a relation: name,path,local[,agg[,band]] (repeatable)")
 	flag.Parse()
 
-	if *gateway {
-		runGateway(*addr, *shards, *timeout, *grace, *debug)
-		return
-	}
-
-	cfg := ksjq.ServiceConfig{
-		MaxConcurrent:      *workers,
-		MaxQueue:           *queue,
-		CacheEntries:       *cache,
-		DefaultTimeout:     *timeout,
-		SweepInterval:      *sweep,
-		CheckpointInterval: *ckpt,
-	}
-	var svc *ksjq.Service
-	if *data != "" {
-		var err error
-		if svc, err = ksjq.OpenService(cfg, *data); err != nil {
-			log.Fatalf("ksjqd: opening data dir %s: %v", *data, err)
-		}
-		for _, info := range svc.Relations() {
-			log.Printf("recovered relation %s (%d tuples, version %d) from %s", info.Name, info.Tuples, info.Version, *data)
-		}
-	} else {
-		svc = ksjq.NewService(cfg)
-	}
-	preloaded := 0
-	for _, spec := range loads {
-		loaded, err := preload(svc, spec, *window)
-		if err != nil {
-			log.Fatalf("ksjqd: -load %s: %v", spec.name, err)
-		}
-		if loaded {
-			preloaded++
-			log.Printf("loaded relation %s from %s", spec.name, spec.path)
-		} else {
-			// Recovered from the store — the CSV is only the first boot's
-			// seed, not re-parsed every start.
-			log.Printf("relation %s already recovered; skipping %s", spec.name, spec.path)
-		}
-	}
-	if *data != "" && preloaded > 0 {
-		// Fold the preloads into segment files now so the next boot reads
-		// columnar segments instead of replaying full-relation WAL records.
-		if err := svc.Checkpoint(); err != nil {
-			log.Printf("ksjqd: checkpoint after preload: %v", err)
-		}
-	}
-
 	// The wire-facing deadline bound mirrors the service's resolution of
 	// -timeout: 0 means the shared default, negative means the operator
 	// explicitly allows unbounded requests.
@@ -193,13 +145,29 @@ func main() {
 	} else if maxTimeout < 0 {
 		maxTimeout = 0
 	}
-	srv := &http.Server{Addr: *addr, Handler: newServer(svc, maxTimeout)}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// The two modes differ only in what stands behind the wire surface;
+	// one loop serves, drains and closes either.
+	var b backend
+	if *gateway {
+		b = openGateway(ctx, *shards, *timeout, maxTimeout)
+	} else {
+		b = openService(ksjq.ServiceConfig{
+			MaxConcurrent:      *workers,
+			MaxQueue:           *queue,
+			CacheEntries:       *cache,
+			DefaultTimeout:     *timeout,
+			SweepInterval:      *sweep,
+			CheckpointInterval: *ckpt,
+		}, *data, loads, *window, maxTimeout)
+	}
+	srv := &http.Server{Addr: *addr, Handler: b.handler}
+
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("ksjqd listening on %s (%d relations preloaded, %d already recovered and skipped)", *addr, preloaded, len(loads)-preloaded)
+	log.Printf("ksjqd listening on %s (%s)", *addr, b.banner)
 
 	// The API mux is ours, so the pprof handlers net/http/pprof hangs on
 	// the default mux stay unreachable unless the operator opts in with a
@@ -224,10 +192,89 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("ksjqd: shutdown: %v", err)
 	}
-	if err := svc.Close(); err != nil && !errors.Is(err, ksjq.ErrServiceClosed) {
-		log.Printf("ksjqd: closing service: %v", err)
+	// Close drains what Shutdown's grace cut loose: in-flight queries, a
+	// final checkpoint (service), half-merged scatter-gathers (gateway).
+	if err := b.close(); err != nil {
+		log.Printf("ksjqd: closing: %v", err)
 	}
 	log.Printf("ksjqd: bye")
+}
+
+// backend is what one ksjqd mode puts behind the listener.
+type backend struct {
+	handler http.Handler
+	close   func() error
+	banner  string // the mode's half of the "listening" log line
+}
+
+// openService is single-node mode: a local service — durable when dataDir
+// is set — with the -load relations registered.
+func openService(cfg ksjq.ServiceConfig, dataDir string, loads loadFlags, window, maxTimeout time.Duration) backend {
+	var svc *ksjq.Service
+	if dataDir != "" {
+		var err error
+		if svc, err = ksjq.OpenService(cfg, dataDir); err != nil {
+			log.Fatalf("ksjqd: opening data dir %s: %v", dataDir, err)
+		}
+		for _, info := range svc.Relations() {
+			log.Printf("recovered relation %s (%d tuples, version %d) from %s", info.Name, info.Tuples, info.Version, dataDir)
+		}
+	} else {
+		svc = ksjq.NewService(cfg)
+	}
+	preloaded := 0
+	for _, spec := range loads {
+		loaded, err := preload(svc, spec, window)
+		if err != nil {
+			log.Fatalf("ksjqd: -load %s: %v", spec.name, err)
+		}
+		if loaded {
+			preloaded++
+			log.Printf("loaded relation %s from %s", spec.name, spec.path)
+		} else {
+			// Recovered from the store — the CSV is only the first boot's
+			// seed, not re-parsed every start.
+			log.Printf("relation %s already recovered; skipping %s", spec.name, spec.path)
+		}
+	}
+	if dataDir != "" && preloaded > 0 {
+		// Fold the preloads into segment files now so the next boot reads
+		// columnar segments instead of replaying full-relation WAL records.
+		if err := svc.Checkpoint(); err != nil {
+			log.Printf("ksjqd: checkpoint after preload: %v", err)
+		}
+	}
+	return backend{
+		handler: newServer(svc, maxTimeout),
+		close:   svc.Close,
+		banner:  fmt.Sprintf("%d relations preloaded, %d already recovered and skipped", preloaded, len(loads)-preloaded),
+	}
+}
+
+// openGateway is gateway mode: connect to the shard processes and serve
+// the scatter-gather wire surface over them. ctx lets a signal interrupt
+// the connect.
+func openGateway(ctx context.Context, shardList string, timeout, maxTimeout time.Duration) backend {
+	var addrs []string
+	for _, a := range strings.Split(shardList, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	if len(addrs) == 0 {
+		log.Fatalf("ksjqd: -gateway needs -shards host:port[,host:port...]")
+	}
+	connectCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	gw, err := shard.New(connectCtx, addrs, shard.Config{ShardTimeout: timeout})
+	if err != nil {
+		log.Fatalf("ksjqd: connecting to shards: %v", err)
+	}
+	return backend{
+		handler: shard.NewHandler(gw, maxTimeout),
+		close:   gw.Close,
+		banner:  fmt.Sprintf("gateway over %d shards: %s", len(addrs), strings.Join(addrs, ", ")),
+	}
 }
 
 // preload registers one -load CSV, unless the store already recovered a

@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -256,15 +255,6 @@ func compactAttrs(pairs []join.Pair) {
 func detach(p join.Pair) join.Pair {
 	p.Attrs = append([]float64(nil), p.Attrs...)
 	return p
-}
-
-func sortPairs(pairs []join.Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Left != pairs[j].Left {
-			return pairs[i].Left < pairs[j].Left
-		}
-		return pairs[i].Right < pairs[j].Right
-	})
 }
 
 // basePoints extracts the base attribute vectors of a relation as views

@@ -44,10 +44,6 @@ type engine struct {
 	// noTargetPrune disables the checker's target-set skip; used only by
 	// the ablation benchmarks to quantify the optimization.
 	noTargetPrune bool
-	// scalarVerify forces cell verification through the per-candidate
-	// path (checker.dominates) instead of the blocked kernel — the
-	// ablation/oracle arm the kernel-equivalence tests compare against.
-	scalarVerify bool
 	// memoLeft/memoLeftSorted and memoRight/memoRightIx remember the last
 	// subset probe order and subset checker index built, keyed by slice
 	// identity. The grouping cells reuse the augmented target lists across
@@ -404,22 +400,6 @@ func (c *checker) verifyRange(ctx context.Context, candidates []join.Pair, lo, h
 		}
 		if dead := orig ^ m; dead != 0 {
 			keep[word] &^= uint64(dead) << shift
-		}
-	}
-	return nil
-}
-
-// verifyRangeScalar is the retained per-candidate ablation/oracle arm of
-// verifyRange: every candidate goes through checker.dominates exactly as
-// the streaming path would. It also serves the noTargetPrune ablation,
-// whose un-pruned test sequence lives inside dominates.
-func (c *checker) verifyRangeScalar(ctx context.Context, candidates []join.Pair, lo, hi int, keep []uint64) error {
-	for ci := lo; ci < hi; ci++ {
-		if ci%cancelEvery == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if c.dominates(candidates[ci].Attrs) {
-			keep[ci>>6] &^= uint64(1) << uint(ci&63)
 		}
 	}
 	return nil

@@ -43,11 +43,6 @@ type ExecOptions struct {
 	// grouping-path cap is unspecified beyond "a subset of the skyline" —
 	// tuples are confirmed in cell order, not (Left, Right) order.
 	Limit int
-	// scalarVerify (unexported: the kernel-equivalence tests' knob) forces
-	// cell verification through the per-candidate dominates arm instead of
-	// the blocked kernel. Answers and Stats.DominationTests are identical
-	// either way — that equivalence is what the oracle pins.
-	scalarVerify bool
 }
 
 // Emit receives one confirmed skyline tuple. Returning false cancels the
@@ -107,7 +102,7 @@ func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 		return nil, err
 	}
 	if o.Emit == nil {
-		sortPairs(res.Skyline)
+		join.SortPairs(res.Skyline)
 		if o.Limit > 0 && len(res.Skyline) > o.Limit {
 			res.Skyline = res.Skyline[:o.Limit]
 		}
@@ -139,9 +134,6 @@ func verifyCell(ctx context.Context, e *engine, stream bool, candidates []join.P
 		return true, nil
 	}
 	chk := e.newChecker(chkLeft, chkRight)
-	// scalarVerify is the tests' per-candidate oracle arm; noTargetPrune's
-	// un-pruned test sequence also lives only in checker.dominates.
-	scalar := e.scalarVerify || e.noTargetPrune
 	if stream && e.pool == nil {
 		for i := range candidates {
 			if i%cancelEvery == 0 && ctx.Err() != nil {
@@ -154,16 +146,11 @@ func verifyCell(ctx context.Context, e *engine, stream bool, candidates []join.P
 		return true, nil
 	}
 	keep := e.keepBits(len(candidates))
-	if !scalar {
-		chk.ensurePartners()
-	}
+	chk.ensurePartners()
 	var err error
-	switch {
-	case e.pool != nil && len(candidates) > poolChunk:
-		err = e.pool.verify(ctx, chk, candidates, keep, scalar)
-	case scalar:
-		err = chk.verifyRangeScalar(ctx, candidates, 0, len(candidates), keep)
-	default:
+	if e.pool != nil && len(candidates) > poolChunk {
+		err = e.pool.verify(ctx, chk, candidates, keep)
+	} else {
 		err = chk.verifyRange(ctx, candidates, 0, len(candidates), keep)
 	}
 	if err != nil {

@@ -190,7 +190,7 @@ func TestExecModesAgree(t *testing.T) {
 			if len(res.Skyline) != 0 {
 				t.Fatalf("trial %d: streaming run also collected %d tuples", trial, len(res.Skyline))
 			}
-			sortPairs(streamed)
+			join.SortPairs(streamed)
 			got := Result{Skyline: streamed}
 			assertSameSkyline(t, "stream vs serial", &got, serial)
 		}

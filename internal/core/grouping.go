@@ -32,7 +32,6 @@ func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	workers, emitFn, limit := o.Workers, o.Emit, o.Limit
 	st := Stats{}
 	e := newEngineResident(q, &st, o.Resident)
-	e.scalarVerify = o.scalarVerify
 	if workers > 1 {
 		e.pool = newWorkerPool(e, workers)
 		defer e.pool.close()

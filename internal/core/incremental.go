@@ -405,7 +405,7 @@ func (m *Maintainer) Skyline() []join.Pair {
 	for _, p := range m.sky {
 		out = append(out, p)
 	}
-	sortPairs(out)
+	join.SortPairs(out)
 	return out
 }
 

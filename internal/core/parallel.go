@@ -33,7 +33,6 @@ type poolJob struct {
 	chk        *checker
 	candidates []join.Pair
 	keep       []uint64
-	scalar     bool
 	cursor     atomic.Int64
 	tests      atomic.Int64
 	wg         sync.WaitGroup
@@ -98,11 +97,7 @@ func (p *workerPool) run(w int) {
 				hi = n
 			}
 			p.chunks[w]++
-			if job.scalar {
-				_ = chk.verifyRangeScalar(job.ctx, job.candidates, int(lo), int(hi), job.keep)
-			} else {
-				_ = chk.verifyRange(job.ctx, job.candidates, int(lo), int(hi), job.keep)
-			}
+			_ = chk.verifyRange(job.ctx, job.candidates, int(lo), int(hi), job.keep)
 		}
 		job.tests.Add(local.DominationTests - start)
 		job.wg.Done()
@@ -111,13 +106,13 @@ func (p *workerPool) run(w int) {
 
 // verify runs one cell's candidate filtering on the pool and blocks until
 // every worker has drained the cursor. The checker must already have its
-// partner cache built (ensurePartners) unless scalar. Domination-test
+// partner cache built (ensurePartners). Domination-test
 // counts are flushed into the coordinating engine's stats before
 // returning, so Stats stay deterministic: each candidate's tests depend
 // only on the candidate, never on which worker claimed it.
-func (p *workerPool) verify(ctx context.Context, chk *checker, candidates []join.Pair, keep []uint64, scalar bool) error {
+func (p *workerPool) verify(ctx context.Context, chk *checker, candidates []join.Pair, keep []uint64) error {
 	job := &p.job
-	job.ctx, job.chk, job.candidates, job.keep, job.scalar = ctx, chk, candidates, keep, scalar
+	job.ctx, job.chk, job.candidates, job.keep = ctx, chk, candidates, keep
 	job.cursor.Store(0)
 	job.tests.Store(0)
 	job.wg.Add(p.workers)

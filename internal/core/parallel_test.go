@@ -98,7 +98,7 @@ func TestProgressiveMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sortPairs(streamed)
+		join.SortPairs(streamed)
 		got := Result{Skyline: streamed, Stats: res.Stats}
 		assertSameSkyline(t, fmt.Sprintf("trial %d", trial), &got, batch)
 	}

@@ -86,7 +86,7 @@ func TestResidentParallelAndEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := &Result{Skyline: streamed}
-	sortPairs(got.Skyline)
+	join.SortPairs(got.Skyline)
 	assertSameSkyline(t, "resident emit", got, cold)
 }
 

@@ -192,7 +192,7 @@ func Run(q core.Query, nodes int) (*Result, error) {
 	}
 	st.VerifyTime = time.Since(t0)
 
-	SortPairs(skyline)
+	join.SortPairs(skyline)
 	st.Total = time.Since(start)
 	return &Result{Skyline: skyline, Stats: st}, nil
 }
@@ -223,20 +223,4 @@ func NodeOf(key string, nodes int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return int(h.Sum32() % uint32(nodes))
-}
-
-// SortPairs orders a merged skyline by (Left, Right) — the canonical order
-// core.Run emits — so partition-merged answers compare byte-identical to
-// single-node ones. Insertion sort: merged skylines are short and mostly
-// ordered.
-func SortPairs(pairs []join.Pair) {
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := pairs[j-1], pairs[j]
-			if a.Left < b.Left || (a.Left == b.Left && a.Right <= b.Right) {
-				break
-			}
-			pairs[j-1], pairs[j] = b, a
-		}
-	}
 }

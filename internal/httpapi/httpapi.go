@@ -1,9 +1,10 @@
 // Package httpapi is the HTTP JSON codec over the KSJQ query service:
-// every endpoint decodes a request, calls the same service method an
-// embedder would, and encodes the response. No query logic lives here.
-// cmd/ksjqd serves it directly; the sharded gateway (internal/shard)
-// speaks it as a client against each shard process and re-serves the
-// same surface cluster-wide, which is why the wire types are exported.
+// every endpoint decodes a request, calls the same method an embedder
+// would, and encodes the response. No query logic lives here. The
+// handler is written once against Backend, which both ksjqd modes stand
+// behind: the local service (NewHandler) and the sharded gateway
+// (internal/shard) — which also speaks this surface as a client against
+// each shard process, which is why the wire types are exported.
 //
 //	POST   /v1/relations  {"name","local","agg","tuples":[{"key","band","attrs"}],"window_ms":60000}
 //	POST   /v1/relations?format=csv&name=r1&local=3&agg=1[&band=1][&window_ms=60000]   (CSV body)
@@ -102,6 +103,8 @@ type QueryResponseJSON struct {
 	Versions  [2]uint64  `json:"versions"`
 	ElapsedUS int64      `json:"elapsed_us"`
 	Stats     *StatsJSON `json:"stats,omitempty"`
+	// Dist is the two-round breakdown a gateway reports (Backend.Query).
+	Dist any `json:"dist,omitempty"`
 }
 
 // StatsJSON flattens the engine's per-phase breakdown to microseconds.
@@ -224,18 +227,70 @@ type WatchEventJSON struct {
 	Versions [2]uint64  `json:"versions"`
 }
 
+// Backend is what the wire surface serves: the local service or the
+// gateway's scatter-gather over shard processes. Clients cannot tell the
+// two apart except where a backend says so — the shapes of its listings,
+// the extra block on its query replies, the errors it refuses with.
+type Backend interface {
+	// Register takes ownership of a validated-on-arrival relation; window
+	// is the sliding-window length (0 = none).
+	Register(ctx context.Context, name string, rel *dataset.Relation, window time.Duration) (version uint64, err error)
+	Unregister(ctx context.Context, name string) error
+	// Relations and Stats are encoded as returned.
+	Relations() any
+	Stats(ctx context.Context) any
+	// Query's dist, when non-nil, is encoded as the reply's "dist" block.
+	Query(ctx context.Context, req service.QueryRequest) (resp *service.QueryResponse, dist any, err error)
+	Watch(ctx context.Context, req service.QueryRequest) (*service.Watch, error)
+	InsertBatch(ctx context.Context, name string, ts []dataset.Tuple) (*service.InsertResult, error)
+	DeleteBatch(ctx context.Context, name string, ids []int) (*service.DeleteResult, error)
+}
+
+// local stands a *service.Service behind Backend; Watch is the service's
+// own.
+type local struct{ *service.Service }
+
+func (l local) Register(_ context.Context, name string, rel *dataset.Relation, window time.Duration) (uint64, error) {
+	return l.RegisterWindow(name, rel, window)
+}
+func (l local) Unregister(_ context.Context, name string) error { return l.Service.Unregister(name) }
+func (l local) Relations() any                                  { return l.Service.Relations() }
+func (l local) Stats(context.Context) any                       { return l.Service.Stats() }
+func (l local) Query(ctx context.Context, req service.QueryRequest) (*service.QueryResponse, any, error) {
+	resp, err := l.Service.Query(ctx, req)
+	return resp, nil, err
+}
+func (l local) InsertBatch(_ context.Context, name string, ts []dataset.Tuple) (*service.InsertResult, error) {
+	return l.Service.InsertBatch(name, ts)
+}
+func (l local) DeleteBatch(_ context.Context, name string, ids []int) (*service.DeleteResult, error) {
+	return l.Service.DeleteBatch(name, ids)
+}
+
 // handler carries the wire surface's operator-level policy: clients may
 // tighten the per-request deadline but never loosen it past maxTimeout
-// (0 = the operator disabled the bound).
+// (0 = the operator disabled the bound). writeErr maps the backend's
+// errors onto status codes.
 type handler struct {
-	svc        *service.Service
+	b          Backend
 	maxTimeout time.Duration
+	writeErr   func(http.ResponseWriter, error)
 }
 
 // NewHandler builds the ksjqd HTTP surface over svc. maxTimeout is the
 // operator's per-request deadline bound; 0 disables it.
 func NewHandler(svc *service.Service, maxTimeout time.Duration) http.Handler {
-	h := &handler{svc: svc, maxTimeout: maxTimeout}
+	mux := New(local{svc}, maxTimeout, WriteServiceError)
+	mux.HandleFunc("/v1/verify", post(verifyHandler(svc, maxTimeout)))
+	return mux
+}
+
+// New builds the wire surface every backend serves — /healthz and /v1/
+// relations, query, watch, insert, delete, stats — with writeErr mapping
+// the backend's errors (WriteServiceError for a local service). The mux is
+// returned so a backend can route what only it has beside it.
+func New(b Backend, maxTimeout time.Duration, writeErr func(http.ResponseWriter, error)) *http.ServeMux {
+	h := &handler{b: b, maxTimeout: maxTimeout, writeErr: writeErr}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
@@ -243,7 +298,7 @@ func NewHandler(svc *service.Service, maxTimeout time.Duration) http.Handler {
 	mux.HandleFunc("/v1/relations", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
-			WriteJSON(w, http.StatusOK, map[string]any{"relations": svc.Relations()})
+			WriteJSON(w, http.StatusOK, map[string]any{"relations": b.Relations()})
 		case http.MethodPost:
 			h.handleLoad(w, r)
 		case http.MethodDelete:
@@ -252,24 +307,25 @@ func NewHandler(svc *service.Service, maxTimeout time.Duration) http.Handler {
 			WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET, POST or DELETE"))
 		}
 	})
-	post := func(path string, fn func(http.ResponseWriter, *http.Request)) {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-				return
-			}
-			fn(w, r)
-		})
-	}
-	post("/v1/query", h.handleQuery)
-	post("/v1/verify", h.handleVerify)
-	post("/v1/watch", h.handleWatch)
-	post("/v1/insert", h.handleInsert)
-	post("/v1/delete", h.handleDelete)
+	mux.HandleFunc("/v1/query", post(h.handleQuery))
+	mux.HandleFunc("/v1/watch", post(h.handleWatch))
+	mux.HandleFunc("/v1/insert", post(h.handleInsert))
+	mux.HandleFunc("/v1/delete", post(h.handleDelete))
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, svc.Stats())
+		WriteJSON(w, http.StatusOK, b.Stats(r.Context()))
 	})
 	return mux
+}
+
+// post refuses every method but POST.
+func post(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+			return
+		}
+		fn(w, r)
+	}
 }
 
 // Clamp applies the operator bound (0 = none) to a wire timeout: a client
@@ -285,58 +341,45 @@ func Clamp(timeoutMS int64, bound time.Duration) time.Duration {
 	return timeout
 }
 
+// handleLoad registers a relation from a JSON tuple list or a CSV body;
+// either way the rows are schema-checked here, before the backend sees
+// them.
 func (h *handler) handleLoad(w http.ResponseWriter, r *http.Request) {
-	svc := h.svc
-	if r.URL.Query().Get("format") == "csv" {
-		q := r.URL.Query()
-		name := q.Get("name")
-		local, agg := Atoi(q.Get("local")), Atoi(q.Get("agg"))
-		hasBand := q.Get("band") != "" && q.Get("band") != "0"
-		window := time.Duration(Atoi(q.Get("window_ms"))) * time.Millisecond
-		rel, err := dataset.ReadCSV(r.Body, dataset.ReadOptions{
-			Name: name, Local: local, Agg: agg, HasBand: hasBand,
+	var name string
+	var rel *dataset.Relation
+	var window time.Duration
+	var err error
+	if q := r.URL.Query(); q.Get("format") == "csv" {
+		name = q.Get("name")
+		window = time.Duration(Atoi(q.Get("window_ms"))) * time.Millisecond
+		rel, err = dataset.ReadCSV(r.Body, dataset.ReadOptions{
+			Name: name, Local: Atoi(q.Get("local")), Agg: Atoi(q.Get("agg")),
+			HasBand: q.Get("band") != "" && q.Get("band") != "0",
 		})
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, err)
+	} else {
+		var req RegisterJSON
+		if !decode(w, r, &req) {
 			return
 		}
-		version, err := svc.RegisterWindow(name, rel, window)
-		if err != nil {
-			WriteServiceError(w, err)
-			return
+		name = req.Name
+		window = time.Duration(req.WindowMS) * time.Millisecond
+		tuples := make([]dataset.Tuple, len(req.Tuples))
+		for i, t := range req.Tuples {
+			tuples[i] = t.Tuple()
 		}
-		h.writeLoadResponse(w, name, version)
-		return
+		rel, err = dataset.New(name, req.Local, req.Agg, tuples)
 	}
-	var req RegisterJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	tuples := make([]dataset.Tuple, len(req.Tuples))
-	for i, t := range req.Tuples {
-		tuples[i] = t.Tuple()
-	}
-	rel, err := dataset.New(req.Name, req.Local, req.Agg, tuples)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	version, err := svc.RegisterWindow(req.Name, rel, time.Duration(req.WindowMS)*time.Millisecond)
+	tuples := rel.Len() // the backend owns rel once it is registered
+	version, err := h.b.Register(r.Context(), name, rel, window)
 	if err != nil {
-		WriteServiceError(w, err)
+		h.writeErr(w, err)
 		return
 	}
-	h.writeLoadResponse(w, req.Name, version)
-}
-
-func (h *handler) writeLoadResponse(w http.ResponseWriter, name string, version uint64) {
-	info, err := h.svc.RelationInfo(name)
-	if err != nil {
-		WriteServiceError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, RegisterResponseJSON{Name: name, Version: version, Tuples: info.Tuples})
+	WriteJSON(w, http.StatusOK, RegisterResponseJSON{Name: name, Version: version, Tuples: tuples})
 }
 
 func (h *handler) handleUnregister(w http.ResponseWriter, r *http.Request) {
@@ -345,8 +388,8 @@ func (h *handler) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, errors.New("missing ?name="))
 		return
 	}
-	if err := h.svc.Unregister(name); err != nil {
-		WriteServiceError(w, err)
+	if err := h.b.Unregister(r.Context(), name); err != nil {
+		h.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"name": name, "unregistered": true})
@@ -354,15 +397,14 @@ func (h *handler) handleUnregister(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decode(w, r, &req) {
 		return
 	}
 	sreq := req.Request()
 	sreq.Timeout, sreq.NoCache = Clamp(req.TimeoutMS, h.maxTimeout), req.NoCache
-	resp, err := h.svc.Query(r.Context(), sreq)
+	resp, dist, err := h.b.Query(r.Context(), sreq)
 	if err != nil {
-		WriteServiceError(w, err)
+		h.writeErr(w, err)
 		return
 	}
 	out := QueryResponseJSON{
@@ -372,6 +414,7 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Algorithm: resp.Algorithm,
 		Versions:  resp.Versions,
 		ElapsedUS: resp.Elapsed.Microseconds(),
+		Dist:      dist,
 	}
 	if st := resp.Stats; st != nil {
 		out.Stats = &StatsJSON{
@@ -388,56 +431,52 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-func (h *handler) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+// verifyHandler serves the verification round, which only a process
+// holding relations can answer — a gateway does not route it.
+func verifyHandler(svc *service.Service, maxTimeout time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req VerifyJSON
+		if !decode(w, r, &req) {
+			return
+		}
+		resp, err := svc.Verify(r.Context(), service.VerifyRequest{
+			R1: req.R1, R2: req.R2, K: req.K,
+			Join: req.Join, Agg: req.Agg,
+			Vectors: req.Vectors,
+			Timeout: Clamp(req.TimeoutMS, maxTimeout),
+		})
+		if err != nil {
+			WriteServiceError(w, err)
+			return
+		}
+		dominated := resp.Dominated
+		if dominated == nil {
+			dominated = []bool{}
+		}
+		WriteJSON(w, http.StatusOK, VerifyResponseJSON{
+			Dominated: dominated,
+			Versions:  resp.Versions,
+			ElapsedUS: resp.Elapsed.Microseconds(),
+		})
 	}
-	resp, err := h.svc.Verify(r.Context(), service.VerifyRequest{
-		R1: req.R1, R2: req.R2, K: req.K,
-		Join: req.Join, Agg: req.Agg,
-		Vectors: req.Vectors,
-		Timeout: Clamp(req.TimeoutMS, h.maxTimeout),
-	})
-	if err != nil {
-		WriteServiceError(w, err)
-		return
-	}
-	dominated := resp.Dominated
-	if dominated == nil {
-		dominated = []bool{}
-	}
-	WriteJSON(w, http.StatusOK, VerifyResponseJSON{
-		Dominated: dominated,
-		Versions:  resp.Versions,
-		ElapsedUS: resp.Elapsed.Microseconds(),
-	})
 }
 
 // handleWatch upgrades a query into a standing subscription: the response
 // is an unbounded application/x-ndjson stream of answer deltas, one JSON
 // object per line, flushed as they happen. The stream ends when the
 // client disconnects (the request context cancels the watch) or the
-// service shuts down. The timeout clamp is deliberately not applied —
+// backend shuts down. The timeout clamp is deliberately not applied —
 // a watch is long-lived by design; its lifetime is the connection's.
 func (h *handler) handleWatch(w http.ResponseWriter, r *http.Request) {
 	var req QueryJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decode(w, r, &req) {
 		return
 	}
-	watch, err := h.svc.Watch(r.Context(), req.Request())
+	watch, err := h.b.Watch(r.Context(), req.Request())
 	if err != nil {
-		WriteServiceError(w, err)
+		h.writeErr(w, err)
 		return
 	}
-	StreamWatch(w, watch)
-}
-
-// StreamWatch serves one subscription as NDJSON until it ends or the
-// client goes away, then closes it.
-func StreamWatch(w http.ResponseWriter, watch *service.Watch) {
 	defer watch.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -455,13 +494,12 @@ func StreamWatch(w http.ResponseWriter, watch *service.Watch) {
 }
 
 // handleInsert accepts the original single-tuple form ("tuple") and the
-// batch form ("tuples"); both run through the service's group-commit
+// batch form ("tuples"); both run through the backend's group-commit
 // ingest, a batch paying one version bump and one maintenance pass for
 // the whole set.
 func (h *handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decode(w, r, &req) {
 		return
 	}
 	tuples, err := req.Batch()
@@ -469,9 +507,9 @@ func (h *handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := h.svc.InsertBatch(req.Relation, tuples)
+	res, err := h.b.InsertBatch(r.Context(), req.Relation, tuples)
 	if err != nil {
-		WriteServiceError(w, err)
+		h.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, InsertResponseJSON{
@@ -482,14 +520,13 @@ func (h *handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete accepts a single row id ("id") or a batch ("ids"); both
-// run through the service's group-commit delete, a batch paying one
+// run through the backend's group-commit delete, a batch paying one
 // version bump and one maintenance pass for the whole set. Ids are the
 // rows' current indexes — surviving rows renumber after the commit, so
 // batch members are resolved against the same pre-delete numbering.
 func (h *handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req DeleteJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decode(w, r, &req) {
 		return
 	}
 	ids, err := req.Batch()
@@ -497,9 +534,9 @@ func (h *handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := h.svc.DeleteBatch(req.Relation, ids)
+	res, err := h.b.DeleteBatch(r.Context(), req.Relation, ids)
 	if err != nil {
-		WriteServiceError(w, err)
+		h.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, DeleteResponseJSON{
@@ -507,6 +544,16 @@ func (h *handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 		Maintained: res.Maintained, Invalidated: res.Invalidated,
 		Evicted: res.Evicted, Resurrected: res.Resurrected,
 	})
+}
+
+// decode reads the request's JSON body into v, answering 400 itself (and
+// returning false) when it is malformed.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return err == nil
 }
 
 // WriteServiceError maps service errors onto HTTP status codes.

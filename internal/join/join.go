@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 
 	"repro/internal/dataset"
@@ -284,6 +285,18 @@ func CombineAt(r1, r2 *dataset.Relation, i, j int, agg Aggregator, dst []float64
 type Pair struct {
 	Left, Right int
 	Attrs       []float64
+}
+
+// SortPairs orders pairs by (Left, Right), the canonical order every
+// answer is served in — which is what makes a maintained, a recomputed and
+// a partition-merged skyline compare byte-identical.
+func SortPairs(pairs []Pair) {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].Left != pairs[j].Left {
+			return pairs[i].Left < pairs[j].Left
+		}
+		return pairs[i].Right < pairs[j].Right
+	})
 }
 
 // Pairs materializes the full join r1 ⋈ r2 under the spec via an Index

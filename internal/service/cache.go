@@ -10,20 +10,21 @@ import (
 	"repro/internal/join"
 )
 
-// answerKey is the normalized, version-free identity of an answer: the
+// AnswerKey is the normalized, version-free identity of an answer: the
 // two registered relations, the canonical join and aggregator tokens, and
 // k. Algorithm and parallel degree are deliberately absent — every
 // strategy computes the same skyline, so a result computed by one serves
 // requests asking for another. Versions are not part of the identity: a
 // standing answer follows its query across versions.
-type answerKey struct {
-	r1, r2 string
-	cond   join.Condition
-	agg    string
-	k      int
+type AnswerKey struct {
+	R1, R2 string
+	Cond   join.Condition
+	Agg    string
+	K      int
 }
 
-func (k answerKey) names(rel string) bool { return k.r1 == rel || k.r2 == rel }
+// Names reports whether the answer is over the named relation.
+func (k AnswerKey) Names(rel string) bool { return k.R1 == rel || k.R2 == rel }
 
 // errSuperseded ends subscriptions to an answer found standing at versions
 // the registry has moved past — a state the commit pipeline never leaves
@@ -31,22 +32,24 @@ func (k answerKey) names(rel string) bool { return k.r1 == rel || k.r2 == rel }
 // stale skyline.
 var errSuperseded = errors.New("service: standing answer superseded")
 
-// answer is one standing answer — the single structure behind a cache
+// Answer is one standing answer — the single structure behind a cache
 // hit, a maintained hit and a watch delta. It is valid at exactly
-// versions; a commit over either relation (commit.go) advances it in
-// place through its maintainer, which the first such commit creates from
-// the served skyline for free. skyline is always the served snapshot, so
-// lookups never pay the maintainer's copy-and-sort.
+// versions; whoever commits a mutation over either relation advances it
+// in place and publishes the result: the service (commit.go) through the
+// answer's maintainer, which the first such commit creates from the
+// served skyline for free, the sharded gateway by re-running its two
+// rounds. skyline is always the served snapshot, so lookups never pay the
+// maintainer's copy-and-sort.
 //
 // An answer is in the LRU list unless it is pinned: by subscribers
-// (Service.Watch), or by a commit mid-flight (absorbing), during which
-// the maintainer is in use with no lock held and must not be closed.
-// Pinned answers sit outside the capacity budget.
+// (Attach), or by a commit mid-flight (absorbing), during which the
+// maintainer is in use with no lock held and must not be closed. Pinned
+// answers sit outside the capacity budget.
 //
-// Every field is guarded by the cache mutex; the maintainer's internals
+// Every field is guarded by the store mutex; the maintainer's internals
 // belong to whichever commit holds the absorbing pin.
-type answer struct {
-	key       answerKey
+type Answer struct {
+	key       AnswerKey
 	q         core.Query // normalized query; relation pointers are stable
 	versions  [2]uint64
 	skyline   []join.Pair // sorted by (Left, Right)
@@ -57,30 +60,37 @@ type answer struct {
 	elem      *list.Element // nil while pinned
 }
 
-// answerCache holds the standing answers: a map by key plus a bounded LRU
+// Key is the answer's identity; it never changes.
+func (a *Answer) Key() AnswerKey { return a.key }
+
+// AnswerStore holds the standing answers: a map by key plus a bounded LRU
 // over the unpinned ones. Its mutex covers only bookkeeping — never query
-// execution or maintainer work — so hits stay O(1) and uncontended.
-type answerCache struct {
+// execution or maintainer work — so hits stay O(1) and uncontended. The
+// service holds one over its registry and the sharded gateway one over its
+// placement; each serializes its own commits and calls the store under the
+// lock that orders them against its queries.
+type AnswerStore struct {
 	mu        sync.Mutex
 	cap       int
-	entries   map[answerKey]*answer
+	entries   map[AnswerKey]*Answer
 	lru       *list.List // front = most recently used
 	evictions uint64
 }
 
-func newAnswerCache(capacity int) *answerCache {
-	return &answerCache{
+// NewAnswerStore builds an empty store whose LRU holds capacity answers.
+func NewAnswerStore(capacity int) *AnswerStore {
+	return &AnswerStore{
 		cap:     capacity,
-		entries: make(map[answerKey]*answer, capacity),
+		entries: make(map[AnswerKey]*Answer, capacity),
 		lru:     list.New(),
 	}
 }
 
-// lookup returns the answer for key if it is valid at versions: the
+// Lookup returns the answer for key if it is valid at versions: the
 // skyline (read-only), the algorithm that computed it, and whether it is
 // live-maintained. An answer mid-commit is a miss — its snapshot is one
 // version behind until the commit publishes.
-func (c *answerCache) lookup(key answerKey, versions [2]uint64) (sky []join.Pair, algo string, maintained, ok bool) {
+func (c *AnswerStore) Lookup(key AnswerKey, versions [2]uint64) (sky []join.Pair, algo string, maintained, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
@@ -93,12 +103,12 @@ func (c *answerCache) lookup(key answerKey, versions [2]uint64) (sky []join.Pair
 	return a.skyline, a.algo, a.m != nil, true
 }
 
-// store records a freshly computed answer, evicting least-recently-used
+// Store records a freshly computed answer, evicting least-recently-used
 // answers past capacity. An answer already standing at these versions is
 // the same skyline and stays (maintainer and subscribers included), and
 // one mid-commit is left to its commit, which publishes the maintained
 // equivalent of what the caller just computed.
-func (c *answerCache) store(key answerKey, versions [2]uint64, q core.Query, sky []join.Pair, algo string) {
+func (c *AnswerStore) Store(key AnswerKey, versions [2]uint64, q core.Query, sky []join.Pair, algo string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if a, ok := c.entries[key]; ok {
@@ -107,25 +117,25 @@ func (c *answerCache) store(key answerKey, versions [2]uint64, q core.Query, sky
 		}
 		c.remove(a, errSuperseded)
 	}
-	a := &answer{key: key, q: q, versions: versions, skyline: sky, algo: algo}
+	a := &Answer{key: key, q: q, versions: versions, skyline: sky, algo: algo}
 	c.entries[key] = a
 	c.unpin(a)
 }
 
 // unpin enters an answer into the LRU at the front (a no-op if it is
 // there already) and trims the list back to capacity.
-func (c *answerCache) unpin(a *answer) {
+func (c *AnswerStore) unpin(a *Answer) {
 	if a.elem != nil {
 		return
 	}
 	a.elem = c.lru.PushFront(a)
 	for c.lru.Len() > c.cap {
-		c.remove(c.lru.Back().Value.(*answer), nil)
+		c.remove(c.lru.Back().Value.(*Answer), nil)
 		c.evictions++
 	}
 }
 
-func (c *answerCache) pin(a *answer) {
+func (c *AnswerStore) pin(a *Answer) {
 	if a.elem != nil {
 		c.lru.Remove(a.elem)
 		a.elem = nil
@@ -134,7 +144,7 @@ func (c *answerCache) pin(a *answer) {
 
 // remove deletes an answer for good: its maintainer closes and its
 // subscribers, if any, end with cause.
-func (c *answerCache) remove(a *answer, cause error) {
+func (c *AnswerStore) remove(a *Answer, cause error) {
 	delete(c.entries, a.key)
 	c.pin(a)
 	if a.m != nil {
@@ -142,14 +152,14 @@ func (c *answerCache) remove(a *answer, cause error) {
 		a.m = nil
 	}
 	for w := range a.subs {
-		w.Terminate(cause)
+		w.terminate(cause)
 	}
 	a.subs = nil
 }
 
-// purge removes every answer whose key matches; Unregister and Close use
-// it, holding the ingest mutex so no commit is mid-flight.
-func (c *answerCache) purge(match func(answerKey) bool, cause error) {
+// Purge removes every answer whose key matches; Unregister and Close use
+// it, with commits locked out so no answer is pinned as absorbing.
+func (c *AnswerStore) Purge(match func(AnswerKey) bool, cause error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, a := range c.entries {
@@ -159,18 +169,18 @@ func (c *answerCache) purge(match func(answerKey) bool, cause error) {
 	}
 }
 
-// take is the cache's half of a commit's phase 1: every answer over the
+// take is the store's half of a service commit's phase 1: every answer over the
 // relation is pinned as absorbing and, if the maintainer can carry it
 // across the mutation, returned. pre reports the versions an answer must
 // stand at to be current immediately before the mutation; a stale answer,
 // or one the maintainer cannot take (a non-strict aggregator), is removed
 // and counted as invalidated. Promotion is free: the served skyline seeds
 // the maintainer, no recomputation.
-func (c *answerCache) take(name string, pre func(answerKey) [2]uint64) (live []*answer, invalidated int) {
+func (c *AnswerStore) take(name string, pre func(AnswerKey) [2]uint64) (live []*Answer, invalidated int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, a := range c.entries {
-		if !key.names(name) {
+		if !key.Names(name) {
 			continue
 		}
 		var err error
@@ -191,13 +201,32 @@ func (c *answerCache) take(name string, pre func(answerKey) [2]uint64) (live []*
 	return live, invalidated
 }
 
-// publish is the cache's half of phase 3 for one taken answer: serve the
+// TakeWatched is phase 1 for a committer that carries answers across a
+// mutation by recomputing them (the gateway re-runs its two rounds): it
+// pins as absorbing, and returns, only the answers over the relation that
+// have subscribers — the ones somebody is waiting to hear about. The rest
+// stand at versions the mutation has moved past and are superseded by the
+// next Store. Every returned answer must be handed to Publish.
+func (c *AnswerStore) TakeWatched(name string) (live []*Answer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, a := range c.entries {
+		if key.Names(name) && len(a.subs) > 0 {
+			a.absorbing = true // its subscribers already pin it out of the LRU
+			live = append(live, a)
+		}
+	}
+	return live
+}
+
+// Publish is the store's half of phase 3 for one taken answer: serve the
 // post-commit skyline at the post-commit versions, send subscribers the
 // one coalesced delta, and release the commit's pin. A non-nil err says
-// the maintainer could not follow the commit (unreachable for
-// registry-owned relations); the answer is removed and every subscriber
-// ends with the error rather than silently drifting.
-func (c *answerCache) publish(a *answer, cur []join.Pair, versions [2]uint64, err error) {
+// the answer could not follow the commit (the maintainer failed —
+// unreachable for registry-owned relations — or a shard went down under
+// the gateway's recompute); it is removed and every subscriber ends with
+// the error rather than silently drifting.
+func (c *AnswerStore) Publish(a *Answer, cur []join.Pair, versions [2]uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -207,7 +236,7 @@ func (c *answerCache) publish(a *answer, cur []join.Pair, versions [2]uint64, er
 	if len(a.subs) > 0 {
 		added, removed := DiffPairs(a.skyline, cur)
 		for w := range a.subs {
-			w.Publish(WatchEvent{Added: added, Removed: removed, Versions: versions})
+			w.publish(WatchEvent{Added: added, Removed: removed, Versions: versions})
 		}
 	}
 	a.skyline, a.versions, a.absorbing = cur, versions, false
@@ -216,14 +245,14 @@ func (c *answerCache) publish(a *answer, cur []join.Pair, versions [2]uint64, er
 	}
 }
 
-// standing returns the answer for key a new subscriber can attach to:
+// Standing returns the answer for key a new subscriber can attach to:
 // one valid at the registry's current versions, or one mid-commit — whose
 // served snapshot is the pre-commit answer and whose delta the commit's
 // publish is about to deliver, so the subscriber sees every change
-// exactly once. Nil when there is none. The caller holds the service's
-// exclusive lock until it has attached, which is what makes snapshot and
-// subscription atomic against commits.
-func (c *answerCache) standing(key answerKey, versions [2]uint64) *answer {
+// exactly once. Nil when there is none. The caller holds the exclusive
+// lock its commits take until it has attached, which is what makes
+// snapshot and subscription atomic against them.
+func (c *AnswerStore) Standing(key AnswerKey, versions [2]uint64) *Answer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
@@ -233,27 +262,27 @@ func (c *answerCache) standing(key answerKey, versions [2]uint64) *answer {
 	return a
 }
 
-// attach starts a subscription on a standing answer and queues its
+// Attach starts a subscription on a standing answer and queues its
 // snapshot event. The watch is created under the cache mutex — the lock
 // its detach takes — so even an already-cancelled ctx cannot detach it
 // before it is subscribed.
-func (c *answerCache) attach(ctx context.Context, a *answer) *Watch {
+func (c *AnswerStore) Attach(ctx context.Context, a *Answer) *Watch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := NewWatch(ctx, func(w *Watch) { c.detach(a, w) })
+	w := newWatch(ctx, func(w *Watch) { c.detach(a, w) })
 	if a.subs == nil {
 		a.subs = make(map[*Watch]struct{})
 	}
 	a.subs[w] = struct{}{}
 	c.pin(a)
-	w.Publish(WatchEvent{Added: a.skyline, Versions: a.versions})
+	w.publish(WatchEvent{Added: a.skyline, Versions: a.versions})
 	return w
 }
 
 // detach unsubscribes w; the last subscriber leaving returns the answer
 // to the LRU — unless a commit is mid-flight on it, whose publish does so
 // instead.
-func (c *answerCache) detach(a *answer, w *Watch) {
+func (c *AnswerStore) detach(a *Answer, w *Watch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries[a.key] != a {
@@ -265,8 +294,8 @@ func (c *answerCache) detach(a *answer, w *Watch) {
 	}
 }
 
-// stats counts answers, the maintained ones among them, and subscribers.
-func (c *answerCache) stats() (entries, maintained, watches int, evictions uint64) {
+// Stats counts answers, the maintained ones among them, and subscribers.
+func (c *AnswerStore) Stats() (entries, maintained, watches int, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, a := range c.entries {

@@ -59,7 +59,7 @@ type commitResult struct {
 // in phase 1, advanced in phase 2 (cur, churn, err), published in phase 3
 // at versions.
 type taken struct {
-	a              *answer
+	a              *Answer
 	versions       [2]uint64
 	combo          residentKey
 	cur            []join.Pair
@@ -146,7 +146,7 @@ func (s *Service) commit(name string, mut mutation) (commitResult, error) {
 		if res := combos[t.combo].res; res != nil {
 			a.m.UseResident(res)
 		}
-		t.churnA, t.churnB, t.err = mut.maintain(a.m, a.q, a.key.r1 == name, a.key.r2 == name)
+		t.churnA, t.churnB, t.err = mut.maintain(a.m, a.q, a.key.R1 == name, a.key.R2 == name)
 		if t.err == nil {
 			// Refresh the served snapshot once per batch so cache hits stay
 			// O(1) instead of paying the maintainer's copy-and-sort.
@@ -159,7 +159,7 @@ func (s *Service) commit(name string, mut mutation) (commitResult, error) {
 	// cache for the next query.
 	s.mu.Lock()
 	for _, t := range live {
-		s.cache.publish(t.a, t.cur, t.versions, t.err)
+		s.cache.Publish(t.a, t.cur, t.versions, t.err)
 		if t.err != nil {
 			out.invalidated++
 			continue
@@ -193,12 +193,12 @@ func (s *Service) commit(name string, mut mutation) (commitResult, error) {
 func (s *Service) takeAffected(name string, oldV uint64) (live []*taken, combos map[residentKey]*commitCombo, invalidated int) {
 	// pre is what an answer must stand at to be current immediately before
 	// this commit: the registry's versions with the bump undone.
-	pre := func(key answerKey) [2]uint64 {
+	pre := func(key AnswerKey) [2]uint64 {
 		v := s.versionsLocked(key)
-		if key.r1 == name {
+		if key.R1 == name {
 			v[0] = oldV
 		}
-		if key.r2 == name {
+		if key.R2 == name {
 			v[1] = oldV
 		}
 		return v
@@ -220,11 +220,11 @@ func (s *Service) takeAffected(name string, oldV uint64) (live []*taken, combos 
 // versionsLocked reports the registry versions of a key's relations; a
 // relation no longer registered reads as 0, which no answer stands at.
 // The caller holds s.mu.
-func (s *Service) versionsLocked(key answerKey) (v [2]uint64) {
-	if rr, ok := s.rels[key.r1]; ok {
+func (s *Service) versionsLocked(key AnswerKey) (v [2]uint64) {
+	if rr, ok := s.rels[key.R1]; ok {
 		v[0] = rr.version
 	}
-	if rr, ok := s.rels[key.r2]; ok {
+	if rr, ok := s.rels[key.R2]; ok {
 		v[1] = rr.version
 	}
 	return v

@@ -57,8 +57,8 @@ type residentKey struct {
 	cond   join.Condition
 }
 
-func residentKeyOf(key answerKey, versions [2]uint64) residentKey {
-	return residentKey{r1: key.r1, r2: key.r2, v1: versions[0], v2: versions[1], cond: key.cond}
+func residentKeyOf(key AnswerKey, versions [2]uint64) residentKey {
+	return residentKey{r1: key.R1, r2: key.R2, v1: versions[0], v2: versions[1], cond: key.Cond}
 }
 
 // maxResidents bounds the resident-index cache. Residents are cheap to

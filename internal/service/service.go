@@ -278,7 +278,7 @@ type Stats struct {
 type Service struct {
 	cfg       Config
 	sched     *scheduler
-	cache     *answerCache
+	cache     *AnswerStore
 	residents *residentCache
 
 	// ingestMu serializes ingest batches end to end (single writer) so
@@ -347,7 +347,7 @@ func newService(cfg Config) *Service {
 	return &Service{
 		cfg:       cfg,
 		sched:     newScheduler(cfg.MaxConcurrent, cfg.MaxQueue),
-		cache:     newAnswerCache(cfg.CacheEntries),
+		cache:     NewAnswerStore(cfg.CacheEntries),
 		residents: newResidentCache(),
 		rels:      make(map[string]*regRelation),
 		now:       time.Now,
@@ -499,95 +499,104 @@ func (s *Service) RelationInfo(name string) (RelationInfo, error) {
 	}, nil
 }
 
-// parsed is a QueryRequest after spelling resolution.
-type parsed struct {
-	cond join.Condition
-	agg  join.Aggregator
-	alg  core.Algorithm
-	auto bool
+// Parsed is a QueryRequest after spelling resolution.
+type Parsed struct {
+	Cond join.Condition
+	Agg  join.Aggregator
+	Alg  core.Algorithm
+	Auto bool
 }
 
-func parseRequest(req QueryRequest) (parsed, error) {
-	var p parsed
+// ParseRequest resolves the request's spellings and the algorithm a
+// parallel degree implies. Together with CheckRequest it is the whole
+// request check, run by the service and by the sharded gateway alike
+// before any cache lookup — so accept/reject never depends on cache state
+// or on which of the two answered.
+func ParseRequest(req QueryRequest) (Parsed, error) {
+	var p Parsed
 	var err error
-	if p.cond, err = join.ParseCondition(req.Join); err != nil {
+	if p.Cond, err = join.ParseCondition(req.Join); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if p.agg, err = join.ParseAggregator(req.Agg); err != nil {
+	if p.Agg, err = join.ParseAggregator(req.Agg); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if p.alg, p.auto, err = core.ParseAlgorithm(req.Algorithm); err != nil {
+	if p.Alg, p.Auto, err = core.ParseAlgorithm(req.Algorithm); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if req.Workers > 1 {
-		if p.auto {
+		if p.Auto {
 			// A parallel degree implies the one algorithm that can honor
 			// it; skipping the planner is the only non-contradictory
 			// reading.
-			p.alg, p.auto = core.Grouping, false
-		} else if p.alg != core.Grouping {
+			p.Alg, p.Auto = core.Grouping, false
+		} else if p.Alg != core.Grouping {
 			return p, fmt.Errorf("%w: workers require the grouping algorithm (got %q)", ErrBadRequest, req.Algorithm)
 		}
 	}
 	return p, nil
 }
 
+// Key is the identity the request's answer stands under.
+func (p Parsed) Key(req QueryRequest) AnswerKey {
+	return AnswerKey{R1: req.R1, R2: req.R2, Cond: p.Cond, Agg: p.Agg.Name, K: req.K}
+}
+
 // resolveLocked builds the normalized query, its answer key, and the
 // registry versions it would be answered at; the caller holds s.mu (read
 // or write).
-func (s *Service) resolveLocked(req QueryRequest, p parsed) (core.Query, answerKey, [2]uint64, error) {
+func (s *Service) resolveLocked(req QueryRequest, p Parsed) (core.Query, AnswerKey, [2]uint64, error) {
 	rr1, ok := s.rels[req.R1]
 	if !ok {
-		return core.Query{}, answerKey{}, [2]uint64{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R1)
+		return core.Query{}, AnswerKey{}, [2]uint64{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R1)
 	}
 	rr2, ok := s.rels[req.R2]
 	if !ok {
-		return core.Query{}, answerKey{}, [2]uint64{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R2)
+		return core.Query{}, AnswerKey{}, [2]uint64{}, fmt.Errorf("%w: %q", ErrUnknownRelation, req.R2)
 	}
 	q := core.Query{
 		R1:   rr1.rel,
 		R2:   rr2.rel,
-		Spec: join.Spec{Cond: p.cond, Agg: p.agg},
+		Spec: join.Spec{Cond: p.Cond, Agg: p.Agg},
 		K:    req.K,
 	}
-	key := answerKey{r1: req.R1, r2: req.R2, cond: p.cond, agg: p.agg.Name, k: req.K}
-	return q, key, [2]uint64{rr1.version, rr2.version}, nil
+	return q, p.Key(req), [2]uint64{rr1.version, rr2.version}, nil
 }
 
 // resolveAndValidate resolves the request and fail-fasts malformed
-// queries under one read lock. Validation here is O(1) on purpose:
-// registered relations were content-validated by Register and Append
-// preserves the invariants, so per-request checks only need the schema
-// geometry (k range, aggregate pairing, aggregator strictness) — a full
-// q.Validate would rescan every tuple on every request, warm hits
-// included. The computed path still runs the full validation inside
-// core.Exec, under the same read lock.
-func (s *Service) resolveAndValidate(req QueryRequest, p parsed) (answerKey, [2]uint64, error) {
+// queries under one read lock.
+func (s *Service) resolveAndValidate(req QueryRequest, p Parsed) (AnswerKey, [2]uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	q, key, versions, err := s.resolveLocked(req, p)
 	if err != nil {
 		return key, versions, err
 	}
-	if err := checkRequest(q, p); err != nil {
-		return key, versions, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return key, versions, nil
+	return key, versions, CheckRequest(q.R1, q.R2, req.K, p)
 }
 
-// checkRequest is the O(1) structural subset of core's query validation.
-func checkRequest(q core.Query, p parsed) error {
-	if err := join.CheckSchemas(q.R1, q.R2); err != nil {
-		return err
+// CheckRequest is the O(1) structural subset of core's query validation,
+// over the two relations' schemas alone (Name, Local, Agg — the gateway
+// passes its placement metadata as row-less relations). O(1) on purpose:
+// registered relations were content-validated by Register and Append
+// preserves the invariants, so per-request checks only need the schema
+// geometry (k range, aggregate pairing, aggregator strictness) — a full
+// q.Validate would rescan every tuple on every request, warm hits
+// included. The computed path still runs the full validation inside
+// core.Exec.
+func CheckRequest(r1, r2 *dataset.Relation, k int, p Parsed) error {
+	q := core.Query{R1: r1, R2: r2, K: k}
+	if err := join.CheckSchemas(r1, r2); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if q.K < q.KMin() || q.K > q.Width() {
-		return fmt.Errorf("%v: k=%d, admissible range (%d, %d]", core.ErrBadK, q.K, q.KMin()-1, q.Width())
+	if k < q.KMin() || k > q.Width() {
+		return fmt.Errorf("%w: %v: k=%d, admissible range (%d, %d]", ErrBadRequest, core.ErrBadK, k, q.KMin()-1, q.Width())
 	}
 	// Only the naive algorithm accepts a non-strict aggregator, and the
 	// planner never picks on strictness — reject auto here rather than
 	// let a planner choice fail deep inside Exec as a server error.
-	if q.R1.Agg > 0 && !p.agg.Strict && (p.auto || p.alg != core.Naive) {
-		return fmt.Errorf("%v: aggregator %q requires algorithm \"naive\"", core.ErrNonStrictAgg, p.agg.Name)
+	if r1.Agg > 0 && !p.Agg.Strict && (p.Auto || p.Alg != core.Naive) {
+		return fmt.Errorf("%w: %v: aggregator %q requires algorithm \"naive\"", ErrBadRequest, core.ErrNonStrictAgg, p.Agg.Name)
 	}
 	return nil
 }
@@ -619,7 +628,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, ErrClosed
 	}
 	s.queries.Add(1)
-	p, err := parseRequest(req)
+	p, err := ParseRequest(req)
 	if err != nil {
 		return nil, err
 	}
@@ -639,7 +648,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	if !req.NoCache {
-		if sky, algo, maintained, ok := s.cache.lookup(key, versions); ok {
+		if sky, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
 			return s.hitResponse(sky, algo, maintained, versions, start), nil
 		}
 	}
@@ -676,7 +685,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	if !req.NoCache {
-		if sky, algo, maintained, ok := s.cache.lookup(key, versions); ok {
+		if sky, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
 			return s.hitResponse(sky, algo, maintained, versions, start), nil
 		}
 	}
@@ -684,14 +693,14 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// The naive algorithm materializes the full join instead of probing
 	// and ignores resident structures; don't build them for it.
 	var res *core.Resident
-	if p.auto || p.alg != core.Naive {
+	if p.Auto || p.Alg != core.Naive {
 		res, err = s.residents.get(residentKeyOf(key, versions), q)
 		if err != nil {
 			return nil, err
 		}
 	}
-	alg := p.alg
-	if p.auto {
+	alg := p.Alg
+	if p.Auto {
 		plan, err := planner.Choose(ctx, q, planner.Options{})
 		switch {
 		case errors.Is(err, planner.ErrEmptyJoin):
@@ -719,7 +728,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	}
 	s.computed.Add(1)
 	algo := alg.Token()
-	s.cache.store(key, versions, q, out.Skyline, algo)
+	s.cache.Store(key, versions, q, out.Skyline, algo)
 	return &QueryResponse{
 		Skyline:   out.Skyline,
 		Source:    SourceComputed,
@@ -732,7 +741,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
-	entries, maintained, watches, evictions := s.cache.stats()
+	entries, maintained, watches, evictions := s.cache.Stats()
 	s.mu.RLock()
 	rels := relationInfos(s.rels)
 	s.mu.RUnlock()
@@ -802,7 +811,7 @@ func (s *Service) Close() error {
 		ckptErr = s.checkpointLocked()
 	}
 	// Every maintainer closes; every subscription ends with ErrClosed.
-	s.cache.purge(func(answerKey) bool { return true }, ErrClosed)
+	s.cache.Purge(func(AnswerKey) bool { return true }, ErrClosed)
 	s.residents.clear() // resident indexes pin O(n) per pair — release them
 	s.rels = make(map[string]*regRelation)
 	s.mu.Unlock()

@@ -293,3 +293,58 @@ func TestWatchAttachMidCommit(t *testing.T) {
 	}
 	t.Skip("no attach landed inside a commit's phase 2 in 5 attempts (absorb finished too fast to overlap)")
 }
+
+// TestStoreRecomputingCommitter drives the store the way a committer that
+// recomputes instead of maintaining does (the sharded gateway): TakeWatched
+// pins only the answers over the relation that somebody subscribes to, a
+// taken answer is a miss until Publish, Publish delivers DiffPairs of the
+// served and the recomputed skyline at the new versions, and publishing an
+// error removes the answer and ends its subscriptions with it.
+func TestStoreRecomputingCommitter(t *testing.T) {
+	ctx := context.Background()
+	c := NewAnswerStore(4)
+	pair := func(l, r int) join.Pair {
+		return join.Pair{Left: l, Right: r, Attrs: []float64{float64(l), float64(r)}}
+	}
+	watched := AnswerKey{R1: "r1", R2: "r2", K: 4}
+	unwatched := AnswerKey{R1: "r1", R2: "r2", K: 5}
+	elsewhere := AnswerKey{R1: "r3", R2: "r2", K: 4}
+	v1, v2 := [2]uint64{1, 1}, [2]uint64{2, 1}
+	c.Store(watched, v1, core.Query{}, []join.Pair{pair(0, 0), pair(1, 1)}, "grouping")
+	c.Store(unwatched, v1, core.Query{}, []join.Pair{pair(0, 0)}, "grouping")
+	c.Store(elsewhere, v1, core.Query{}, []join.Pair{pair(2, 2)}, "grouping")
+	w := c.Attach(ctx, c.Standing(watched, v1))
+	other := c.Attach(ctx, c.Standing(elsewhere, v1))
+	defer other.Close()
+	if ev := <-w.Events(); ev.Seq != 0 || len(ev.Added) != 2 {
+		t.Fatalf("snapshot event %+v", ev)
+	}
+
+	taken := c.TakeWatched("r1")
+	if len(taken) != 1 || taken[0].Key() != watched {
+		t.Fatalf("TakeWatched(r1) = %v, want exactly the subscribed answer over r1", taken)
+	}
+	if _, _, _, ok := c.Lookup(watched, v1); ok {
+		t.Fatal("an answer taken for a commit was served")
+	}
+	if _, _, _, ok := c.Lookup(unwatched, v1); !ok {
+		t.Fatal("an unwatched answer was taken")
+	}
+	c.Publish(taken[0], []join.Pair{pair(1, 1), pair(3, 0)}, v2, nil)
+	ev := <-w.Events()
+	if ev.Seq != 1 || ev.Versions != v2 || len(ev.Added) != 1 || ev.Added[0].Left != 3 || len(ev.Removed) != 1 || ev.Removed[0].Left != 0 {
+		t.Fatalf("delta event %+v, want +(3,0) −(0,0) at %v", ev, v2)
+	}
+	if sky, _, _, ok := c.Lookup(watched, v2); !ok || len(sky) != 2 {
+		t.Fatalf("published answer not served at the new versions (ok=%v, %v)", ok, sky)
+	}
+
+	down := fmt.Errorf("shard down")
+	c.Publish(c.TakeWatched("r1")[0], nil, [2]uint64{3, 1}, down)
+	if _, open := <-w.Events(); open || w.Err() != down {
+		t.Fatalf("subscription after a failed recompute: open=%v err=%v, want closed with %v", open, w.Err(), down)
+	}
+	if entries, _, watches, _ := c.Stats(); entries != 2 || watches != 1 {
+		t.Fatalf("%d answers / %d subscribers left, want the unwatched one and the one over r3", entries, watches)
+	}
+}

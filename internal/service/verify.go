@@ -51,12 +51,12 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 		return nil, ErrClosed
 	}
 	s.verifies.Add(1)
-	var p parsed
+	var p Parsed
 	var err error
-	if p.cond, err = join.ParseCondition(req.Join); err != nil {
+	if p.Cond, err = join.ParseCondition(req.Join); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if p.agg, err = join.ParseAggregator(req.Agg); err != nil {
+	if p.Agg, err = join.ParseAggregator(req.Agg); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
@@ -87,12 +87,10 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	if err != nil {
 		return nil, err
 	}
-	if err := join.CheckSchemas(q.R1, q.R2); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if q.K < q.KMin() || q.K > q.Width() {
-		return nil, fmt.Errorf("%w: %v: k=%d, admissible range (%d, %d]",
-			ErrBadRequest, core.ErrBadK, req.K, q.KMin()-1, q.Width())
+	// p names no algorithm, which reads as core.Naive: the arm a non-strict
+	// aggregator votes through below, so any aggregator passes the check.
+	if err := CheckRequest(q.R1, q.R2, req.K, p); err != nil {
+		return nil, err
 	}
 	for i, v := range req.Vectors {
 		if len(v) != q.Width() {
@@ -102,7 +100,7 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	}
 
 	var dominated []bool
-	if q.R1.Agg == 0 || p.agg.Strict {
+	if q.R1.Agg == 0 || p.Agg.Strict {
 		// The checker path probes the resident index, so repeated
 		// verification rounds over an unchanged partition skip the build —
 		// the same amortization the query path gets.
@@ -158,7 +156,7 @@ func (s *Service) Unregister(name string) error {
 		return err
 	}
 	delete(s.rels, name)
-	s.cache.purge(func(key answerKey) bool { return key.names(name) }, fmt.Errorf("%w: %q", ErrUnknownRelation, name))
+	s.cache.Purge(func(key AnswerKey) bool { return key.Names(name) }, fmt.Errorf("%w: %q", ErrUnknownRelation, name))
 	s.residents.dropRelation(name)
 	return nil
 }

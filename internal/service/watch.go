@@ -26,9 +26,9 @@ import (
 // per-subscription goroutine forwards queued events to the Events
 // channel, honoring the subscriber's context.
 //
-// Watch is the one subscription implementation: the sharded gateway
-// (internal/shard) builds its cluster-wide watches from NewWatch, Publish
-// and Terminate instead of keeping a queue and pump of its own.
+// Watch is the one subscription implementation: the sharded gateway's
+// cluster-wide watches are attached to, and published through, an
+// AnswerStore of its own, so they are this type too.
 
 // WatchEvent is one change to a watched answer. The first event of every
 // subscription (Seq 0) is the full current answer as Added; each later
@@ -51,13 +51,13 @@ type WatchEvent struct {
 // Events until it closes, then consult Err; Close releases the
 // subscription.
 type Watch struct {
-	// detach unhooks the subscription from whoever publishes to it (the
-	// service's standing answer, the gateway's watch set).
+	// detach unhooks the subscription from the standing answer that
+	// publishes to it.
 	detach func(*Watch)
 
 	events chan WatchEvent
 	wake   chan struct{} // cap 1: "pending is non-empty"
-	done   chan struct{} // closed by Close/Terminate
+	done   chan struct{} // closed by Close/terminate
 	once   sync.Once
 
 	mu      sync.Mutex
@@ -66,14 +66,14 @@ type Watch struct {
 	err     error
 }
 
-// NewWatch starts a subscription whose lifetime ctx governs: when it is
+// newWatch starts a subscription whose lifetime ctx governs: when it is
 // cancelled the Events channel closes and Err reports the cause. detach
 // unhooks the subscription from its publisher — on every Close and on
-// cancellation, from another goroutine, possibly before NewWatch returns
-// (an already-cancelled ctx). Publishers therefore call NewWatch holding
+// cancellation, from another goroutine, possibly before newWatch returns
+// (an already-cancelled ctx). Publishers therefore call newWatch holding
 // the lock detach takes, and register the subscription before releasing
 // it.
-func NewWatch(ctx context.Context, detach func(*Watch)) *Watch {
+func newWatch(ctx context.Context, detach func(*Watch)) *Watch {
 	w := &Watch{
 		detach: detach,
 		events: make(chan WatchEvent, 16),
@@ -95,14 +95,9 @@ func (s *Service) Watch(ctx context.Context, req QueryRequest) (*Watch, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	p, err := parseRequest(req)
+	p, err := ParseWatchRequest(req)
 	if err != nil {
 		return nil, err
-	}
-	// Fail the unmaintainable shape up front, not on the first insert:
-	// only strict aggregators support incremental absorption.
-	if !p.agg.Strict {
-		return nil, fmt.Errorf("%w: watch requires a strictly monotonic aggregator (got %q)", ErrBadRequest, p.agg.Name)
 	}
 
 	// Establishing a watch must not miss or double-count a commit: the
@@ -123,9 +118,20 @@ func (s *Service) Watch(ctx context.Context, req QueryRequest) (*Watch, error) {
 	return nil, fmt.Errorf("%w: relations kept changing while establishing the watch", ErrOverloaded)
 }
 
+// ParseWatchRequest is ParseRequest for a subscription, which fails the
+// unmaintainable shape up front, not on the first insert: only strict
+// aggregators support incremental absorption.
+func ParseWatchRequest(req QueryRequest) (Parsed, error) {
+	p, err := ParseRequest(req)
+	if err == nil && !p.Agg.Strict {
+		err = fmt.Errorf("%w: watch requires a strictly monotonic aggregator (got %q)", ErrBadRequest, p.Agg.Name)
+	}
+	return p, err
+}
+
 // tryAttach subscribes to the standing answer under the write lock; nil
 // without error means there is no current answer to attach to yet.
-func (s *Service) tryAttach(ctx context.Context, req QueryRequest, p parsed) (*Watch, error) {
+func (s *Service) tryAttach(ctx context.Context, req QueryRequest, p Parsed) (*Watch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -135,11 +141,11 @@ func (s *Service) tryAttach(ctx context.Context, req QueryRequest, p parsed) (*W
 	if err != nil {
 		return nil, err
 	}
-	a := s.cache.standing(key, versions)
+	a := s.cache.Standing(key, versions)
 	if a == nil {
 		return nil, nil
 	}
-	return s.cache.attach(ctx, a), nil
+	return s.cache.Attach(ctx, a), nil
 }
 
 // DiffPairs computes the delta between two (Left, Right)-sorted answers —
@@ -209,13 +215,13 @@ func (w *Watch) Err() error {
 // idempotent and safe to call concurrently with event delivery.
 func (w *Watch) Close() error {
 	w.detach(w)
-	w.Terminate(nil)
+	w.terminate(nil)
 	return nil
 }
 
-// Terminate ends the subscription with err as its Err, without detaching
+// terminate ends the subscription with err as its Err, without detaching
 // — for publishers that already unhooked it under their own lock.
-func (w *Watch) Terminate(err error) {
+func (w *Watch) terminate(err error) {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
@@ -224,10 +230,10 @@ func (w *Watch) Terminate(err error) {
 	w.once.Do(func() { close(w.done) })
 }
 
-// Publish stamps the event with the subscription's next sequence number,
+// publish stamps the event with the subscription's next sequence number,
 // appends it to the pending buffer and nudges the pump. It never blocks:
 // publishers call it holding their own locks.
-func (w *Watch) Publish(ev WatchEvent) {
+func (w *Watch) publish(ev WatchEvent) {
 	w.mu.Lock()
 	ev.Seq = w.seq
 	w.seq++
@@ -250,7 +256,7 @@ func (w *Watch) pump(ctx context.Context) {
 			return
 		case <-ctx.Done():
 			w.detach(w)
-			w.Terminate(ctx.Err())
+			w.terminate(ctx.Err())
 			return
 		case <-w.wake:
 		}
@@ -269,7 +275,7 @@ func (w *Watch) pump(ctx context.Context) {
 				return
 			case <-ctx.Done():
 				w.detach(w)
-				w.Terminate(ctx.Err())
+				w.terminate(ctx.Err())
 				return
 			}
 		}

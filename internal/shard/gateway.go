@@ -23,9 +23,15 @@
 // Ingest, deletes, and registration fan out by the same placement, with
 // the gateway keeping the authoritative global row numbering (global ids
 // mirror a single-node ksjqd over the same mutation history — the oracle
-// equivalence the tests pin). Watch re-runs the two rounds after every
-// gateway-driven mutation and publishes the diff with a gateway-side
-// sequence.
+// equivalence the tests pin).
+//
+// Everything above the two rounds is the single-node serving layer, not a
+// copy of it: the HTTP surface is internal/httpapi's one handler with the
+// Gateway behind it (handler.go), a request is checked by the service's
+// own ParseRequest and CheckRequest before any cache lookup, and merged
+// answers stand in a service.AnswerStore — cache hits, LRU eviction,
+// watch subscriptions and their deltas are the store's; the gateway only
+// recomputes a watched answer after each mutation it commits (watch.go).
 //
 // The in-process simulator is retained verbatim as the correctness
 // oracle: sharded answer ≡ distributed.Run ≡ single-node core.Run.
@@ -41,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/distributed"
 	"repro/internal/httpapi"
@@ -73,22 +80,22 @@ type Gateway struct {
 	shards []*client
 	addrs  []string
 
-	// mu guards placement and watches. Queries hold it shared across
-	// both rounds, so placement cannot move under a scatter-gather;
-	// mutations hold it exclusively across their shard commits, so the
+	// mu guards placement. Queries hold it shared across both rounds, so
+	// placement cannot move under a scatter-gather; mutations hold it
+	// exclusively across their shard commits and the watch refresh, so the
 	// cluster observes one linear mutation history.
-	mu      sync.RWMutex
-	rels    map[string]*relPlace
-	watches map[gwWatchKey]*gwWatchSet
+	mu   sync.RWMutex
+	rels map[string]*relPlace
 
-	// cache is the gateway's answer cache, the cluster analogue of the
-	// single-node service's: every mutation flows through the gateway
-	// and bumps the placement versions, so version equality proves an
-	// entry fresh without touching any shard. A hit skips both rounds —
-	// the scatter, the candidate exchange, and the verification — which
-	// is what makes warm repeat queries round-trip-free.
-	cacheMu sync.Mutex
-	cache   map[gwWatchKey]*gwCacheEntry
+	// answers holds the merged answers, the cluster analogue of (and the
+	// same structure as) the single-node service's: every mutation flows
+	// through the gateway and bumps the placement versions, so version
+	// equality proves an answer fresh without touching any shard. A hit
+	// skips both rounds — the scatter, the candidate exchange, and the
+	// verification — which is what makes warm repeat queries
+	// round-trip-free. Least recently used answers are evicted past
+	// answerCap; an answer with subscribers never is.
+	answers *service.AnswerStore
 
 	// lifeMu orders operation starts against Close: track holds it shared
 	// around the closed check + wg.Add, Close holds it exclusively while
@@ -105,53 +112,9 @@ type Gateway struct {
 	cacheHits                 atomic.Uint64
 }
 
-// gwCacheEntry is one cached merged answer, valid while the relations'
-// placement versions still match. Skyline is shared and read-only.
-type gwCacheEntry struct {
-	versions  [2]uint64
-	skyline   []join.Pair
-	algorithm string
-}
-
-// gwCacheCap bounds the answer cache; at capacity an arbitrary entry is
-// evicted (the cache is correctness-free, so eviction policy only
-// affects hit rate).
-const gwCacheCap = 256
-
-func (g *Gateway) cacheGet(key gwWatchKey, versions [2]uint64) *gwCacheEntry {
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	e := g.cache[key]
-	if e == nil || e.versions != versions {
-		return nil
-	}
-	return e
-}
-
-func (g *Gateway) cachePut(key gwWatchKey, e *gwCacheEntry) {
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	if g.cache[key] == nil && len(g.cache) >= gwCacheCap {
-		for k := range g.cache {
-			delete(g.cache, k)
-			break
-		}
-	}
-	g.cache[key] = e
-}
-
-// cachePurge drops every cached answer naming the relation. Version
-// equality cannot prove those fresh once the relation is unregistered: a
-// re-registered relation restarts at placement version 1.
-func (g *Gateway) cachePurge(name string) {
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	for key := range g.cache {
-		if key.names(name) {
-			delete(g.cache, key)
-		}
-	}
-}
+// answerCap bounds the unwatched merged answers kept, like the service's
+// Config.CacheEntries default.
+const answerCap = 256
 
 // New connects to the shard processes and verifies each is alive. The
 // shard list is fixed for the gateway's lifetime — placement hashes over
@@ -175,8 +138,7 @@ func New(ctx context.Context, addrs []string, cfg Config) (*Gateway, error) {
 		cfg:     cfg,
 		addrs:   addrs,
 		rels:    make(map[string]*relPlace),
-		watches: make(map[gwWatchKey]*gwWatchSet),
-		cache:   make(map[gwWatchKey]*gwCacheEntry),
+		answers: service.NewAnswerStore(answerCap),
 	}
 	for _, a := range addrs {
 		g.shards = append(g.shards, newClient(a, hc, maxTimeout))
@@ -215,7 +177,7 @@ func (g *Gateway) Close() error {
 	}
 	g.wg.Wait()
 	g.mu.Lock()
-	g.dropWatchesLocked(func(gwWatchKey) bool { return true }, ErrClosed)
+	g.answers.Purge(func(service.AnswerKey) bool { return true }, ErrClosed)
 	g.mu.Unlock()
 	return nil
 }
@@ -243,22 +205,23 @@ type QueryResponse struct {
 	R1Elapsed []time.Duration
 }
 
-// parseQuery validates the request shape against gateway metadata. It
-// mirrors the service's O(1) structural checks so malformed queries are
-// rejected identically whether they hit a shard or the gateway.
-func (g *Gateway) parseQuery(req service.QueryRequest) (cond join.Condition, agg join.Aggregator, err error) {
-	if cond, err = join.ParseCondition(req.Join); err != nil {
-		return cond, agg, fmt.Errorf("%w: %v", service.ErrBadRequest, err)
+// parse is the service's own request parse plus the gateway's one
+// leniency: under a non-strict aggregator "auto" means the naive algorithm
+// (like distributed.LocalAlgorithm — target-set pruning is unsound there),
+// where a single node rejects the combination.
+func parse(req service.QueryRequest) (service.QueryRequest, service.Parsed, error) {
+	p, err := service.ParseRequest(req)
+	if err == nil && p.Auto && !p.Agg.Strict {
+		req.Algorithm = "naive"
+		p, err = service.ParseRequest(req)
 	}
-	if agg, err = join.ParseAggregator(req.Agg); err != nil {
-		return cond, agg, fmt.Errorf("%w: %v", service.ErrBadRequest, err)
-	}
-	return cond, agg, nil
+	return req, p, err
 }
 
-// checkLocked validates relations and k under the lock; returns the
-// placements.
-func (g *Gateway) checkLocked(req service.QueryRequest, cond join.Condition) (rp1, rp2 *relPlace, err error) {
+// checkLocked resolves the request's placements and runs the service's
+// O(1) geometry check over their schemas, then the one check only a
+// cluster has. Caller holds g.mu.
+func (g *Gateway) checkLocked(req service.QueryRequest, p service.Parsed) (rp1, rp2 *relPlace, err error) {
 	rp1, ok := g.rels[req.R1]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", service.ErrUnknownRelation, req.R1)
@@ -267,44 +230,64 @@ func (g *Gateway) checkLocked(req service.QueryRequest, cond join.Condition) (rp
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", service.ErrUnknownRelation, req.R2)
 	}
-	if rp1.agg != rp2.agg {
-		return nil, nil, fmt.Errorf("%w: aggregate attribute counts differ (%d vs %d)", service.ErrBadRequest, rp1.agg, rp2.agg)
+	if err := service.CheckRequest(&rp1.schema, &rp2.schema, req.K, p); err != nil {
+		return nil, nil, err
 	}
-	d1, d2 := rp1.local+rp1.agg, rp2.local+rp2.agg
-	kmin := max(d1, d2) + 1
-	width := rp1.local + rp2.local + rp1.agg
-	if req.K < kmin || req.K > width {
-		return nil, nil, fmt.Errorf("%w: k=%d, admissible range (%d, %d]", service.ErrBadRequest, req.K, kmin-1, width)
-	}
-	if cond != join.Equality && len(g.shards) > 1 {
-		return nil, nil, fmt.Errorf("%w: %v with %d shards", distributed.ErrNotShardable, cond, len(g.shards))
+	if p.Cond != join.Equality && len(g.shards) > 1 {
+		return nil, nil, fmt.Errorf("%w: %v with %d shards", distributed.ErrNotShardable, p.Cond, len(g.shards))
 	}
 	return rp1, rp2, nil
 }
 
-// shardAlgorithm maps the requested algorithm to what the shards run:
-// like distributed.LocalAlgorithm, a non-strict aggregator forces the
-// naive algorithm (target-set pruning is unsound for it, and the service
-// rejects "auto" in that combination).
-func shardAlgorithm(requested string, agg join.Aggregator) string {
-	if (requested == "" || requested == "auto") && !agg.Strict {
-		return "naive"
-	}
-	return requested
-}
-
-// Query answers one request with the two-round scatter-gather. Safe for
-// arbitrary concurrent use; holds the gateway's read lock across both
-// rounds so placement cannot move mid-query.
+// Query answers one request: a standing answer at the current placement
+// versions, or the two-round scatter-gather. Safe for arbitrary
+// concurrent use; holds the gateway's read lock across both rounds so
+// placement cannot move mid-query.
 func (g *Gateway) Query(ctx context.Context, req service.QueryRequest) (*QueryResponse, error) {
 	if err := g.track(); err != nil {
 		return nil, err
 	}
 	defer g.wg.Done()
 	g.queries.Add(1)
+	req, p, err := parse(req)
+	if err != nil {
+		return nil, err
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.queryLocked(ctx, req)
+	return g.queryLocked(ctx, req, p)
+}
+
+// queryLocked checks the request — before the store lookup, so a malformed
+// one is rejected whether or not its answer stands — then serves the
+// standing answer or runs both rounds and leaves the result standing. The
+// caller holds g.mu (read for Query, write for Watch).
+func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest, p service.Parsed) (*QueryResponse, error) {
+	start := time.Now()
+	rp1, rp2, err := g.checkLocked(req, p)
+	if err != nil {
+		return nil, err
+	}
+	key, versions := p.Key(req), [2]uint64{rp1.version, rp2.version}
+	if !req.NoCache {
+		if sky, algo, _, ok := g.answers.Lookup(key, versions); ok {
+			g.cacheHits.Add(1)
+			elapsed := time.Since(start)
+			return &QueryResponse{
+				Skyline: sky, Source: service.SourceCached, Algorithm: algo,
+				Versions: versions, Elapsed: elapsed,
+				Dist: distributed.Stats{Nodes: len(g.shards), CandidatesPerNode: make([]int, len(g.shards)), Total: elapsed},
+			}, nil
+		}
+	}
+	resp, err := g.scatter(ctx, req, rp1, rp2, start)
+	if err != nil {
+		return nil, err
+	}
+	// The zero core.Query: the gateway carries answers across mutations by
+	// re-running the rounds (refreshWatchesLocked), never by a maintainer.
+	g.answers.Store(key, versions, core.Query{}, resp.Skyline, resp.Algorithm)
+	return resp, nil
 }
 
 // candidate is one round-1 survivor, identified by global row ids.
@@ -314,45 +297,23 @@ type candidate struct {
 	attrs       []float64
 }
 
-// queryLocked runs both rounds; the caller holds g.mu (read for Query,
-// write for the mutation paths' watch refresh).
-func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest) (*QueryResponse, error) {
-	start := time.Now()
-	cond, agg, err := g.parseQuery(req)
-	if err != nil {
-		return nil, err
-	}
-	rp1, rp2, err := g.checkLocked(req, cond)
-	if err != nil {
-		return nil, err
-	}
+// scatter runs both rounds for a checked request over its placements; the
+// caller holds g.mu (read for Query, write for Watch and the mutation
+// paths' watch refresh).
+func (g *Gateway) scatter(ctx context.Context, req service.QueryRequest, rp1, rp2 *relPlace, start time.Time) (*QueryResponse, error) {
 	versions := [2]uint64{rp1.version, rp2.version}
 	st := distributed.Stats{Nodes: len(g.shards), CandidatesPerNode: make([]int, len(g.shards))}
-
-	cacheKey := gwWatchKey{r1: req.R1, r2: req.R2, cond: cond, agg: agg.Name, k: req.K}
-	if !req.NoCache {
-		if e := g.cacheGet(cacheKey, versions); e != nil {
-			g.cacheHits.Add(1)
-			st.Total = time.Since(start)
-			return &QueryResponse{
-				Skyline: e.skyline, Source: service.SourceCached, Algorithm: e.algorithm,
-				Versions: versions, Elapsed: time.Since(start), Dist: st,
-			}, nil
-		}
-	}
-
 	var participants []int
 	for s := range g.shards {
 		if rp1.registered[s] && rp2.registered[s] {
 			participants = append(participants, s)
 		}
 	}
-	algorithm := shardAlgorithm(req.Algorithm, agg)
 	if len(participants) == 0 {
 		// No shard holds both relations: every join group is missing one
 		// side, so the join — and the skyline — is empty.
 		return &QueryResponse{
-			Skyline: []join.Pair{}, Source: SourceSharded, Algorithm: algorithm,
+			Skyline: []join.Pair{}, Source: SourceSharded, Algorithm: req.Algorithm,
 			Versions: versions, Elapsed: time.Since(start), Dist: st,
 		}, nil
 	}
@@ -362,11 +323,10 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest) (*Q
 	// through the placement.
 	wire := httpapi.QueryJSON{
 		R1: req.R1, R2: req.R2, K: req.K,
-		Join: req.Join, Agg: req.Agg, Algorithm: algorithm,
+		Join: req.Join, Agg: req.Agg, Algorithm: req.Algorithm,
 		Workers: req.Workers, NoCache: req.NoCache,
 		TimeoutMS: req.Timeout.Milliseconds(),
 	}
-	t0 := time.Now()
 	round1 := make([]httpapi.QueryResponseJSON, len(participants))
 	errs := make([]error, len(participants))
 	var wg sync.WaitGroup
@@ -404,7 +364,7 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest) (*Q
 	// round entirely: its own round-1 run already vouched for everything.
 	dominated := make([]bool, len(candidates))
 	if len(participants) > 1 && len(candidates) > 0 {
-		t0 = time.Now()
+		t0 := time.Now()
 		type verdict struct {
 			idx []int
 			dom []bool
@@ -462,16 +422,13 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest) (*Q
 			skyline = append(skyline, join.Pair{Left: c.left, Right: c.right, Attrs: c.attrs})
 		}
 	}
-	distributed.SortPairs(skyline)
+	join.SortPairs(skyline)
 	st.Total = time.Since(start)
 
 	src := service.Source(source)
 	if src == "" {
 		src = SourceSharded
 	}
-	g.cachePut(cacheKey, &gwCacheEntry{
-		versions: versions, skyline: skyline, algorithm: round1[0].Algorithm,
-	})
 	return &QueryResponse{
 		Skyline: skyline, Source: src, Algorithm: round1[0].Algorithm,
 		Versions: versions, Elapsed: time.Since(start), Dist: st,
@@ -522,9 +479,15 @@ func (g *Gateway) Register(ctx context.Context, name string, local, agg int, ts 
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty relation name", service.ErrBadRequest)
 	}
-	// Full single-node validation up front: a batch that one ksjqd would
-	// reject must not be half-registered across several.
-	if _, err := dataset.New(name, local, agg, ts); err != nil {
+	// Full single-node validation up front — the constructor's per-tuple
+	// checks, then the Validate the service runs at registration (which is
+	// what refuses an empty relation): a batch that one ksjqd would reject
+	// must not be half-registered across several, or on none.
+	rel, err := dataset.New(name, local, agg, ts)
+	if err == nil {
+		err = rel.Validate()
+	}
+	if err != nil {
 		return 0, fmt.Errorf("%w: %v", service.ErrBadRequest, err)
 	}
 	g.mu.Lock()
@@ -557,8 +520,11 @@ func (g *Gateway) Register(ctx context.Context, name string, local, agg int, ts 
 	return rp.version, nil
 }
 
-// Unregister removes a relation cluster-wide. Watches naming it end with
-// ErrUnknownRelation, like the single-node service.
+// Unregister removes a relation cluster-wide, with every answer standing
+// over it: version equality cannot prove those fresh once the relation is
+// gone — a re-registered relation restarts at placement version 1 — and
+// their subscribers end with ErrUnknownRelation, like the single-node
+// service's.
 func (g *Gateway) Unregister(ctx context.Context, name string) error {
 	if err := g.track(); err != nil {
 		return err
@@ -580,8 +546,7 @@ func (g *Gateway) Unregister(ctx context.Context, name string) error {
 		}
 	}
 	delete(g.rels, name)
-	g.cachePurge(name)
-	g.dropWatchesLocked(func(key gwWatchKey) bool { return key.names(name) },
+	g.answers.Purge(func(key service.AnswerKey) bool { return key.Names(name) },
 		fmt.Errorf("%w: %q", service.ErrUnknownRelation, name))
 	return firstErr
 }
@@ -594,7 +559,7 @@ func (g *Gateway) Relations() []RelationPlacement {
 	for name, rp := range g.rels {
 		info := RelationPlacement{
 			Name: name, Version: rp.version, Tuples: rp.size(),
-			Local: rp.local, Agg: rp.agg,
+			Local: rp.schema.Local, Agg: rp.schema.Agg,
 			PerShard: make([]int, len(rp.perShard)),
 		}
 		for s := range rp.perShard {
@@ -687,25 +652,19 @@ func wireTuples(ts []dataset.Tuple) []httpapi.TupleJSON {
 	return wire
 }
 
-// InsertResult mirrors the single-node InsertResult's geometry fields.
-type InsertResult struct {
-	ID      int
-	Count   int
-	Version uint64
-}
-
 // InsertBatch appends a batch through the placement: tuples group by
 // owning shard, each group commits as one shard-side group commit, and
 // the mapping extends with what actually landed (see mutate for partial
-// failure). First tuples for a shard register the relation there (lazy
+// failure). The result is the single-node one with its maintenance counters
+// zero — answers are maintained shard-side. First tuples for a shard register the relation there (lazy
 // registration keeps empty partitions off the registry — shards reject
 // empty relations).
-func (g *Gateway) InsertBatch(ctx context.Context, name string, ts []dataset.Tuple) (*InsertResult, error) {
+func (g *Gateway) InsertBatch(ctx context.Context, name string, ts []dataset.Tuple) (*service.InsertResult, error) {
 	first := 0
 	applied, rp, err := g.mutate(ctx, name, len(ts), &g.inserts, func(rp *relPlace) (shardPlan, error) {
 		for i, t := range ts {
-			if len(t.Attrs) != rp.local+rp.agg {
-				return shardPlan{}, fmt.Errorf("%w: tuple %d has %d attributes, want %d", service.ErrBadRequest, i, len(t.Attrs), rp.local+rp.agg)
+			if len(t.Attrs) != rp.schema.D() {
+				return shardPlan{}, fmt.Errorf("%w: tuple %d has %d attributes, want %d", service.ErrBadRequest, i, len(t.Attrs), rp.schema.D())
 			}
 		}
 		first = rp.size()
@@ -718,7 +677,7 @@ func (g *Gateway) InsertBatch(ctx context.Context, name string, ts []dataset.Tup
 					return err
 				}
 				_, err := g.shards[s].register(ctx, httpapi.RegisterJSON{
-					Name: name, Local: rp.local, Agg: rp.agg, Tuples: wireTuples(batches[s]),
+					Name: name, Local: rp.schema.Local, Agg: rp.schema.Agg, Tuples: wireTuples(batches[s]),
 				})
 				if err == nil {
 					rp.registered[s] = true
@@ -731,13 +690,7 @@ func (g *Gateway) InsertBatch(ctx context.Context, name string, ts []dataset.Tup
 	if applied == 0 {
 		return nil, err
 	}
-	return &InsertResult{ID: first, Count: applied, Version: rp.version}, err
-}
-
-// DeleteResult mirrors the single-node DeleteResult's geometry fields.
-type DeleteResult struct {
-	Count   int
-	Version uint64
+	return &service.InsertResult{ID: first, Count: applied, Version: rp.version}, err
 }
 
 // DeleteBatch removes rows by global id through the placement. A batch
@@ -745,7 +698,7 @@ type DeleteResult struct {
 // instead (shards keep registered relations non-empty); the shard
 // re-registers lazily on the next insert that hashes to it. Partial
 // failure is as for InsertBatch (see mutate).
-func (g *Gateway) DeleteBatch(ctx context.Context, name string, ids []int) (*DeleteResult, error) {
+func (g *Gateway) DeleteBatch(ctx context.Context, name string, ids []int) (*service.DeleteResult, error) {
 	applied, rp, err := g.mutate(ctx, name, len(ids), &g.deletes, func(rp *relPlace) (shardPlan, error) {
 		sorted := append([]int(nil), ids...)
 		sort.Ints(sorted)
@@ -783,7 +736,7 @@ func (g *Gateway) DeleteBatch(ctx context.Context, name string, ids []int) (*Del
 	if applied == 0 {
 		return nil, err
 	}
-	return &DeleteResult{Count: applied, Version: rp.version}, err
+	return &service.DeleteResult{Count: applied, Version: rp.version}, err
 }
 
 // ShardStats is one shard's counter snapshot (or the error that kept it
@@ -824,11 +777,7 @@ func (g *Gateway) Stats(ctx context.Context) Stats {
 		Relations:  g.Relations(),
 		Shards:     make([]ShardStats, len(g.shards)),
 	}
-	g.mu.RLock()
-	for _, ws := range g.watches {
-		out.Watches += len(ws.subs)
-	}
-	g.mu.RUnlock()
+	_, _, out.Watches, _ = g.answers.Stats()
 	var wg sync.WaitGroup
 	for i, c := range g.shards {
 		wg.Add(1)

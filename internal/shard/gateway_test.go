@@ -519,7 +519,7 @@ func TestGatewayWatch(t *testing.T) {
 			}
 		}
 		next = append(next, ev.Added...)
-		distributed.SortPairs(next)
+		join.SortPairs(next)
 		answer = next
 	}
 
@@ -792,4 +792,215 @@ func TestGatewayUnregisterPurgesAnswerCache(t *testing.T) {
 	}
 	register("r1", t1b) // different rows, placement version 1 again
 	check("after re-registration")
+}
+
+// registerBoth registers the same tuples on the cluster and its mirror.
+func registerBoth(t *testing.T, c *cluster, mirror *service.Service, name string, local, agg int, ts []dataset.Tuple) {
+	t.Helper()
+	if _, err := c.gw.Register(context.Background(), name, local, agg, ts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mirror.Register(name, mustRelation(t, name, local, agg, ts)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatewayStoreUnderPressure forces the gateway's answer store down to
+// two unpinned answers and checks it behaves as the service's does (it is
+// the same type): least recently used answers go first and recompute
+// correctly, while a watched answer sits outside the budget — it survives
+// any number of other queries and keeps delivering, across a mixed
+// insert/delete schedule, exactly DiffPairs(previous answer, next), with
+// every answer checked against the single-node mirror.
+func TestGatewayStoreUnderPressure(t *testing.T) {
+	ctx := context.Background()
+	const local, agg, groups = 2, 1, 5
+	rng := rand.New(rand.NewSource(1507))
+	c := newCluster(t, 2)
+	c.gw.answers = service.NewAnswerStore(2) // before first use
+	mirror := newMirror(t)
+	sizes := map[string]int{"r1": 24, "r2": 24}
+	registerBoth(t, c, mirror, "r1", local, agg, genTuples(rng, sizes["r1"], local, agg, groups))
+	registerBoth(t, c, mirror, "r2", local, agg, genTuples(rng, sizes["r2"], local, agg, groups))
+
+	// ask answers through the gateway, checks the answer against the
+	// mirror, and reports whether the gateway's store served it (the
+	// response's source cannot tell: a gateway miss the shards answer from
+	// their own caches reads "cached" too).
+	ask := func(k int, aggName string) (hit bool) {
+		t.Helper()
+		req := service.QueryRequest{R1: "r1", R2: "r2", K: k, Agg: aggName}
+		hits := c.gw.cacheHits.Load()
+		got, err := c.gw.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("k=%d %s: gateway: %v", k, aggName, err)
+		}
+		if aggName != "sum" {
+			req.Algorithm = "naive"
+		}
+		want, err := mirror.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("k=%d %s: mirror: %v", k, aggName, err)
+		}
+		samePairs(t, fmt.Sprintf("k=%d %s", k, aggName), got.Skyline, want.Skyline)
+		return c.gw.cacheHits.Load() > hits
+	}
+
+	ask(4, "sum")
+	ask(5, "sum")
+	if !ask(4, "sum") {
+		t.Fatal("repeat query within capacity missed")
+	}
+	ask(4, "max") // a third answer: the least recently used one, k=5, goes
+	if !ask(4, "sum") {
+		t.Fatal("the most recently used answer was evicted")
+	}
+	if ask(5, "sum") {
+		t.Fatal("the least recently used answer survived past capacity")
+	}
+	if _, _, _, evictions := c.gw.answers.Stats(); evictions != 2 {
+		t.Fatalf("%d evictions, want 2 (k=5 sum, then k=4 max)", evictions)
+	}
+
+	wreq := service.QueryRequest{R1: "r1", R2: "r2", K: 4, Agg: "sum"}
+	w, err := c.gw.Watch(ctx, wreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recv := func() service.WatchEvent {
+		t.Helper()
+		select {
+		case ev, ok := <-w.Events():
+			if !ok {
+				t.Fatalf("watch closed early: %v", w.Err())
+			}
+			return ev
+		case <-time.After(10 * time.Second):
+			t.Fatal("timed out waiting for watch event")
+		}
+		panic("unreachable")
+	}
+	current := func() []join.Pair {
+		t.Helper()
+		resp, err := mirror.Query(ctx, wreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Skyline
+	}
+	prev := current()
+	samePairs(t, "snapshot", recv().Added, prev)
+
+	others := []struct {
+		k   int
+		agg string
+	}{{5, "sum"}, {4, "max"}, {5, "max"}, {4, "min"}, {5, "min"}}
+	for step := 0; step < 12; step++ {
+		for _, o := range others { // five answers through two slots
+			ask(o.k, o.agg)
+		}
+		if !ask(4, "sum") {
+			t.Fatalf("step %d: the watched answer was evicted or went stale", step)
+		}
+		if entries, _, watches, _ := c.gw.answers.Stats(); entries != 3 || watches != 1 {
+			t.Fatalf("step %d: %d answers / %d subscribers standing, want 2 unpinned + 1 watched", step, entries, watches)
+		}
+		name := []string{"r1", "r2"}[rng.Intn(2)]
+		if step%3 != 2 {
+			batch := genTuples(rng, 1+rng.Intn(4), local, agg, groups)
+			if _, err := c.gw.InsertBatch(ctx, name, batch); err != nil {
+				t.Fatalf("step %d: gateway insert: %v", step, err)
+			}
+			if _, err := mirror.InsertBatch(name, batch); err != nil {
+				t.Fatalf("step %d: mirror insert: %v", step, err)
+			}
+			sizes[name] += len(batch)
+		} else {
+			ids := rng.Perm(sizes[name])[:1+rng.Intn(3)]
+			if _, err := c.gw.DeleteBatch(ctx, name, ids); err != nil {
+				t.Fatalf("step %d: gateway delete %v: %v", step, ids, err)
+			}
+			if _, err := mirror.DeleteBatch(name, ids); err != nil {
+				t.Fatalf("step %d: mirror delete: %v", step, err)
+			}
+			sizes[name] -= len(ids)
+		}
+		ev, next := recv(), current()
+		added, removed := service.DiffPairs(prev, next)
+		if ev.Seq != uint64(step+1) {
+			t.Fatalf("step %d: seq %d: not one delta per batch", step, ev.Seq)
+		}
+		samePairs(t, fmt.Sprintf("step %d added", step), ev.Added, added)
+		samePairs(t, fmt.Sprintf("step %d removed", step), ev.Removed, removed)
+		prev = next
+	}
+}
+
+// TestGatewayWatchedAnswerIsTheCachedAnswer: a gateway query that is both
+// cached and watched is one store entry; its subscribers are what
+// Stats().Watches counts and what keeps it out of the eviction budget; and
+// the last one leaving returns it to the LRU instead of dropping it.
+func TestGatewayWatchedAnswerIsTheCachedAnswer(t *testing.T) {
+	ctx := context.Background()
+	const local, agg = 2, 1
+	rng := rand.New(rand.NewSource(33))
+	c := newCluster(t, 2)
+	c.gw.answers = service.NewAnswerStore(1) // before first use
+	for _, name := range []string{"r1", "r2"} {
+		if _, err := c.gw.Register(ctx, name, local, agg, genTuples(rng, 20, local, agg, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// hit queries through the gateway and reports whether its store served
+	// the answer (a miss the shards answer from their own caches reads
+	// source "cached" too, so the response cannot tell).
+	hit := func(k int) bool {
+		t.Helper()
+		hits := c.gw.cacheHits.Load()
+		if _, err := c.gw.Query(ctx, service.QueryRequest{R1: "r1", R2: "r2", K: k}); err != nil {
+			t.Fatal(err)
+		}
+		return c.gw.cacheHits.Load() > hits
+	}
+	standing := func(label string, wantEntries, wantWatches int) {
+		t.Helper()
+		entries, _, watches, _ := c.gw.answers.Stats()
+		if entries != wantEntries || watches != wantWatches {
+			t.Fatalf("%s: %d answers / %d subscribers standing, want %d / %d", label, entries, watches, wantEntries, wantWatches)
+		}
+		if got := c.gw.Stats(ctx).Watches; got != wantWatches {
+			t.Fatalf("%s: Stats().Watches = %d, want %d", label, got, wantWatches)
+		}
+	}
+
+	hit(4) // cached, not yet watched
+	req := service.QueryRequest{R1: "r1", R2: "r2", K: 4}
+	w1, err := c.gw.Watch(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := c.gw.Watch(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standing("cached and watched twice", 1, 2)
+	if !hit(4) {
+		t.Fatal("query of the watched answer missed the store")
+	}
+	hit(5) // fills the one unpinned slot; the watched answer is outside it
+	standing("beside one unwatched answer", 2, 2)
+
+	w1.Close()
+	standing("one subscriber left", 2, 1)
+	w2.Close()
+	// Back in the LRU at the front: the budget of one now evicts k=5, not it.
+	standing("unwatched again", 1, 0)
+	if !hit(4) {
+		t.Fatal("last unsubscribe dropped the answer")
+	}
+	hit(5) // ...and as an ordinary cached answer it is evictable again
+	if hit(4) {
+		t.Fatal("the formerly watched answer is still pinned")
+	}
 }

@@ -37,8 +37,9 @@ type rowLoc struct {
 // shards whose commits succeeded — so a shard failing mid-batch leaves
 // the mapping agreeing with what the surviving shards actually hold.
 type relPlace struct {
-	name       string
-	local, agg int
+	// schema is the relation's Name, Local and Agg with no rows — the form
+	// service.CheckRequest reads a schema in.
+	schema     dataset.Relation
 	version    uint64
 	global     []rowLoc
 	perShard   [][]int
@@ -47,9 +48,7 @@ type relPlace struct {
 
 func newRelPlace(name string, local, agg, shards int) *relPlace {
 	return &relPlace{
-		name:       name,
-		local:      local,
-		agg:        agg,
+		schema:     dataset.Relation{Name: name, Local: local, Agg: agg},
 		version:    1,
 		perShard:   make([][]int, shards),
 		registered: make([]bool, shards),
