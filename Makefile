@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-compare bench-check loc coverage docs-check examples staticcheck apicheck shuffle shard-smoke persist-smoke ci
+.PHONY: build vet test race bench bench-check loc coverage docs-check examples staticcheck apicheck shuffle shard-smoke persist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,16 +18,14 @@ race:
 examples:
 	$(GO) test -run Example -v ./ksjq/
 
-# Snapshot the tracked benchmarks (best-of-COUNT, default 5) into the
-# current PR's trajectory record.
+# Snapshot the tracked microbenchmarks (best-of-COUNT, default 5) into the
+# kernel-history record DESIGN.md cites. A record, not a gate: time-based
+# regression gating is `bash bench/run.sh -compare` (bench/README.md), and
+# the allocation counts the snapshots record are exact tier-1 tests
+# (TestWarmQueryHitAllocs, TestPreparedMemoHitAllocs,
+# TestGatewayWarmHitAllocs).
 bench:
 	./scripts/bench_snapshot.sh BENCH_pr10.json
-
-# Noise-robust regression gate: fresh best-of-N snapshot vs the newest
-# checked-in BENCH_pr*.json; fails on >25% ns/op regression (THRESHOLD to
-# tune, WARN_ONLY=1 to report without failing).
-bench-compare:
-	./scripts/bench_compare.sh
 
 # The end-to-end benchmark harness (bench/) is a module of its own that
 # imports repro/internal/..., so `go build ./... && go test ./...` never

@@ -176,6 +176,30 @@ func TestServerCSVLoad(t *testing.T) {
 	if out["error"] != nil {
 		t.Fatalf("band query: %v", out["error"])
 	}
+	// A present-but-malformed or negative numeric parameter is refused, as
+	// the JSON form's negative window is: read as 0 it would register an
+	// unwindowed relation whose rows never expire. The name stays free.
+	for _, params := range []string{
+		"local=2&agg=1&window_ms=-5", "local=2&agg=1&window_ms=5s",
+		"local=2x&band=1", "local=2&agg=-1", "local=2&agg=one",
+	} {
+		resp, err := http.Post(srv.URL+"/v1/relations?format=csv&name=bad&"+params, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("CSV load with %s: status %d, want 400", params, resp.StatusCode)
+		}
+	}
+	resp, err = http.Post(srv.URL+"/v1/relations?format=csv&name=bad&local=2&band=1&window_ms=60000", "text/csv", strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("CSV load with a well-formed window after the refused ones: status %d, want 200", resp.StatusCode)
+	}
 }
 
 // TestServerBatchInsert covers the batch wire form of /v1/insert: one

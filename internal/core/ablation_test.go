@@ -22,19 +22,48 @@ func ablationQuery() Query {
 	return Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 9}
 }
 
+// pairKDominates reports whether the joined tuple R1[i] ⋈ R2[j] k-dominates
+// the joined attribute vector cand: the x-section prefix followed by the
+// shared tail, one counted test per pair. The product checker hoists the
+// prefix above the partner loop; this un-hoisted form is the ablation
+// control arm's test and the scan oracle's (indexedjoin_test.go).
+func (e *engine) pairKDominates(i, j int, cand []float64) bool {
+	x := e.at1[i*e.d1 : i*e.d1+e.d1]
+	leq, strict, ok := localPrefix(x, cand, e.l1, e.q.K-(len(cand)-e.l1))
+	if !ok {
+		e.stats.DominationTests++
+		return false
+	}
+	return e.pairKDominatesTail(x, j, leq, strict, cand)
+}
+
+// unprunedDominates is the ablation control arm: the checker's probe lists
+// with no left-level target-set skip and no shared x-section — every
+// partner pair gets its own counted full test.
+func unprunedDominates(c *checker, cand []float64) bool {
+	for _, i := range c.left {
+		for _, j := range c.ix.Partners(c.e.q.R1, i) {
+			if c.e.pairKDominates(i, j, cand) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // runGroupingWithPruning mirrors runGrouping but lets the benchmark toggle
-// the checker's target-set skip.
-func runGroupingWithPruning(q Query, prune bool) int {
+// the checker's target-set skip; it reports the skyline size and the
+// domination tests spent.
+func runGroupingWithPruning(q Query, prune bool) (count int, tests int64) {
 	st := Stats{}
 	e := newEngine(q, &st)
-	e.noTargetPrune = !prune
 	k1p, k2p := q.KPrimes()
 	c1 := Categorize(q.R1, k1p, e.cond, Left)
 	c2 := Categorize(q.R2, k2p, e.cond, Right)
 	a1 := targetUnion(q.R1, c1.SS, e.l1, e.k1pp)
 	all1 := allIndices(q.R1.Len())
 	all2 := allIndices(q.R2.Len())
-	count := len(e.pairs(c1.SS, c2.SS))
+	count = len(e.pairs(c1.SS, c2.SS))
 	for _, cell := range []struct {
 		cand  [][]int
 		check [][]int
@@ -43,25 +72,33 @@ func runGroupingWithPruning(q Query, prune bool) int {
 		{[][]int{c1.SN, c2.SN}, [][]int{all1, all2}},
 	} {
 		chk := e.newChecker(cell.check[0], cell.check[1])
+		dominated := chk.dominates
+		if !prune {
+			dominated = func(cand []float64) bool { return unprunedDominates(chk, cand) }
+		}
 		for _, p := range e.pairs(cell.cand[0], cell.cand[1]) {
-			if !chk.dominates(p.Attrs) {
+			if !dominated(p.Attrs) {
 				count++
 			}
 		}
 	}
-	return count
+	return count, st.DominationTests
 }
 
 func TestAblationTogglePreservesAnswer(t *testing.T) {
 	q := ablationQuery()
-	with := runGroupingWithPruning(q, true)
-	without := runGroupingWithPruning(q, false)
+	with, withTests := runGroupingWithPruning(q, true)
+	without, withoutTests := runGroupingWithPruning(q, false)
 	if with != without {
 		t.Fatalf("target pruning changed the answer: %d vs %d", with, without)
 	}
 	if with == 0 {
 		t.Fatal("ablation instance produced no skylines; benchmark would be vacuous")
 	}
+	if withTests > withoutTests {
+		t.Fatalf("target pruning spent more domination tests (%d) than the un-pruned control (%d)", withTests, withoutTests)
+	}
+	t.Logf("domination tests: %d pruned / %d un-pruned = %.3f", withTests, withoutTests, float64(withTests)/float64(withoutTests))
 }
 
 func BenchmarkAblationTargetPruningOn(b *testing.B) {

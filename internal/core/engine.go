@@ -34,16 +34,10 @@ type engine struct {
 	// sharing them across goroutines is safe.
 	allRightIx    *join.Index
 	allLeftSorted []int
-	// pts1/pts2 cache the relations' base attribute vectors for the probe
-	// orderings (built lazily, then read-only).
-	pts1, pts2 [][]float64
 	// kt caches the R1→R2 key-symbol translation shared by every equality
 	// index this engine builds (one per cell, one per dominator-set
 	// checker); built once on first use, read-only afterwards.
 	kt *join.KeyTrans
-	// noTargetPrune disables the checker's target-set skip; used only by
-	// the ablation benchmarks to quantify the optimization.
-	noTargetPrune bool
 	// memoLeft/memoLeftSorted and memoRight/memoRightIx remember the last
 	// subset probe order and subset checker index built, keyed by slice
 	// identity. The grouping cells reuse the augmented target lists across
@@ -125,20 +119,6 @@ func newEngine(q Query, stats *Stats) *engine {
 	return e
 }
 
-func (e *engine) points1() [][]float64 {
-	if e.pts1 == nil {
-		e.pts1 = basePoints(e.q.R1)
-	}
-	return e.pts1
-}
-
-func (e *engine) points2() [][]float64 {
-	if e.pts2 == nil {
-		e.pts2 = basePoints(e.q.R2)
-	}
-	return e.pts2
-}
-
 // rightProbeOrder returns the right list in the order the index should
 // hold it: ascending attribute sum for equality buckets and Cross (so
 // strong dominators are probed first), unchanged for band conditions —
@@ -146,7 +126,7 @@ func (e *engine) points2() [][]float64 {
 func (e *engine) rightProbeOrder(right []int) []int {
 	switch e.cond {
 	case join.Equality, join.Cross:
-		return sortBySum(e.points2(), right)
+		return sortBySum(e.q.R2, right)
 	default:
 		return right
 	}
@@ -224,14 +204,14 @@ type checker struct {
 func (e *engine) leftProbeOrder(left []int) []int {
 	if len(left) == e.q.R1.Len() {
 		if e.allLeftSorted == nil {
-			e.allLeftSorted = sortBySum(e.points1(), allIndices(e.q.R1.Len()))
+			e.allLeftSorted = sortBySum(e.q.R1, allIndices(e.q.R1.Len()))
 		}
 		return e.allLeftSorted
 	}
 	if sameIDs(left, e.memoLeft) {
 		return e.memoLeftSorted
 	}
-	sorted := sortBySum(e.points1(), left)
+	sorted := sortBySum(e.q.R1, left)
 	e.memoLeft, e.memoLeftSorted = left, sorted
 	return sorted
 }
@@ -304,19 +284,6 @@ func (c *checker) ensurePartners() {
 func (c *checker) dominates(cand []float64) bool {
 	e := c.e
 	r1 := e.q.R1
-	if e.noTargetPrune {
-		// Ablation control arm: no left-level skip and no shared x-section
-		// — every partner pair gets its own counted full test, exactly the
-		// un-pruned checker the benchmarks compare against.
-		for _, i := range c.left {
-			for _, j := range c.ix.Partners(r1, i) {
-				if e.pairKDominates(i, j, cand) {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	// The x-section threshold: the pair test's own reachability bound at
 	// pos = l1 is K − (d − l1) = K − l2 − a (d = l1+l2+a), which is exactly
 	// the target-set threshold k″1 — Def 5's prune is the bound the test
@@ -425,19 +392,6 @@ func localPrefix(x, cand []float64, l1, t int) (leq int, strict, ok bool) {
 	return leq, strict, leq >= t
 }
 
-// pairKDominates reports whether the joined tuple R1[i] ⋈ R2[j] k-dominates
-// the joined attribute vector cand, without materializing the pair: the
-// x-section prefix followed by the shared tail.
-func (e *engine) pairKDominates(i, j int, cand []float64) bool {
-	x := e.at1[i*e.d1 : i*e.d1+e.d1]
-	leq, strict, ok := localPrefix(x, cand, e.l1, e.q.K-(len(cand)-e.l1))
-	if !ok {
-		e.stats.DominationTests++
-		return false
-	}
-	return e.pairKDominatesTail(x, j, leq, strict, cand)
-}
-
 // pairKDominatesTail finishes a k-dominance test against cand for the pair
 // (x, R2[j]), resuming after a precomputed x-section (leq wins, strict
 // strictness over the l1 left locals). The engine's hottest loop: x and y
@@ -536,20 +490,16 @@ func allIndices(n int) []int {
 }
 
 // sortBySum returns a copy of idx ordered by ascending attribute sum of the
-// referenced points, so likely dominators are probed first. Sums are
+// referenced rows of r, so likely dominators are probed first. Sums are
 // precomputed into a flat entry slice — no map lookups in the comparator.
-func sortBySum(pts [][]float64, idx []int) []int {
+func sortBySum(r *dataset.Relation, idx []int) []int {
 	entries := make([]struct {
 		idx int
 		sum float64
 	}, len(idx))
 	for n, i := range idx {
-		s := 0.0
-		for _, v := range pts[i] {
-			s += v
-		}
 		entries[n].idx = i
-		entries[n].sum = s
+		entries[n].sum = sumOf(r.Attrs(i))
 	}
 	sort.SliceStable(entries, func(a, b int) bool { return entries[a].sum < entries[b].sum })
 	out := make([]int, len(entries))

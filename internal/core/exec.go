@@ -28,7 +28,7 @@ type ExecOptions struct {
 	// false return stops before the next cell, not mid-cell.
 	Emit Emit
 	// Resident, when non-nil, supplies prebuilt per-(R1, R2, condition)
-	// structures (full-R2 join index, probe orders, base-point tables) so
+	// structures (full-R2 join index, probe orders) so
 	// the engine skips their construction — the reuse the query service
 	// relies on for resident relations. It must have been built by
 	// NewResident over exactly the query's relations and condition;

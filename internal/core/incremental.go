@@ -167,7 +167,7 @@ func (m *Maintainer) UseResident(res *Resident) { m.res = res }
 // AbsorbBatchLeft folds into the skyline a whole batch of R1 tuples an
 // external writer already appended (via Relation.AppendBatch): ids are the
 // appended row indices, each absorbed exactly once. One call does the work
-// of absorbing every id in sequence — one engine, one materialization of
+// of one absorb per id in sequence — one engine, one materialization of
 // all new pairs, one blocked displacement sweep of the current members
 // against them, and one blocked admission sweep against the updated join —
 // so the per-insert setup cost is paid once per batch; a batch large
@@ -364,7 +364,7 @@ func (m *Maintainer) delete(idx int, left bool) error {
 	// A delete can restore a relation to a length a shared resident was
 	// built at while changing its contents — the one mutation the
 	// resident's (pointer, length) staleness check cannot see — so drop
-	// it here rather than risk absorbing through a stale index later.
+	// it here rather than risk a later absorb through a stale index.
 	// (The service's delete path re-hands a freshly retracted resident via
 	// UseResident after the physical delete, which is the one way to keep
 	// one across a delete.)

@@ -146,7 +146,7 @@ func TestMaintainerInsertNoPartners(t *testing.T) {
 
 // TestMaintainerAbsorbSharedRelation drives the service-layer insert
 // pattern: two maintainers over queries sharing a relation, one physical
-// append, every maintainer absorbing it — each must track a from-scratch
+// append, absorbed by every maintainer — each must track a from-scratch
 // recompute of its own query.
 func TestMaintainerAbsorbSharedRelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))

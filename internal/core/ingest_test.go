@@ -113,7 +113,7 @@ func TestResidentAbsorbRejectsBadTails(t *testing.T) {
 
 // TestAbsorbBatchMatchesSequential pins the maintainer's batch entry
 // points to the per-tuple path: one AbsorbBatch over the appended tail
-// must land on the same skyline as absorbing the ids one at a time, and
+// must land on the same skyline as one Absorb per id, and
 // both must match a from-scratch recompute.
 func TestAbsorbBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))

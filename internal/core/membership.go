@@ -37,7 +37,7 @@ func MembershipContext(ctx context.Context, q Query, pairs [][2]int) ([]bool, er
 
 // membershipContext is the shared implementation behind MembershipContext
 // and Resident.Membership: res, when non-nil, seeds the probing engine
-// with the prebuilt join index and base-point tables.
+// with the prebuilt join index and probe order.
 func membershipContext(ctx context.Context, q Query, pairs [][2]int, res *Resident) ([]bool, error) {
 	if err := q.Validate(Grouping); err != nil {
 		return nil, err
@@ -87,8 +87,8 @@ func AnyDominatorsContext(ctx context.Context, q Query, vectors [][]float64) ([]
 
 // anyDominatorsContext is the shared implementation behind
 // AnyDominatorsContext and Resident.AnyDominators: res, when non-nil,
-// seeds the checking engine with the prebuilt join index and base-point
-// tables. A strictly monotonic aggregator gets the target-set checker;
+// seeds the checking engine with the prebuilt join index and probe
+// order. A strictly monotonic aggregator gets the target-set checker;
 // a non-strict one falls back to scanning the materialized join, where
 // every joined vector is a potential dominator.
 func anyDominatorsContext(ctx context.Context, q Query, vectors [][]float64, res *Resident) ([]bool, error) {

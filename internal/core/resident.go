@@ -12,9 +12,9 @@ import (
 
 // Resident holds the per-(R1, R2, join condition) structures the engine
 // otherwise rebuilds on every Exec: the probe-ordered full-R2 join index,
-// the sum-sorted R1 probe order, and the two base-point tables. None of
-// them depend on k or on the aggregator, so one Resident serves every
-// query over the same relation pair and condition.
+// and the sum-sorted R1 probe order. Neither depends on k or on the
+// aggregator, so one Resident serves every query over the same relation
+// pair and condition.
 //
 // A Resident is immutable after construction and safe to share across
 // concurrent Execs — it is the resident-relation reuse the service layer
@@ -32,7 +32,6 @@ type Resident struct {
 	cond       join.Condition
 	rightIx    *join.Index
 	leftSorted []int
-	pts1, pts2 [][]float64
 	// leftSums caches the attribute sums behind leftSorted's ordering,
 	// indexed by R1 row ID; built lazily by the first left-side Absorb so
 	// batch merges extend it instead of re-summing the whole relation.
@@ -75,7 +74,6 @@ func NewResident(q Query) (*Resident, error) {
 	e := newEngine(q, &st)
 	e.rightAllIndex()
 	e.leftProbeOrder(allIndices(q.R1.Len()))
-	e.points2()
 	return &Resident{
 		r1:         q.R1,
 		r2:         q.R2,
@@ -84,8 +82,6 @@ func NewResident(q Query) (*Resident, error) {
 		cond:       e.cond,
 		rightIx:    e.allRightIx,
 		leftSorted: e.allLeftSorted,
-		pts1:       e.pts1,
-		pts2:       e.pts2,
 	}, nil
 }
 
@@ -95,10 +91,9 @@ func NewResident(q Query) (*Resident, error) {
 // left absorb merges the new rows into the sum-sorted probe order (a
 // stable merge of the sorted tail, reproducing exactly the ordering a
 // rebuild would compute); a right absorb extends the full-R2 join index in
-// place (join.Index.Extend). Both refresh the side's base-point views
-// (appending may have re-backed the attribute column) and advance the
-// recorded length, so the post-batch Resident serves queries without
-// ErrStaleResident at merge cost instead of rebuild cost.
+// place (join.Index.Extend). Both advance the recorded length, so the
+// post-batch Resident serves queries without ErrStaleResident at merge
+// cost instead of rebuild cost.
 //
 // Absorb writes to structures concurrent Execs read: callers must exclude
 // it from readers exactly as they exclude relation mutation. For a
@@ -123,7 +118,6 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 	}
 	if side == Left {
 		r.leftSorted = mergeBySum(r.leftSorted, ids, r.extendLeftSums(ids))
-		r.pts1 = basePoints(r.r1)
 		r.n1 += len(ids)
 		return nil
 	}
@@ -132,10 +126,9 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 	// re-sorts by band anyway.
 	tail := ids
 	if r.cond == join.Equality || r.cond == join.Cross {
-		tail = sortBySum(basePoints(r.r2), ids)
+		tail = sortBySum(r.r2, ids)
 	}
 	r.rightIx.Extend(tail)
-	r.pts2 = basePoints(r.r2)
 	r.n2 += len(ids)
 	return nil
 }
@@ -147,9 +140,9 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 // deleted rows out of the sum-sorted probe order and renumbers the
 // survivors (sums are untouched by a delete, so the filtered order is
 // exactly what a rebuild would sort); a right retract does the same to the
-// full-R2 join index (join.Index.Retract). Both refresh the side's
-// base-point views and shrink the recorded length. For a self-join retract
-// each side separately, exactly as with Absorb.
+// full-R2 join index (join.Index.Retract). Both shrink the recorded
+// length. For a self-join retract each side separately, exactly as with
+// Absorb.
 //
 // Like Absorb, Retract writes to structures concurrent Execs read: callers
 // must exclude it from readers.
@@ -193,12 +186,10 @@ func (r *Resident) Retract(side Side, ids []int) error {
 			}
 			r.leftSums = r.leftSums[:w]
 		}
-		r.pts1 = basePoints(r.r1)
 		r.n1 -= len(ids)
 		return nil
 	}
 	r.rightIx.Retract(ids)
-	r.pts2 = basePoints(r.r2)
 	r.n2 -= len(ids)
 	return nil
 }
@@ -312,7 +303,7 @@ func (r *Resident) Membership(ctx context.Context, q Query, pairs [][2]int) ([]b
 }
 
 // AnyDominators checks foreign candidate vectors against the resident
-// snapshot's partition, reusing r's join index and base-point tables; see
+// snapshot's partition, reusing r's join index and probe order; see
 // AnyDominatorsContext. This is the verification-round primitive a shard
 // serves on behalf of its peers.
 func (r *Resident) AnyDominators(ctx context.Context, q Query, vectors [][]float64) ([]bool, error) {
@@ -327,8 +318,6 @@ func (r *Resident) AnyDominators(ctx context.Context, q Query, vectors [][]float
 func (r *Resident) seed(e *engine) {
 	e.allRightIx = r.rightIx
 	e.allLeftSorted = r.leftSorted
-	e.pts1 = r.pts1
-	e.pts2 = r.pts2
 }
 
 // newEngineResident is newEngine seeded from an optional Resident; res may

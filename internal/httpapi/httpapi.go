@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -350,10 +351,20 @@ func (h *handler) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var window time.Duration
 	var err error
 	if q := r.URL.Query(); q.Get("format") == "csv" {
+		// A malformed or negative number is refused before the body is
+		// read: read as 0, ?window_ms=5s would register an unwindowed
+		// relation whose rows never expire.
+		local, errLocal := queryInt(q, "local")
+		agg, errAgg := queryInt(q, "agg")
+		windowMS, errWindow := queryInt(q, "window_ms")
+		if err := errors.Join(errLocal, errAgg, errWindow); err != nil {
+			WriteError(w, http.StatusBadRequest, err)
+			return
+		}
 		name = q.Get("name")
-		window = time.Duration(Atoi(q.Get("window_ms"))) * time.Millisecond
+		window = time.Duration(windowMS) * time.Millisecond
 		rel, err = dataset.ReadCSV(r.Body, dataset.ReadOptions{
-			Name: name, Local: Atoi(q.Get("local")), Agg: Atoi(q.Get("agg")),
+			Name: name, Local: local, Agg: agg,
 			HasBand: q.Get("band") != "" && q.Get("band") != "0",
 		})
 	} else {
@@ -590,12 +601,16 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Atoi parses a non-negative query parameter, treating anything else as 0
-// (schema validation downstream produces the real error message).
-func Atoi(s string) int {
+// queryInt parses a non-negative integer query parameter; an absent one
+// is 0.
+func queryInt(q url.Values, name string) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		return 0, nil
+	}
 	n, err := strconv.Atoi(s)
 	if err != nil || n < 0 {
-		return 0
+		return 0, fmt.Errorf("?%s=%q: want a non-negative integer", name, s)
 	}
-	return n
+	return n, nil
 }

@@ -41,23 +41,22 @@ var errSuperseded = errors.New("service: standing answer superseded")
 // rounds. skyline is always the served snapshot, so lookups never pay the
 // maintainer's copy-and-sort.
 //
-// An answer is in the LRU list unless it is pinned: by subscribers
-// (Attach), or by a commit mid-flight (absorbing), during which the
-// maintainer is in use with no lock held and must not be closed. Pinned
+// An answer is in the LRU list unless subscribers pin it (Attach); pinned
 // answers sit outside the capacity budget.
 //
-// Every field is guarded by the store mutex; the maintainer's internals
-// belong to whichever commit holds the absorbing pin.
+// Every field is guarded by the store mutex. Answers are removed — and
+// their maintainers closed — only under the committer's lock (the
+// service's mu, the gateway's), so the maintainer's internals belong to
+// the commit holding that lock exclusively.
 type Answer struct {
-	key       AnswerKey
-	q         core.Query // normalized query; relation pointers are stable
-	versions  [2]uint64
-	skyline   []join.Pair // sorted by (Left, Right)
-	algo      string      // strategy that originally computed the answer
-	m         *core.Maintainer
-	subs      map[*Watch]struct{}
-	absorbing bool
-	elem      *list.Element // nil while pinned
+	key      AnswerKey
+	q        core.Query // normalized query; relation pointers are stable
+	versions [2]uint64
+	skyline  []join.Pair // sorted by (Left, Right)
+	algo     string      // strategy that originally computed the answer
+	m        *core.Maintainer
+	subs     map[*Watch]struct{}
+	elem     *list.Element // nil while pinned
 }
 
 // Key is the answer's identity; it never changes.
@@ -88,13 +87,15 @@ func NewAnswerStore(capacity int) *AnswerStore {
 
 // Lookup returns the answer for key if it is valid at versions: the
 // skyline (read-only), the algorithm that computed it, and whether it is
-// live-maintained. An answer mid-commit is a miss — its snapshot is one
-// version behind until the commit publishes.
+// live-maintained. It is the one entry point readers call without the
+// committer's lock: skyline and versions move together under the store
+// mutex (Publish), so a reader holding pre-commit versions is served the
+// pre-commit answer.
 func (c *AnswerStore) Lookup(key AnswerKey, versions [2]uint64) (sky []join.Pair, algo string, maintained, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
-	if !ok || a.absorbing || a.versions != versions {
+	if !ok || a.versions != versions {
 		return nil, "", false, false
 	}
 	if a.elem != nil {
@@ -105,29 +106,18 @@ func (c *AnswerStore) Lookup(key AnswerKey, versions [2]uint64) (sky []join.Pair
 
 // Store records a freshly computed answer, evicting least-recently-used
 // answers past capacity. An answer already standing at these versions is
-// the same skyline and stays (maintainer and subscribers included), and
-// one mid-commit is left to its commit, which publishes the maintained
-// equivalent of what the caller just computed.
+// the same skyline and stays (maintainer and subscribers included).
 func (c *AnswerStore) Store(key AnswerKey, versions [2]uint64, q core.Query, sky []join.Pair, algo string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if a, ok := c.entries[key]; ok {
-		if a.absorbing || a.versions == versions {
+		if a.versions == versions {
 			return
 		}
 		c.remove(a, errSuperseded)
 	}
 	a := &Answer{key: key, q: q, versions: versions, skyline: sky, algo: algo}
 	c.entries[key] = a
-	c.unpin(a)
-}
-
-// unpin enters an answer into the LRU at the front (a no-op if it is
-// there already) and trims the list back to capacity.
-func (c *AnswerStore) unpin(a *Answer) {
-	if a.elem != nil {
-		return
-	}
 	a.elem = c.lru.PushFront(a)
 	for c.lru.Len() > c.cap {
 		c.remove(c.lru.Back().Value.(*Answer), nil)
@@ -158,7 +148,7 @@ func (c *AnswerStore) remove(a *Answer, cause error) {
 }
 
 // Purge removes every answer whose key matches; Unregister and Close use
-// it, with commits locked out so no answer is pinned as absorbing.
+// it, under the committer's lock.
 func (c *AnswerStore) Purge(match func(AnswerKey) bool, cause error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -169,14 +159,13 @@ func (c *AnswerStore) Purge(match func(AnswerKey) bool, cause error) {
 	}
 }
 
-// take is the store's half of a service commit's phase 1: every answer over the
-// relation is pinned as absorbing and, if the maintainer can carry it
-// across the mutation, returned. pre reports the versions an answer must
-// stand at to be current immediately before the mutation; a stale answer,
-// or one the maintainer cannot take (a non-strict aggregator), is removed
-// and counted as invalidated. Promotion is free: the served skyline seeds
-// the maintainer, no recomputation.
-func (c *AnswerStore) take(name string, pre func(AnswerKey) [2]uint64) (live []*Answer, invalidated int) {
+// promote returns the answers over the relation, each with a maintainer, for
+// a service commit to advance and hand to Publish. pre reports the versions
+// an answer must stand at to be current immediately before the mutation; a
+// stale answer, or one the maintainer cannot take (a non-strict
+// aggregator), is removed and counted as invalidated. Promotion is free:
+// the served skyline seeds the maintainer, no recomputation.
+func (c *AnswerStore) promote(name string, pre func(AnswerKey) [2]uint64) (live []*Answer, invalidated int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, a := range c.entries {
@@ -194,38 +183,34 @@ func (c *AnswerStore) take(name string, pre func(AnswerKey) [2]uint64) (live []*
 			invalidated++
 			continue
 		}
-		c.pin(a)
-		a.absorbing = true
 		live = append(live, a)
 	}
 	return live, invalidated
 }
 
-// TakeWatched is phase 1 for a committer that carries answers across a
-// mutation by recomputing them (the gateway re-runs its two rounds): it
-// pins as absorbing, and returns, only the answers over the relation that
-// have subscribers — the ones somebody is waiting to hear about. The rest
-// stand at versions the mutation has moved past and are superseded by the
-// next Store. Every returned answer must be handed to Publish.
-func (c *AnswerStore) TakeWatched(name string) (live []*Answer) {
+// Watched returns the answers over the relation that have subscribers —
+// the ones somebody is waiting to hear about — for a committer that
+// carries answers across a mutation by recomputing them (the gateway
+// re-runs its two rounds) and hands each to Publish. The rest stand at
+// versions the mutation has moved past and are superseded by the next
+// Store.
+func (c *AnswerStore) Watched(name string) (live []*Answer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, a := range c.entries {
 		if key.Names(name) && len(a.subs) > 0 {
-			a.absorbing = true // its subscribers already pin it out of the LRU
 			live = append(live, a)
 		}
 	}
 	return live
 }
 
-// Publish is the store's half of phase 3 for one taken answer: serve the
-// post-commit skyline at the post-commit versions, send subscribers the
-// one coalesced delta, and release the commit's pin. A non-nil err says
-// the answer could not follow the commit (the maintainer failed —
-// unreachable for registry-owned relations — or a shard went down under
-// the gateway's recompute); it is removed and every subscriber ends with
-// the error rather than silently drifting.
+// Publish moves one answer across a commit: serve the post-commit skyline
+// at the post-commit versions and send subscribers the one coalesced
+// delta. A non-nil err says the answer could not follow the commit (the
+// maintainer failed — unreachable for registry-owned relations — or a
+// shard went down under the gateway's recompute); it is removed and every
+// subscriber ends with the error rather than silently drifting.
 func (c *AnswerStore) Publish(a *Answer, cur []join.Pair, versions [2]uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -239,24 +224,19 @@ func (c *AnswerStore) Publish(a *Answer, cur []join.Pair, versions [2]uint64, er
 			w.publish(WatchEvent{Added: added, Removed: removed, Versions: versions})
 		}
 	}
-	a.skyline, a.versions, a.absorbing = cur, versions, false
-	if len(a.subs) == 0 {
-		c.unpin(a)
-	}
+	a.skyline, a.versions = cur, versions
 }
 
-// Standing returns the answer for key a new subscriber can attach to:
-// one valid at the registry's current versions, or one mid-commit — whose
-// served snapshot is the pre-commit answer and whose delta the commit's
-// publish is about to deliver, so the subscriber sees every change
-// exactly once. Nil when there is none. The caller holds the exclusive
-// lock its commits take until it has attached, which is what makes
-// snapshot and subscription atomic against them.
+// Standing returns the answer for key a new subscriber can attach to: the
+// one valid at the registry's current versions, nil when there is none.
+// The caller holds the exclusive lock its commits take until it has
+// attached, which is what makes snapshot and subscription atomic against
+// them.
 func (c *AnswerStore) Standing(key AnswerKey, versions [2]uint64) *Answer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
-	if !ok || (!a.absorbing && a.versions != versions) {
+	if !ok || a.versions != versions {
 		return nil
 	}
 	return a
@@ -280,8 +260,10 @@ func (c *AnswerStore) Attach(ctx context.Context, a *Answer) *Watch {
 }
 
 // detach unsubscribes w; the last subscriber leaving returns the answer
-// to the LRU — unless a commit is mid-flight on it, whose publish does so
-// instead.
+// to the front of the LRU. It runs on the watch's goroutine, without the
+// committer's lock, so it must not trim: evicting here could close a
+// maintainer a commit is advancing. The list may sit over capacity until
+// the next Store trims it.
 func (c *AnswerStore) detach(a *Answer, w *Watch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -289,8 +271,8 @@ func (c *AnswerStore) detach(a *Answer, w *Watch) {
 		return // already removed (unregister, service closed)
 	}
 	delete(a.subs, w)
-	if len(a.subs) == 0 && !a.absorbing {
-		c.unpin(a)
+	if len(a.subs) == 0 && a.elem == nil {
+		a.elem = c.lru.PushFront(a)
 	}
 }
 

@@ -14,20 +14,20 @@ import (
 
 // The commit pipeline: every mutation of a registered relation — an
 // insert batch, a delete batch, the sweeper's window expiry, a replayed
-// WAL record — is one call to commit, which owns admission, the three
-// phases, the WAL ordering and the no-ack-unless-durable rule. A mutation
-// supplies only what differs between them. DESIGN.md §7 draws the phases.
+// WAL record — is one call to commit, which owns admission, the one
+// exclusive section, the WAL ordering and the no-ack-unless-durable rule.
+// A mutation supplies only what differs between them. DESIGN.md §7 draws
+// the pipeline.
 
 // mutation is what differs between the commits sharing the pipeline.
 type mutation interface {
 	// apply validates the whole batch against the relation and — only once
 	// all of it is known good — applies it to the rows and their arrival
-	// stamps and counts it. Runs in phase 1 under the exclusive lock; an
-	// error rejects the batch with nothing changed.
+	// stamps and counts it. An error rejects the batch with nothing changed.
 	apply(s *Service, name string, rr *regRelation) error
 	// record is the WAL record that replays the applied batch.
 	record(name string) store.Record
-	// resident advances a reclaimed pre-batch Resident on one side.
+	// resident advances a pre-batch Resident on one side.
 	resident(res *core.Resident, side core.Side) error
 	// maintain advances one answer's maintainer on the side(s) the mutated
 	// relation occupies (both, for a self-join). The churn it returns is
@@ -55,32 +55,13 @@ type commitResult struct {
 	churnA, churnB          int
 }
 
-// taken is one standing answer a commit carries through its phases: pinned
-// in phase 1, advanced in phase 2 (cur, churn, err), published in phase 3
-// at versions.
-type taken struct {
-	a              *Answer
-	versions       [2]uint64
-	combo          residentKey
-	cur            []join.Pair
-	churnA, churnB int
-	err            error
-}
-
-// commitCombo is the per-(pair, condition) state one commit threads
-// through its phases: a representative query (the resident structures are
-// k- and aggregator-independent, so any query over the combo serves) and
-// the shared Resident every answer over the combo advances through.
-type commitCombo struct {
-	q   core.Query
-	res *core.Resident
-}
-
 // commit runs one mutation of the named relation as a group commit: one
-// physical change, one version bump, one resident advance (or rebuild) per
-// affected (pair, condition), one maintainer advance per standing answer,
-// one coalesced WatchEvent per subscriber. It is the only place the three
-// phases, the WAL hooks and the ingest mutex appear.
+// physical change, one version bump, one resident advance per affected
+// (pair, condition), one maintainer advance per standing answer, one
+// coalesced WatchEvent per subscriber — all inside one exclusive section,
+// so a reader either runs before the commit or waits for it and then hits
+// the advanced answer. It is the only place the exclusive section, the WAL
+// hooks and the ingest mutex appear.
 func (s *Service) commit(name string, mut mutation) (commitResult, error) {
 	if s.closed.Load() {
 		return commitResult{}, ErrClosed
@@ -94,127 +75,84 @@ func (s *Service) commit(name string, mut mutation) (commitResult, error) {
 		return commitResult{}, ErrClosed
 	}
 
-	// Phase 1 — under the exclusive lock: apply the batch, bump the
-	// version, and pin everything the batch must update out of reach of
-	// concurrent readers.
 	s.mu.Lock()
-	rr, ok := s.rels[name]
-	if !ok {
-		s.mu.Unlock()
-		return commitResult{}, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
+	out, walSeq, err := s.advanceLocked(name, mut)
+	s.mu.Unlock()
+	// The fsync — the durability point the ack waits on — runs with readers
+	// released; ingestMu still holds the next commit, checkpoints and Close
+	// behind it.
+	if err == nil {
+		err = s.logSync(walSeq)
 	}
-	if err := mut.apply(s, name, rr); err != nil {
-		s.mu.Unlock()
+	if err != nil {
 		return commitResult{}, err
-	}
-	rr.version++
-	out := commitResult{version: rr.version}
-	live, combos, invalidated := s.takeAffected(name, rr.version-1)
-	out.invalidated = invalidated
-	// The WAL append happens inside the exclusive section so the log order
-	// is the commit order; the fsync (the durability point the ack waits
-	// on) runs after the lock drops. Expiry-driven deletes are logged like
-	// any other: replay reproduces them verbatim instead of re-deriving
-	// them from a clock that no longer matches the rows' arrival times.
-	walSeq, walErr := s.logAppend(mut.record(name))
-	s.mu.Unlock()
-	if walErr == nil {
-		walErr = s.logSync(walSeq)
-	}
-
-	// Phase 2 — no service lock held. Everything touched here (pinned
-	// answers' maintainers, reclaimed residents) is out of reach of
-	// concurrent queries; readers run freely and recompute at the new
-	// versions. A resident that cannot advance falls back to a fresh build;
-	// a failed build (unreachable for registry-owned relations) just means
-	// the combo's maintainers advance without sharing one.
-	for key, c := range combos {
-		if c.res != nil {
-			for _, side := range sides(key.r1 == name, key.r2 == name) {
-				if err := mut.resident(c.res, side); err != nil {
-					c.res = nil
-					break
-				}
-			}
-		}
-		if c.res == nil {
-			c.res, _ = core.NewResident(c.q)
-		}
-	}
-	for _, t := range live {
-		a := t.a
-		if res := combos[t.combo].res; res != nil {
-			a.m.UseResident(res)
-		}
-		t.churnA, t.churnB, t.err = mut.maintain(a.m, a.q, a.key.R1 == name, a.key.R2 == name)
-		if t.err == nil {
-			// Refresh the served snapshot once per batch so cache hits stay
-			// O(1) instead of paying the maintainer's copy-and-sort.
-			t.cur = a.m.Skyline()
-		}
-	}
-
-	// Phase 3 — under the exclusive lock again: publish the advanced
-	// answers (one coalesced delta per subscriber) and seed the resident
-	// cache for the next query.
-	s.mu.Lock()
-	for _, t := range live {
-		s.cache.Publish(t.a, t.cur, t.versions, t.err)
-		if t.err != nil {
-			out.invalidated++
-			continue
-		}
-		out.maintained++
-		out.churnA += t.churnA
-		out.churnB += t.churnB
-	}
-	for key, c := range combos {
-		if c.res != nil {
-			s.residents.put(key, c.res)
-		}
-	}
-	s.mu.Unlock()
-	if walErr != nil {
-		// The batch is applied in memory (the phases ran, so resident state
-		// stays coherent) but its durability is unknown — refuse the ack.
-		// logAppend/logSync already latched storeBroken.
-		return commitResult{}, walErr
 	}
 	return out, nil
 }
 
-// takeAffected is the tail of phase 1: with the relation already mutated
-// and its version bumped from oldV, pin every standing answer over it
-// (stale ones are dropped and counted as invalidated) and give each
-// affected (pair, condition) one shared Resident slot — reclaiming the
-// pre-batch snapshot where the cache has one, so phase 2 advances it in
-// place instead of rebuilding — then orphan whatever else references the
-// mutated relation. The caller holds s.mu exclusively.
-func (s *Service) takeAffected(name string, oldV uint64) (live []*taken, combos map[residentKey]*commitCombo, invalidated int) {
+// advanceLocked is commit's exclusive section: apply the batch, bump the
+// version, append the WAL record, then bring every resident and every
+// standing answer over the relation to the new version and publish them.
+// The caller holds s.mu exclusively. A rejected batch returns before
+// anything changed; a failed WAL append is returned after the advance (the
+// batch is applied in memory, so resident state must stay coherent) and
+// the caller refuses the ack — logAppend already latched storeBroken.
+func (s *Service) advanceLocked(name string, mut mutation) (commitResult, uint64, error) {
+	rr, ok := s.rels[name]
+	if !ok {
+		return commitResult{}, 0, fmt.Errorf("%w: %q", ErrUnknownRelation, name)
+	}
+	if err := mut.apply(s, name, rr); err != nil {
+		return commitResult{}, 0, err
+	}
+	rr.version++
+	out := commitResult{version: rr.version}
+	// The append happens inside the exclusive section so the log order is
+	// the commit order. Expiry-driven deletes are logged like any other:
+	// replay reproduces them verbatim instead of re-deriving them from a
+	// clock that no longer matches the rows' arrival times.
+	walSeq, walErr := s.logAppend(mut.record(name))
+
+	s.residents.advance(name, mut.resident)
+
 	// pre is what an answer must stand at to be current immediately before
 	// this commit: the registry's versions with the bump undone.
 	pre := func(key AnswerKey) [2]uint64 {
 		v := s.versionsLocked(key)
 		if key.R1 == name {
-			v[0] = oldV
+			v[0]--
 		}
 		if key.R2 == name {
-			v[1] = oldV
+			v[1]--
 		}
 		return v
 	}
-	answers, invalidated := s.cache.take(name, pre)
-	combos = make(map[residentKey]*commitCombo)
+	answers, invalidated := s.cache.promote(name, pre)
+	out.invalidated = invalidated
 	for _, a := range answers {
-		t := &taken{a: a, versions: s.versionsLocked(a.key)}
-		t.combo = residentKeyOf(a.key, t.versions)
-		if _, ok := combos[t.combo]; !ok {
-			combos[t.combo] = &commitCombo{q: a.q, res: s.residents.take(residentKeyOf(a.key, pre(a.key)))}
+		// Every answer over one (pair, condition) shares the standing
+		// Resident; get rebuilds one that could not advance. A failed build
+		// (unreachable for registry-owned relations) just means the
+		// maintainer advances without one.
+		res, _ := s.residents.get(residentKeyOf(a.key), a.q)
+		a.m.UseResident(res)
+		churnA, churnB, err := mut.maintain(a.m, a.q, a.key.R1 == name, a.key.R2 == name)
+		var cur []join.Pair
+		if err == nil {
+			// Refresh the served snapshot once per batch so cache hits stay
+			// O(1) instead of paying the maintainer's copy-and-sort.
+			cur = a.m.Skyline()
 		}
-		live = append(live, t)
+		s.cache.Publish(a, cur, s.versionsLocked(a.key), err)
+		if err != nil {
+			out.invalidated++
+			continue
+		}
+		out.maintained++
+		out.churnA += churnA
+		out.churnB += churnB
 	}
-	s.residents.dropRelation(name)
-	return live, combos, invalidated
+	return out, walSeq, walErr
 }
 
 // versionsLocked reports the registry versions of a key's relations; a

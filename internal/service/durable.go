@@ -3,11 +3,10 @@
 // DESIGN.md §14 and internal/store for the on-disk format.
 //
 // The contract with the store is narrow. Every acknowledged mutation
-// appends one WAL record while the commit's exclusive section still holds
-// s.mu — so log order is commit order — and fsyncs before the caller is
-// acknowledged (the fsync itself runs after the lock drops, overlapping
-// the absorption phase; concurrent batches coalesce into one group
-// commit). Recovery replays the log through the same mutation paths that
+// appends one WAL record inside the commit's exclusive section — so log
+// order is commit order — and fsyncs before the caller is acknowledged
+// (the fsync itself runs after s.mu drops, so readers are not held behind
+// the disk). Recovery replays the log through the same mutation paths that
 // produced it, so registry versions advance exactly as they did live and
 // the recovered service is indistinguishable from one that never stopped.
 package service
@@ -67,8 +66,8 @@ func (s *Service) logSync(seq uint64) error {
 }
 
 // logSynced appends and fsyncs in one step — for Register/Unregister,
-// which log before mutating (durable before visible) and so cannot
-// overlap the fsync with any later phase.
+// which log before mutating (durable before visible) and so fsync under
+// the exclusive lock.
 func (s *Service) logSynced(rec store.Record) error {
 	seq, err := s.logAppend(rec)
 	if err != nil {
@@ -201,8 +200,7 @@ func (s *Service) rebuildResidents(combos []store.ResidentCombo) {
 		// so any well-formed query over the pair serves as the builder's
 		// input.
 		q := core.Query{R1: rr1.rel, R2: rr2.rel, Spec: join.Spec{Cond: cond, Agg: join.Sum}}
-		key := residentKey{r1: c.R1, r2: c.R2, v1: rr1.version, v2: rr2.version, cond: cond}
-		s.residents.get(key, q)
+		s.residents.get(residentKey{r1: c.R1, r2: c.R2, cond: cond}, q)
 	}
 }
 
@@ -249,20 +247,8 @@ func (s *Service) checkpointLocked() error {
 		})
 	}
 	var combos []store.ResidentCombo
-	seen := make(map[store.ResidentCombo]bool)
 	for _, k := range s.residents.keys() {
-		if _, ok := s.rels[k.r1]; !ok {
-			continue
-		}
-		if _, ok := s.rels[k.r2]; !ok {
-			continue
-		}
-		c := store.ResidentCombo{R1: k.r1, R2: k.r2, Cond: k.cond.Token()}
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		combos = append(combos, c)
+		combos = append(combos, store.ResidentCombo{R1: k.r1, R2: k.r2, Cond: k.cond.Token()})
 	}
 	return s.store.Checkpoint(rels, combos)
 }

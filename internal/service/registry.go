@@ -48,17 +48,17 @@ type RelationInfo struct {
 	WindowMS int64 `json:"window_ms,omitempty"`
 }
 
-// residentKey identifies one shared core.Resident: a relation pair at
-// exact versions under one join condition. A version bump orphans the old
-// key, so stale residents can never serve a query.
+// residentKey identifies one shared core.Resident: a relation pair under
+// one join condition. Like a standing answer it follows the pair across
+// versions — every commit advances it in place (residentCache.advance) —
+// and core.Resident's own length check rejects one that fell behind.
 type residentKey struct {
 	r1, r2 string
-	v1, v2 uint64
 	cond   join.Condition
 }
 
-func residentKeyOf(key AnswerKey, versions [2]uint64) residentKey {
-	return residentKey{r1: key.R1, r2: key.R2, v1: versions[0], v2: versions[1], cond: key.Cond}
+func residentKeyOf(key AnswerKey) residentKey {
+	return residentKey{r1: key.R1, r2: key.R2, cond: key.Cond}
 }
 
 // maxResidents bounds the resident-index cache. Residents are cheap to
@@ -108,45 +108,27 @@ func (rc *residentCache) get(key residentKey, q core.Query) (*core.Resident, err
 	return slot.res, slot.err
 }
 
-// put seeds the cache with an externally built resident (the insert path
-// builds one per affected relation pair for maintainer absorbs, and the
-// same snapshot warm-starts the next query at the new versions).
-func (rc *residentCache) put(key residentKey, res *core.Resident) {
+// advance carries every resident over the named relation across one
+// mutation in place: step is applied once per side the relation occupies
+// (both, for a self-join). A resident that cannot follow is dropped, and
+// the next get rebuilds it. The caller holds the service's exclusive lock,
+// which has drained every query that could be mid-build inside a slot's
+// once, so reading slot.res without waiting on it is safe.
+func (rc *residentCache) advance(name string, step func(*core.Resident, core.Side) error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if _, ok := rc.residents[key]; ok {
-		return
-	}
-	if len(rc.residents) >= maxResidents {
-		for k := range rc.residents {
-			delete(rc.residents, k)
-			break
+	for k, slot := range rc.residents {
+		for _, side := range sides(k.r1 == name, k.r2 == name) {
+			if slot.res == nil || step(slot.res, side) != nil {
+				delete(rc.residents, k)
+				break
+			}
 		}
 	}
-	slot := &residentSlot{res: res}
-	slot.once.Do(func() {}) // mark built so get never re-runs the builder
-	rc.residents[key] = slot
-}
-
-// take removes and returns the resident for the key, or nil when the
-// cache holds none (or the slot errored). The ingest path calls it under
-// the service's exclusive lock to reclaim the pre-batch snapshot for
-// in-place extension; that lock has drained every query that could be
-// mid-build inside the slot's once, so reading slot.res without waiting
-// on it is safe.
-func (rc *residentCache) take(key residentKey) *core.Resident {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	slot, ok := rc.residents[key]
-	if !ok {
-		return nil
-	}
-	delete(rc.residents, key)
-	return slot.res
 }
 
 // dropRelation removes every resident referencing the named relation;
-// called after an insert bumps its version.
+// Unregister calls it.
 func (rc *residentCache) dropRelation(name string) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -157,8 +139,8 @@ func (rc *residentCache) dropRelation(name string) {
 	}
 }
 
-// keys lists the live combo keys; the checkpointer records them (version
-// free) so recovery knows which resident indexes to rebuild eagerly.
+// keys lists the live combo keys; the checkpointer records them so
+// recovery knows which resident indexes to rebuild eagerly.
 func (rc *residentCache) keys() []residentKey {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

@@ -14,8 +14,8 @@
 //   - relations are registered once and versioned; every mutation goes
 //     through the service, so a (name, version) pair pins exact contents;
 //   - the engine's per-(pair, condition) structures (core.Resident: the
-//     full-R2 join index, probe orders, base-point tables) are built once
-//     and shared by every admitted query over that pair;
+//     full-R2 join index and probe orders) are built once, shared by every
+//     admitted query over that pair, and advanced in place by every commit;
 //   - answers stand in the cache under the normalized query (condition,
 //     aggregator, k — algorithm is deliberately not part of the key, every
 //     strategy computes the same skyline) stamped with the versions they
@@ -40,18 +40,19 @@
 //
 // Concurrency model: queries hold the service's read lock while they
 // execute (relations are read-only during evaluation). Every mutation —
-// insert, delete, window expiry, WAL replay — is one three-phase group
-// commit (commit.go): a short exclusive section applies the whole batch,
-// bumps the version once, and pins every affected standing answer and
-// resident; the expensive maintainer work then runs with no service lock
-// held at all — concurrent queries proceed, recomputing at the new
-// versions; a second short exclusive section publishes the advanced
-// answers and residents and fans one coalesced delta per batch out to
-// subscribers. Commits themselves are serialized by a dedicated ingest
-// mutex (single writer), so version history stays linear. The answer cache
-// has its own mutex for O(1) hit bookkeeping, and an answer pinned by a
-// commit is a miss until the commit publishes it, so a hit never observes
-// a half-absorbed answer.
+// insert, delete, window expiry, WAL replay — is one group commit
+// (commit.go) with one exclusive section: it applies the whole batch,
+// bumps the version once, appends the WAL record, advances every resident
+// and every standing answer over the relation, and fans one coalesced
+// delta per batch out to subscribers. A reader that arrives during a
+// commit waits for it and then hits the advanced answer — advancing an
+// answer costs a fraction of recomputing it, so nobody recomputes beside a
+// commit. The fsync the acknowledgement waits on runs after the exclusive
+// section, under a dedicated ingest mutex that serializes commits (single
+// writer, linear version history) and orders them against checkpoints,
+// Unregister and Close. The answer cache has its own mutex for O(1) hit
+// bookkeeping; skyline and versions move together under it, so a hit never
+// observes a half-published answer.
 package service
 
 import (
@@ -281,16 +282,16 @@ type Service struct {
 	cache     *AnswerStore
 	residents *residentCache
 
-	// ingestMu serializes ingest batches end to end (single writer) so
-	// version history stays linear even though each batch releases mu for
-	// its absorption phase. Lock order: ingestMu before mu.
+	// ingestMu serializes commits end to end (single writer), fsync
+	// included, and orders them against Checkpoint, Unregister and Close —
+	// a checkpoint holds it with only a read lock on mu, so readers keep
+	// running while it writes segments. Lock order: ingestMu before mu.
 	ingestMu sync.Mutex
 
 	// mu guards the registry and — via read-locking for the whole of
-	// query execution — the relations' contents. Ingest takes it
-	// exclusively only for its two short commit sections; absorption runs
-	// with mu released so readers are never blocked behind maintainer
-	// work.
+	// query execution — the relations' contents, the residents and the
+	// standing answers' maintainers. A commit holds it exclusively once,
+	// for its whole advance (commit.go), and releases it before its fsync.
 	mu     sync.RWMutex
 	rels   map[string]*regRelation
 	closed atomic.Bool
@@ -694,7 +695,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// and ignores resident structures; don't build them for it.
 	var res *core.Resident
 	if p.Auto || p.Alg != core.Naive {
-		res, err = s.residents.get(residentKeyOf(key, versions), q)
+		res, err = s.residents.get(residentKeyOf(key), q)
 		if err != nil {
 			return nil, err
 		}
@@ -798,7 +799,7 @@ func (s *Service) Close() error {
 		close(s.ckptStop)
 	}
 	// Wait out any in-flight batch (a batch that started before the CAS is
-	// entitled to publish its phase 3), then let the exclusive lock drain
+	// entitled to its fsync and its ack), then let the exclusive lock drain
 	// every reader: no query is mid-execution when the cache and registry
 	// go away.
 	s.ingestMu.Lock()

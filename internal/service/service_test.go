@@ -115,6 +115,27 @@ func TestQueryComputedThenCached(t *testing.T) {
 	}
 }
 
+// TestWarmQueryHitAllocs pins the hit path's allocation count exactly: one
+// allocation, the response (BENCH_pr10.json's ServiceWarm figure, which
+// the retired bench-compare gate used to watch).
+func TestWarmQueryHitAllocs(t *testing.T) {
+	s := newTestService(t, Config{})
+	registerPair(t, s, 60)
+	ctx := context.Background()
+	req := QueryRequest{R1: "r1", R2: "r2", K: 5, Algorithm: "grouping"}
+	if _, err := s.Query(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if resp, err := s.Query(ctx, req); err != nil || resp.Source != SourceCached {
+			t.Fatalf("warm query: %v, %v", resp, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a warm Service.Query hit costs %v allocations, want exactly 1", allocs)
+	}
+}
+
 func TestQueryNoCacheRecomputes(t *testing.T) {
 	s := newTestService(t, Config{})
 	registerPair(t, s, 40)

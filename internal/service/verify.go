@@ -104,7 +104,7 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 		// The checker path probes the resident index, so repeated
 		// verification rounds over an unchanged partition skip the build —
 		// the same amortization the query path gets.
-		res, err := s.residents.get(residentKeyOf(key, versions), q)
+		res, err := s.residents.get(residentKeyOf(key), q)
 		if err != nil {
 			return nil, err
 		}
@@ -138,8 +138,8 @@ func (s *Service) Unregister(name string) error {
 	if err := s.durableOK(); err != nil {
 		return err
 	}
-	// Take the ingest mutex so no commit is mid-flight: no standing answer
-	// is pinned as absorbing, so every one naming the relation can go.
+	// Unregister is a writer like any commit: ingestMu queues it behind one
+	// still waiting on its fsync (lock order: ingestMu before mu).
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.closed.Load() {

@@ -17,14 +17,13 @@ import (
 // against LRU eviction; nothing else distinguishes a watched answer from
 // a cached one.
 //
-// Concurrency model: a commit (commit.go) pins each affected answer in
-// its locked phase 1, advances the maintainer with the lock released,
-// then — back under the lock — diffs the served snapshot and publishes one
-// coalesced delta per batch to every subscriber. Publishing only appends
-// to a per-subscriber buffer and never blocks, so a slow consumer cannot
-// stall ingest (its deltas queue in memory until it drains them). A
-// per-subscription goroutine forwards queued events to the Events
-// channel, honoring the subscriber's context.
+// Concurrency model: a commit (commit.go), inside its one exclusive
+// section, advances each affected answer's maintainer, diffs the served
+// snapshot and publishes one coalesced delta per batch to every
+// subscriber. Publishing only appends to a per-subscriber buffer and never
+// blocks, so a slow consumer cannot stall ingest (its deltas queue in
+// memory until it drains them). A per-subscription goroutine forwards
+// queued events to the Events channel, honoring the subscriber's context.
 //
 // Watch is the one subscription implementation: the sharded gateway's
 // cluster-wide watches are attached to, and published through, an

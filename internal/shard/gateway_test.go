@@ -937,6 +937,37 @@ func TestGatewayStoreUnderPressure(t *testing.T) {
 	}
 }
 
+// TestGatewayWarmHitAllocs pins a gateway store hit at exactly two
+// allocations (BENCH_pr10.json's ShardedQuery/gateway-warm figure, which
+// the retired bench-compare gate used to watch).
+func TestGatewayWarmHitAllocs(t *testing.T) {
+	ctx := context.Background()
+	const local, agg = 2, 1
+	rng := rand.New(rand.NewSource(34))
+	c := newCluster(t, 2)
+	for _, name := range []string{"r1", "r2"} {
+		if _, err := c.gw.Register(ctx, name, local, agg, genTuples(rng, 20, local, agg, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := service.QueryRequest{R1: "r1", R2: "r2", K: 4}
+	if _, err := c.gw.Query(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	hits := c.gw.cacheHits.Load()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.gw.Query(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := c.gw.cacheHits.Load() - hits; got != 201 { // AllocsPerRun warms up once
+		t.Fatalf("%d of 201 queries hit the gateway's store", got)
+	}
+	if allocs != 2 {
+		t.Fatalf("a warm gateway hit costs %v allocations, want exactly 2", allocs)
+	}
+}
+
 // TestGatewayWatchedAnswerIsTheCachedAnswer: a gateway query that is both
 // cached and watched is one store entry; its subscribers are what
 // Stats().Watches counts and what keeps it out of the eviction budget; and
@@ -994,12 +1025,19 @@ func TestGatewayWatchedAnswerIsTheCachedAnswer(t *testing.T) {
 	w1.Close()
 	standing("one subscriber left", 2, 1)
 	w2.Close()
-	// Back in the LRU at the front: the budget of one now evicts k=5, not it.
-	standing("unwatched again", 1, 0)
+	// Back in the LRU at the front. Unsubscribing never evicts (the store
+	// removes answers only under the committer's lock), so the list sits one
+	// over its budget until the next stored answer trims it.
+	standing("unwatched again", 2, 0)
 	if !hit(4) {
 		t.Fatal("last unsubscribe dropped the answer")
 	}
-	hit(5) // ...and as an ordinary cached answer it is evictable again
+	// ...and as an ordinary cached answer it is evictable again: a third
+	// key (k has only two admissible values here, so a self-join) is stored.
+	if _, err := c.gw.Query(ctx, service.QueryRequest{R1: "r1", R2: "r1", K: 4}); err != nil {
+		t.Fatal(err)
+	}
+	standing("trimmed by the next store", 1, 0)
 	if hit(4) {
 		t.Fatal("the formerly watched answer is still pinned")
 	}

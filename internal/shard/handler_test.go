@@ -88,7 +88,8 @@ func TestHandlerRejectsLikeSingleNode(t *testing.T) {
 		{"non-numeric local", post, "/v1/relations?format=csv&name=b&local=abc", csv, bad},
 		{"negative local", post, "/v1/relations?format=csv&name=c&local=-3", csv, bad},
 		{"trailing garbage in agg", post, "/v1/relations?format=csv&name=d&local=2&agg=1x", csv, bad},
-		{"malformed window reads as none", post, "/v1/relations?format=csv&name=f&local=3&window_ms=5x", csv, ok},
+		{"malformed window", post, "/v1/relations?format=csv&name=f&local=3&window_ms=5x", csv, bad},
+		{"negative window", post, "/v1/relations?format=csv&name=f&local=3&window_ms=-5", csv, bad},
 
 		// Mutations, every accepted and rejected form.
 		{"insert one", post, "/v1/insert", `{"relation":"ok","tuple":{"key":"A","attrs":[4,5,6]}}`, ok},

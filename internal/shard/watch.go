@@ -63,7 +63,7 @@ func (g *Gateway) Watch(ctx context.Context, req service.QueryRequest) (*Watch, 
 // subscriptions with the error: a silent gap would leave subscribers
 // believing a stale snapshot.
 func (g *Gateway) refreshWatchesLocked(ctx context.Context, name string) {
-	for _, a := range g.answers.TakeWatched(name) {
+	for _, a := range g.answers.Watched(name) {
 		key := a.Key()
 		rp1, rp2 := g.rels[key.R1], g.rels[key.R2]
 		var cur []join.Pair

@@ -131,7 +131,7 @@ func (s *Store) Append(rec Record) (uint64, error) {
 
 // Sync group-commits the WAL through at least record seq. An insert is
 // acknowledged only after its record's Sync returns — the fsync is the
-// durability point of the service's three-phase commit.
+// durability point of the service's commit.
 func (s *Store) Sync(seq uint64) error {
 	if s.closed.Load() {
 		return ErrStoreClosed

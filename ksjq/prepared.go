@@ -14,8 +14,8 @@ import (
 type PrepareOptions struct{}
 
 // Prepared is a query with its expensive, reusable state built once and
-// owned by the caller: the full-R2 join index, the probe orders, and the
-// base-point tables (the engine's resident snapshot — k- and
+// owned by the caller: the full-R2 join index and the probe orders (the
+// engine's resident snapshot — k- and
 // aggregator-independent, so one Prepared serves every dominance level
 // over its relation pair and join condition), plus a per-k answer memo so
 // repeating an identical query is O(1) after the first run. This is the

@@ -180,6 +180,32 @@ func TestPreparedMemo(t *testing.T) {
 	}
 }
 
+// TestPreparedMemoHitAllocs pins the memo hit at exactly zero allocations
+// (BENCH_pr10.json's PreparedRun figure, which the retired bench-compare
+// gate used to watch).
+func TestPreparedMemoHitAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(504))
+	r1 := randRelation(rng, "r1", 40, 3, 0, 4, 5)
+	r2 := randRelation(rng, "r2", 40, 3, 0, 4, 5)
+	ctx := context.Background()
+	p, err := Prepare(ctx, Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 5}, PrepareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := p.Run(ctx, Options{Algorithm: Grouping})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if res, err := p.Run(ctx, Options{Algorithm: Grouping}); err != nil || res != first {
+			t.Fatalf("memo hit: %v, %v", res, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a Prepared.Run memo hit costs %v allocations, want exactly 0", allocs)
+	}
+}
+
 // TestPreparedStaleAndRebind pins the invalidation handshake: mutate a
 // relation through a maintainer-style external append, observe
 // ErrStaleResident from every surface, Rebind, observe recovery.
