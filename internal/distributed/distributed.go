@@ -1,7 +1,7 @@
-// Package distributed simulates KSJQ over a partitioned cluster — the
-// paper's second future-work item ("extend the algorithms to work in
-// parallel, distributed ... settings", Sec. 8), in the spirit of the
-// MapReduce k-dominant work it cites (Tian et al., Data4U'14).
+// Package distributed is KSJQ over a partitioned cluster — the paper's
+// second future-work item ("extend the algorithms to work in parallel,
+// distributed ... settings", Sec. 8), in the spirit of the MapReduce
+// k-dominant work it cites (Tian et al., Data4U'14).
 //
 // Partitioning is by join key: every group of both relations lives wholly
 // on one node, so any joined tuple — candidate or dominator — is local to
@@ -11,20 +11,25 @@
 //     and produces local skyline candidates. A globally undominated pair
 //     is locally undominated, so the global answer is a subset of the
 //     union of local candidates.
-//  2. Verification round: every node broadcasts its candidates' attribute
-//     vectors; each peer checks them against its local join (with the
+//  2. Verification round: every node is sent the other nodes' candidates'
+//     attribute vectors; it checks them against its local join (with the
 //     usual target-set pruning) and votes. A candidate survives if no
 //     peer finds a dominator.
 //
-// The simulator counts exchanged messages and floats so the communication
-// cost of the scheme is observable, which is the interesting metric a
-// real deployment would tune.
+// Rounds is the one coordinator of that scheme, written against a
+// two-method Transport. Run is the in-process simulation: it partitions
+// the relations itself (NodeOf) and evaluates each node with the engine
+// directly. The sharded gateway (internal/shard) runs the same Rounds over
+// HTTP to real shard processes. The communication cost — messages and
+// floats exchanged — is counted in one place, so both report it alike.
 package distributed
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -41,15 +46,15 @@ type Stats struct {
 	// MessagesSent counts point-to-point messages (candidate batches and
 	// verdict batches).
 	MessagesSent int
-	// FloatsShipped counts attribute values moved across the simulated
-	// network.
+	// FloatsShipped counts attribute values moved across the network.
 	FloatsShipped int
-	// LocalTime and VerifyTime are the summed per-node busy times of the
-	// two rounds (wall time on a real cluster would be the max, but sums
-	// are deterministic enough for tests).
+	// LocalTime is the sum of the round-1 elapsed times the nodes report
+	// (their busy time; the round's wall time is nearer the largest).
+	// VerifyTime is round 2's wall time.
 	LocalTime  time.Duration
 	VerifyTime time.Duration
-	Total      time.Duration
+	// Total is the caller's end-to-end time; Rounds leaves it zero.
+	Total time.Duration
 }
 
 // Result is the distributed answer; pairs reference the original
@@ -68,6 +73,15 @@ var ErrBadNodes = errors.New("distributed: node count must be positive")
 // everything, so any condition is admitted there.
 var ErrNotShardable = errors.New("distributed: only equality joins can be key-partitioned across multiple nodes")
 
+// CheckShardable refuses a join condition that cannot be key-partitioned
+// across the given number of nodes.
+func CheckShardable(cond join.Condition, nodes int) error {
+	if nodes > 1 && cond != join.Equality {
+		return fmt.Errorf("%w: got %v with %d nodes", ErrNotShardable, cond, nodes)
+	}
+	return nil
+}
+
 // LocalAlgorithm returns the algorithm the local round runs on each
 // partition: the grouping algorithm, except under a non-strict aggregator
 // (where target-set pruning is unsound and the naive algorithm is the
@@ -80,6 +94,117 @@ func LocalAlgorithm(q core.Query) core.Algorithm {
 	return core.Grouping
 }
 
+// Transport is how the coordinator reaches the nodes of a cluster.
+type Transport interface {
+	// Local runs node n's round 1: its local skyline, pairs in global row
+	// ids, and the elapsed time the node reports for it.
+	Local(ctx context.Context, n int) ([]join.Pair, time.Duration, error)
+	// Verify runs node n's round-2 vote: for each vector, whether some
+	// joined tuple local to n k-dominates it.
+	Verify(ctx context.Context, n int, vectors [][]float64) ([]bool, error)
+}
+
+// Rounds runs the two-round scheme over the participating nodes of a
+// cluster of the given size and returns the sorted answer. Round 1 runs on
+// every participant in parallel. Round 2 runs only when more than one node
+// participates and there are candidates: every participant is sent, in
+// parallel, every candidate another node produced (a candidate's own node
+// vouched for it in round 1), and a candidate survives if no vote says
+// dominated. Each non-empty batch counts two messages, the batch and its
+// votes. The first failing call cancels its siblings and is returned.
+func Rounds(ctx context.Context, t Transport, participants []int, nodes int) ([]join.Pair, Stats, error) {
+	st := Stats{Nodes: nodes, CandidatesPerNode: make([]int, nodes)}
+	locals := make([][]join.Pair, len(participants))
+	elapsed := make([]time.Duration, len(participants))
+	err := fanOut(ctx, len(participants), func(ctx context.Context, i int) (err error) {
+		locals[i], elapsed[i], err = t.Local(ctx, participants[i])
+		return err
+	})
+	if err != nil {
+		return nil, st, err
+	}
+	// Participant i's candidates are cands[off[i]:off[i+1]].
+	var cands []join.Pair
+	off := make([]int, len(participants)+1)
+	for i, n := range participants {
+		st.CandidatesPerNode[n] = len(locals[i])
+		st.LocalTime += elapsed[i]
+		cands = append(cands, locals[i]...)
+		off[i+1] = len(cands)
+	}
+
+	dominated := make([]bool, len(cands))
+	if len(participants) > 1 && len(cands) > 0 {
+		t0 := time.Now()
+		batches := make([][][]float64, len(participants))
+		for i := range participants {
+			for c, p := range cands {
+				if c < off[i] || c >= off[i+1] {
+					batches[i] = append(batches[i], p.Attrs)
+					st.FloatsShipped += len(p.Attrs)
+				}
+			}
+			if len(batches[i]) > 0 {
+				st.MessagesSent += 2
+			}
+		}
+		votes := make([][]bool, len(participants))
+		err := fanOut(ctx, len(participants), func(ctx context.Context, i int) (err error) {
+			if len(batches[i]) == 0 {
+				return nil
+			}
+			votes[i], err = t.Verify(ctx, participants[i], batches[i])
+			if err == nil && len(votes[i]) != len(batches[i]) {
+				err = fmt.Errorf("distributed: node %d returned %d votes for %d vectors", participants[i], len(votes[i]), len(batches[i]))
+			}
+			return err
+		})
+		if err != nil {
+			return nil, st, err
+		}
+		for i, v := range votes {
+			for b, dom := range v {
+				if b >= off[i] {
+					b += off[i+1] - off[i] // skip the verifier's own candidates
+				}
+				dominated[b] = dominated[b] || dom
+			}
+		}
+		st.VerifyTime = time.Since(t0)
+	}
+
+	skyline := make([]join.Pair, 0, len(cands))
+	for c, p := range cands {
+		if !dominated[c] {
+			skyline = append(skyline, p)
+		}
+	}
+	join.SortPairs(skyline)
+	return skyline, st, nil
+}
+
+// fanOut runs call(ctx, i) for every i in [0, n) concurrently and returns
+// the first error, cancelling the context the others run under as soon as
+// it occurs.
+func fanOut(ctx context.Context, n int, call func(context.Context, int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	var once sync.Once
+	var first error
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := call(ctx, i); err != nil {
+				once.Do(func() { first = err; cancel() })
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
 // Run evaluates q on a simulated cluster of n nodes. Only equality joins
 // can be key-partitioned across several nodes; other conditions are
 // admitted only at nodes == 1, where the single partition holds both
@@ -88,137 +213,89 @@ func Run(q core.Query, nodes int) (*Result, error) {
 	if nodes <= 0 {
 		return nil, ErrBadNodes
 	}
-	if nodes > 1 && q.Spec.Cond != join.Equality {
-		return nil, fmt.Errorf("%w: got %v with %d nodes", ErrNotShardable, q.Spec.Cond, nodes)
+	if err := CheckShardable(q.Spec.Cond, nodes); err != nil {
+		return nil, err
 	}
-	alg := LocalAlgorithm(q)
-	if err := q.Validate(alg); err != nil {
+	c := &cluster{alg: LocalAlgorithm(q), parts: make([]partition, nodes)}
+	if err := q.Validate(c.alg); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	st := Stats{Nodes: nodes, CandidatesPerNode: make([]int, nodes)}
 
 	// Partition both relations by hashed join key. origin maps the
 	// partition-local tuple index back to the original index. The row
 	// views carry attribute-column aliases; dataset.New copies them into
 	// each partition's own columns.
-	parts := make([]partition, nodes)
+	left, right := make([][]dataset.Tuple, nodes), make([][]dataset.Tuple, nodes)
 	for i := 0; i < q.R1.Len(); i++ {
 		n := NodeOf(q.R1.Key(i), nodes)
-		parts[n].left = append(parts[n].left, q.R1.Tuple(i))
-		parts[n].leftOrigin = append(parts[n].leftOrigin, i)
+		left[n] = append(left[n], q.R1.Tuple(i))
+		c.parts[n].leftOrigin = append(c.parts[n].leftOrigin, i)
 	}
 	for i := 0; i < q.R2.Len(); i++ {
 		n := NodeOf(q.R2.Key(i), nodes)
-		parts[n].right = append(parts[n].right, q.R2.Tuple(i))
-		parts[n].rightOrigin = append(parts[n].rightOrigin, i)
+		right[n] = append(right[n], q.R2.Tuple(i))
+		c.parts[n].rightOrigin = append(c.parts[n].rightOrigin, i)
 	}
-
-	// Round 1: local grouping-algorithm runs.
-	t0 := time.Now()
-	type candidate struct {
-		node        int
-		left, right int // original indices
-		attrs       []float64
-	}
-	var candidates []candidate
-	queries := make([]core.Query, nodes)
-	for n := range parts {
-		p := &parts[n]
-		if len(p.left) == 0 || len(p.right) == 0 {
+	var participants []int
+	for n := range c.parts {
+		if len(left[n]) == 0 || len(right[n]) == 0 {
 			continue
 		}
-		lq, err := p.query(q)
+		r1, err := dataset.New(q.R1.Name, q.R1.Local, q.R1.Agg, left[n])
 		if err != nil {
 			return nil, err
 		}
-		queries[n] = lq
-		res, err := core.Run(lq, alg)
+		r2, err := dataset.New(q.R2.Name, q.R2.Local, q.R2.Agg, right[n])
 		if err != nil {
 			return nil, err
 		}
-		st.CandidatesPerNode[n] = len(res.Skyline)
-		for _, pr := range res.Skyline {
-			candidates = append(candidates, candidate{
-				node:  n,
-				left:  p.leftOrigin[pr.Left],
-				right: p.rightOrigin[pr.Right],
-				attrs: pr.Attrs,
-			})
-		}
+		c.parts[n].q = core.Query{R1: r1, R2: r2, Spec: q.Spec, K: q.K}
+		participants = append(participants, n)
 	}
-	st.LocalTime = time.Since(t0)
 
-	// Round 2: every verifier node receives one batch holding all foreign
-	// candidates, checks them against its local join, and returns one
-	// verdict batch. A candidate's home node already vouched for it in
-	// round 1.
-	t0 = time.Now()
-	dominated := make([]bool, len(candidates))
-	for n := range parts {
-		if len(parts[n].left) == 0 || len(parts[n].right) == 0 {
-			continue
-		}
-		var batch [][]float64
-		var batchIdx []int
-		for ci, c := range candidates {
-			if c.node != n && !dominated[ci] {
-				batch = append(batch, c.attrs)
-				batchIdx = append(batchIdx, ci)
-			}
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		st.MessagesSent += 2 // candidate batch in, verdict batch out
-		for _, v := range batch {
-			st.FloatsShipped += len(v)
-		}
-		verdicts, err := core.AnyDominators(queries[n], batch)
-		if err != nil {
-			return nil, err
-		}
-		for bi, dom := range verdicts {
-			if dom {
-				dominated[batchIdx[bi]] = true
-			}
-		}
+	skyline, st, err := Rounds(context.Background(), c, participants, nodes)
+	if err != nil {
+		return nil, err
 	}
-	var skyline []join.Pair
-	for ci, c := range candidates {
-		if !dominated[ci] {
-			skyline = append(skyline, join.Pair{Left: c.left, Right: c.right, Attrs: c.attrs})
-		}
-	}
-	st.VerifyTime = time.Since(t0)
-
-	join.SortPairs(skyline)
 	st.Total = time.Since(start)
 	return &Result{Skyline: skyline, Stats: st}, nil
 }
 
+// cluster is the in-process Transport: node n evaluates partition n with
+// the engine directly.
+type cluster struct {
+	alg   core.Algorithm
+	parts []partition
+}
+
 type partition struct {
-	left, right             []dataset.Tuple
+	q                       core.Query
 	leftOrigin, rightOrigin []int
 }
 
-// query builds the node-local core.Query over this partition.
-func (p *partition) query(q core.Query) (core.Query, error) {
-	r1, err := dataset.New(q.R1.Name, q.R1.Local, q.R1.Agg, p.left)
+func (c *cluster) Local(ctx context.Context, n int) ([]join.Pair, time.Duration, error) {
+	start := time.Now()
+	p := &c.parts[n]
+	res, err := core.Exec(ctx, p.q, core.ExecOptions{Algorithm: c.alg})
 	if err != nil {
-		return core.Query{}, err
+		return nil, 0, err
 	}
-	r2, err := dataset.New(q.R2.Name, q.R2.Local, q.R2.Agg, p.right)
-	if err != nil {
-		return core.Query{}, err
+	for i := range res.Skyline {
+		pr := &res.Skyline[i]
+		pr.Left, pr.Right = p.leftOrigin[pr.Left], p.rightOrigin[pr.Right]
 	}
-	return core.Query{R1: r1, R2: r2, Spec: q.Spec, K: q.K}, nil
+	return res.Skyline, time.Since(start), nil
+}
+
+func (c *cluster) Verify(ctx context.Context, n int, vectors [][]float64) ([]bool, error) {
+	return core.AnyDominatorsContext(ctx, c.parts[n].q, vectors)
 }
 
 // NodeOf places a join-key symbol on a node: FNV-32a of the key modulo
 // the node count. The real sharded deployment (internal/shard) uses the
-// same function, so gateway placement and the simulator oracle agree on
-// which node owns every group.
+// same function, so gateway placement and the simulator agree on which
+// node owns every group.
 func NodeOf(key string, nodes int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))

@@ -1,10 +1,12 @@
 package distributed
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -135,6 +137,69 @@ func TestDistributedErrors(t *testing.T) {
 	q.K = 99
 	if _, err := Run(q, 2); err == nil {
 		t.Error("invalid k accepted")
+	}
+}
+
+// failFast is a Transport whose node 0 fails at once and whose node 1
+// blocks until its context is done, recording that it was.
+type failFast struct {
+	err       error
+	cancelled chan struct{}
+}
+
+func (f *failFast) Local(ctx context.Context, n int) ([]join.Pair, time.Duration, error) {
+	if n == 0 {
+		return nil, 0, f.err
+	}
+	<-ctx.Done()
+	close(f.cancelled)
+	return nil, 0, ctx.Err()
+}
+
+func (f *failFast) Verify(context.Context, int, [][]float64) ([]bool, error) {
+	panic("round 2 after a failed round 1")
+}
+
+// TestRoundsCancelsSiblingsOnFirstError: the first failing node ends the
+// round for every other node, and its error is the one returned.
+func TestRoundsCancelsSiblingsOnFirstError(t *testing.T) {
+	f := &failFast{err: errors.New("node 0 down"), cancelled: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := Rounds(context.Background(), f, []int{0, 1}, 2)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, f.err) {
+			t.Fatalf("Rounds returned %v, want node 0's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Rounds waited on the blocked node")
+	}
+	select {
+	case <-f.cancelled:
+	default:
+		t.Fatal("node 1 never saw the cancellation")
+	}
+}
+
+// mute is a Transport whose nodes hold one candidate each and vote on
+// nothing.
+type mute struct{}
+
+func (mute) Local(_ context.Context, n int) ([]join.Pair, time.Duration, error) {
+	return []join.Pair{{Left: n, Right: n, Attrs: []float64{1, 2}}}, 0, nil
+}
+
+func (mute) Verify(context.Context, int, [][]float64) ([]bool, error) { return nil, nil }
+
+// TestRoundsRejectsMissingVotes: a node that votes on fewer vectors than
+// it was sent fails the query instead of letting the unvoted candidates
+// through.
+func TestRoundsRejectsMissingVotes(t *testing.T) {
+	if sky, _, err := Rounds(context.Background(), mute{}, []int{0, 1}, 2); err == nil {
+		t.Fatalf("answer %v from nodes that never voted", sky)
 	}
 }
 

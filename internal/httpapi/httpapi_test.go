@@ -337,3 +337,46 @@ func FuzzHandler(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVerify posts arbitrary bodies to /v1/verify — the verification
+// round's shard side, which only NewHandler mounts — over a real service
+// holding two small relations: no panic, and a status from the documented
+// set.
+func FuzzVerify(f *testing.F) {
+	svc := service.New(service.Config{SweepInterval: -1})
+	f.Cleanup(func() { svc.Close() })
+	for _, name := range []string{"r1", "r2"} {
+		rel, err := dataset.New(name, 2, 1, []dataset.Tuple{
+			{Key: "a", Band: 1, Attrs: []float64{1, 2, 3}},
+			{Key: "a", Band: 2, Attrs: []float64{3, 2, 1}},
+			{Key: "b", Band: 3, Attrs: []float64{2, 2, 2}},
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := svc.Register(name, rel); err != nil {
+			f.Fatal(err)
+		}
+	}
+	h := NewHandler(svc, bound)
+	for _, body := range []string{
+		`{"r1":"r1","r2":"r2","k":4,"vectors":[[1,2,3,4,5]]}`,
+		`{"r1":"r1","r2":"r2","k":5,"join":"lt","agg":"max","vectors":[[1,2,3,4,5],[0,0,0,0,0]],"timeout_ms":50}`,
+		`{"r1":"r2","r2":"r1","k":4,"join":"cross","agg":"min","vectors":[]}`,
+		`{"r1":"r1","r2":"r2","k":4,"vectors":[[1,2]]}`,
+		`{"r1":"r1","r2":"nope","k":4,"vectors":[[1,2,3,4,5]]}`,
+		`{"r1":"r1","r2":"r2","k":99,"vectors":[[1,2,3,4,5]]}`,
+		`{"r1":"r1","r2":"r2","k":4,"join":"nope","vectors":[[1,2,3,4,5]]}`,
+		`{"r1":"r1","r2":"r2","k":4,"vectors":[[1,2,3,4,5]]`,
+		``,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/verify", strings.NewReader(body)))
+		if !statuses[rec.Code] {
+			t.Fatalf("%q: status %d is not in the documented set", body, rec.Code)
+		}
+	})
+}

@@ -93,6 +93,19 @@ var (
 // cannot drift.
 const DefaultRequestTimeout = 30 * time.Second
 
+// WithTimeout bounds ctx by a request's timeout, the way every query path
+// reads one: 0 means def, negative means no deadline. Call cancel as for
+// context.WithTimeout.
+func WithTimeout(ctx context.Context, timeout, def time.Duration) (context.Context, context.CancelFunc) {
+	if timeout == 0 {
+		timeout = def
+	}
+	if timeout < 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, timeout)
+}
+
 // Config tunes one Service. The zero value picks sensible defaults.
 type Config struct {
 	// MaxConcurrent bounds queries executing at once. Default: GOMAXPROCS.
@@ -655,15 +668,8 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	}
 
 	// Admission: the deadline covers queue wait and execution together.
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := WithTimeout(ctx, req.Timeout, s.cfg.DefaultTimeout)
+	defer cancel()
 	release, err := s.sched.acquire(ctx)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {

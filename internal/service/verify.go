@@ -60,15 +60,8 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := WithTimeout(ctx, req.Timeout, s.cfg.DefaultTimeout)
+	defer cancel()
 	release, err := s.sched.acquire(ctx)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {

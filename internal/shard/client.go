@@ -93,11 +93,20 @@ func (c *client) do(ctx context.Context, method, path string, in, out any, retry
 	return err
 }
 
-func (c *client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *client) attempt(parent context.Context, method, path string, body []byte, out any) error {
+	ctx := parent
 	if c.maxTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.maxTimeout)
+		ctx, cancel = context.WithTimeout(parent, c.maxTimeout)
 		defer cancel()
+	}
+	// down blames the shard, unless the caller's own deadline or
+	// cancellation ended the call: that is no shard's fault.
+	down := func(err error) error {
+		if perr := parent.Err(); perr != nil {
+			return perr
+		}
+		return &DownError{Addr: c.addr, Err: err}
 	}
 	var rd io.Reader
 	if body != nil {
@@ -112,14 +121,11 @@ func (c *client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// The caller's own cancellation is not the shard's fault.
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			var ue *url.Error
-			if errors.As(err, &ue) {
-				err = ue.Err
-			}
+		// A leg that outlived its own bound reads as such.
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			err = ctxErr
 		}
-		return &DownError{Addr: c.addr, Err: err}
+		return down(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
@@ -133,14 +139,14 @@ func (c *client) attempt(ctx context.Context, method, path string, body []byte, 
 		if resp.StatusCode/100 == 4 {
 			return &APIError{Status: resp.StatusCode, Msg: msg}
 		}
-		return &DownError{Addr: c.addr, Err: fmt.Errorf("status %d: %s", resp.StatusCode, msg)}
+		return down(fmt.Errorf("status %d: %s", resp.StatusCode, msg))
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return &DownError{Addr: c.addr, Err: fmt.Errorf("decoding response: %w", err)}
+		return down(fmt.Errorf("decoding response: %w", err))
 	}
 	return nil
 }

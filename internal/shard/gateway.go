@@ -6,19 +6,22 @@
 // Placement is by consistent hash on the join-key symbol
 // (distributed.NodeOf — the same function the simulator uses), so every
 // join group lives wholly on one shard and any joined pair — candidate
-// or dominator — is local to exactly one shard. A query then runs the
-// simulator's two rounds for real:
+// or dominator — is local to exactly one shard. A query then runs
+// distributed.Rounds, the coordinator the simulator runs, with the shards
+// as its transport (shardTransport):
 //
-//  1. Local round: the gateway fans the query out to every shard holding
-//     both relations; each shard answers from its own residents and
-//     maintained entries (all of PR 3–8's caching works per-shard), and
-//     the local skylines come back as candidate supersets.
-//  2. Verification round: the gateway ships each shard the foreign
-//     candidates' attribute vectors (POST /v1/verify); shards vote with
-//     the target-set checker over their resident index, and only
-//     candidates no peer dominates survive. Message and float counters —
-//     the communication cost the simulator was built to observe — are
-//     recorded per query and accumulated on the gateway.
+//  1. Local round: the query goes out to every shard holding both
+//     relations; each shard answers from its own residents and maintained
+//     entries (all of PR 3–8's caching works per-shard), and the local
+//     skylines come back as candidate supersets.
+//  2. Verification round: each shard is sent the foreign candidates'
+//     attribute vectors (POST /v1/verify); shards vote with the target-set
+//     checker over their resident index, and only candidates no peer
+//     dominates survive. Rounds counts the messages and floats; the
+//     gateway accumulates them.
+//
+// A query runs under one deadline, its timeout, however many legs and
+// retries both rounds take; each leg carries what is left of it.
 //
 // Ingest, deletes, and registration fan out by the same placement, with
 // the gateway keeping the authoritative global row numbering (global ids
@@ -33,8 +36,10 @@
 // watch subscriptions and their deltas are the store's; the gateway only
 // recomputes a watched answer after each mutation it commits (watch.go).
 //
-// The in-process simulator is retained verbatim as the correctness
-// oracle: sharded answer ≡ distributed.Run ≡ single-node core.Run.
+// Only the coordinator is shared with the in-process simulator: its
+// partitioning and node-side evaluation stay independent of the shards'
+// residents, caches, wire codec and id mapping, so it remains an oracle —
+// sharded answer ≡ distributed.Run ≡ single-node core.Run.
 package shard
 
 import (
@@ -187,8 +192,8 @@ func (g *Gateway) Close() error {
 type QueryResponse struct {
 	Skyline []join.Pair
 	// Source is the coldest source any shard reported in round 1
-	// (computed > maintained > cached), or SourceSharded when shards
-	// disagree in kind; repeat queries over unchanged shards report
+	// (computed > maintained > cached), or SourceSharded when no shard
+	// took part; repeat queries over unchanged shards report
 	// warm sources exactly like a single node would.
 	Source    service.Source
 	Algorithm string
@@ -233,10 +238,7 @@ func (g *Gateway) checkLocked(req service.QueryRequest, p service.Parsed) (rp1, 
 	if err := service.CheckRequest(&rp1.schema, &rp2.schema, req.K, p); err != nil {
 		return nil, nil, err
 	}
-	if p.Cond != join.Equality && len(g.shards) > 1 {
-		return nil, nil, fmt.Errorf("%w: %v with %d shards", distributed.ErrNotShardable, p.Cond, len(g.shards))
-	}
-	return rp1, rp2, nil
+	return rp1, rp2, distributed.CheckShardable(p.Cond, len(g.shards))
 }
 
 // Query answers one request: a standing answer at the current placement
@@ -280,6 +282,10 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest, p s
 			}, nil
 		}
 	}
+	// One deadline over both rounds, as Service.Query sets one over queue
+	// wait and execution.
+	ctx, cancel := service.WithTimeout(ctx, req.Timeout, service.DefaultRequestTimeout)
+	defer cancel()
 	resp, err := g.scatter(ctx, req, rp1, rp2, start)
 	if err != nil {
 		return nil, err
@@ -290,179 +296,105 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest, p s
 	return resp, nil
 }
 
-// candidate is one round-1 survivor, identified by global row ids.
-type candidate struct {
-	home        int
-	left, right int
-	attrs       []float64
-}
-
-// scatter runs both rounds for a checked request over its placements; the
-// caller holds g.mu (read for Query, write for Watch and the mutation
-// paths' watch refresh).
+// scatter runs both rounds for a checked request over its placements —
+// distributed.Rounds with the shards as its transport — and adds the
+// round-2 traffic to the gateway's counters. The caller holds g.mu (read
+// for Query, write for Watch and the mutation paths' watch refresh).
 func (g *Gateway) scatter(ctx context.Context, req service.QueryRequest, rp1, rp2 *relPlace, start time.Time) (*QueryResponse, error) {
-	versions := [2]uint64{rp1.version, rp2.version}
-	st := distributed.Stats{Nodes: len(g.shards), CandidatesPerNode: make([]int, len(g.shards))}
+	n := len(g.shards)
+	t := &shardTransport{g: g, req: req, rp1: rp1, rp2: rp2, r1: make([]httpapi.QueryResponseJSON, n)}
+	// A shard missing either relation holds no joined pair. With no
+	// participant at all, every join group misses one side: the answer is
+	// empty.
 	var participants []int
 	for s := range g.shards {
 		if rp1.registered[s] && rp2.registered[s] {
 			participants = append(participants, s)
 		}
 	}
-	if len(participants) == 0 {
-		// No shard holds both relations: every join group is missing one
-		// side, so the join — and the skyline — is empty.
-		return &QueryResponse{
-			Skyline: []join.Pair{}, Source: SourceSharded, Algorithm: req.Algorithm,
-			Versions: versions, Elapsed: time.Since(start), Dist: st,
-		}, nil
+	skyline, st, err := distributed.Rounds(ctx, t, participants, n)
+	if err != nil {
+		return nil, err
 	}
+	g.r2Messages.Add(uint64(st.MessagesSent))
+	g.r2Floats.Add(uint64(st.FloatsShipped))
+	resp := &QueryResponse{
+		Skyline: skyline, Source: SourceSharded, Algorithm: req.Algorithm,
+		Versions: [2]uint64{rp1.version, rp2.version}, Dist: st, R1Elapsed: make([]time.Duration, n),
+	}
+	for i, s := range participants {
+		r := t.r1[s]
+		resp.Source = colderSource(resp.Source, service.Source(r.Source))
+		resp.R1Elapsed[s] = time.Duration(r.ElapsedUS) * time.Microsecond
+		if i == 0 {
+			resp.Algorithm = r.Algorithm
+		}
+	}
+	resp.Dist.Total = time.Since(start)
+	resp.Elapsed = resp.Dist.Total
+	return resp, nil
+}
 
-	// Round 1: shard-local runs, in parallel. Each shard answers from its
-	// own residents/answer cache; local pair ids map to global ids
-	// through the placement.
-	wire := httpapi.QueryJSON{
+// shardTransport is the distributed.Transport of one gateway query: node s
+// is shard s over the wire, its pairs mapped to global ids through the
+// placements. r1[s] keeps what shard s's round 1 reported beside its
+// answer.
+type shardTransport struct {
+	g        *Gateway
+	req      service.QueryRequest
+	rp1, rp2 *relPlace
+	r1       []httpapi.QueryResponseJSON
+}
+
+func (t *shardTransport) Local(ctx context.Context, s int) ([]join.Pair, time.Duration, error) {
+	req := t.req
+	res, err := t.g.shards[s].query(ctx, httpapi.QueryJSON{
 		R1: req.R1, R2: req.R2, K: req.K,
 		Join: req.Join, Agg: req.Agg, Algorithm: req.Algorithm,
 		Workers: req.Workers, NoCache: req.NoCache,
-		TimeoutMS: req.Timeout.Milliseconds(),
+		TimeoutMS: legTimeoutMS(ctx),
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	round1 := make([]httpapi.QueryResponseJSON, len(participants))
-	errs := make([]error, len(participants))
-	var wg sync.WaitGroup
-	for i, s := range participants {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			round1[i], errs[i] = g.shards[s].query(ctx, wire)
-		}()
+	pairs := make([]join.Pair, len(res.Skyline))
+	for i, p := range res.Skyline {
+		pairs[i] = join.Pair{Left: t.rp1.toGlobal(s, p.Left), Right: t.rp2.toGlobal(s, p.Right), Attrs: p.Attrs}
 	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	var candidates []candidate
-	source := ""
-	r1Elapsed := make([]time.Duration, len(g.shards))
-	for i, s := range participants {
-		res := round1[i]
-		st.CandidatesPerNode[s] = res.Count
-		r1Elapsed[s] = time.Duration(res.ElapsedUS) * time.Microsecond
-		st.LocalTime += r1Elapsed[s]
-		source = colderSource(source, res.Source)
-		for _, p := range res.Skyline {
-			candidates = append(candidates, candidate{
-				home: s, left: rp1.toGlobal(s, p.Left), right: rp2.toGlobal(s, p.Right),
-				attrs: p.Attrs,
-			})
-		}
-	}
+	res.Skyline, t.r1[s] = nil, res
+	return pairs, time.Duration(res.ElapsedUS) * time.Microsecond, nil
+}
 
-	// Round 2: ship every foreign candidate's attribute vector to each
-	// verifier shard, in parallel; a candidate survives only if no peer
-	// finds a local dominator. One shard — or zero candidates — skips the
-	// round entirely: its own round-1 run already vouched for everything.
-	dominated := make([]bool, len(candidates))
-	if len(participants) > 1 && len(candidates) > 0 {
-		t0 := time.Now()
-		type verdict struct {
-			idx []int
-			dom []bool
-			err error
-		}
-		verdicts := make([]verdict, len(participants))
-		var vg sync.WaitGroup
-		for i, s := range participants {
-			var vectors [][]float64
-			var idx []int
-			for ci, c := range candidates {
-				if c.home != s {
-					vectors = append(vectors, c.attrs)
-					idx = append(idx, ci)
-				}
-			}
-			if len(vectors) == 0 {
-				continue
-			}
-			g.r2Messages.Add(2) // candidate batch in, verdict batch out
-			st.MessagesSent += 2
-			for _, v := range vectors {
-				st.FloatsShipped += len(v)
-				g.r2Floats.Add(uint64(len(v)))
-			}
-			vg.Add(1)
-			go func(i, s int, vectors [][]float64, idx []int) {
-				defer vg.Done()
-				res, err := g.shards[s].verify(ctx, httpapi.VerifyJSON{
-					R1: req.R1, R2: req.R2, K: req.K,
-					Join: req.Join, Agg: req.Agg,
-					Vectors:   vectors,
-					TimeoutMS: req.Timeout.Milliseconds(),
-				})
-				verdicts[i] = verdict{idx: idx, dom: res.Dominated, err: err}
-			}(i, s, vectors, idx)
-		}
-		vg.Wait()
-		for _, v := range verdicts {
-			if v.err != nil {
-				return nil, v.err
-			}
-			for bi, d := range v.dom {
-				if d {
-					dominated[v.idx[bi]] = true
-				}
-			}
-		}
-		st.VerifyTime = time.Since(t0)
-	}
+func (t *shardTransport) Verify(ctx context.Context, s int, vectors [][]float64) ([]bool, error) {
+	res, err := t.g.shards[s].verify(ctx, httpapi.VerifyJSON{
+		R1: t.req.R1, R2: t.req.R2, K: t.req.K,
+		Join: t.req.Join, Agg: t.req.Agg,
+		Vectors:   vectors,
+		TimeoutMS: legTimeoutMS(ctx),
+	})
+	return res.Dominated, err
+}
 
-	skyline := make([]join.Pair, 0, len(candidates))
-	for ci, c := range candidates {
-		if !dominated[ci] {
-			skyline = append(skyline, join.Pair{Left: c.left, Right: c.right, Attrs: c.attrs})
-		}
+// legTimeoutMS is the budget a shard request carries: what is left of the
+// query's deadline, rounded up to a whole millisecond and at least one (0
+// would read as "the operator bound"), or 0 when the query has none.
+func legTimeoutMS(ctx context.Context) int64 {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		return 0
 	}
-	join.SortPairs(skyline)
-	st.Total = time.Since(start)
-
-	src := service.Source(source)
-	if src == "" {
-		src = SourceSharded
-	}
-	return &QueryResponse{
-		Skyline: skyline, Source: src, Algorithm: round1[0].Algorithm,
-		Versions: versions, Elapsed: time.Since(start), Dist: st,
-		R1Elapsed: r1Elapsed,
-	}, nil
+	return max(1, int64((time.Until(deadline)+time.Millisecond-1)/time.Millisecond))
 }
 
 // colderSource merges round-1 sources: a scatter-gather is only as warm
 // as its coldest shard.
-func colderSource(a, b string) string {
-	rank := func(s string) int {
-		switch service.Source(s) {
-		case service.SourceComputed:
-			return 3
-		case service.SourceMaintained:
-			return 2
-		case service.SourceCached:
-			return 1
+func colderSource(a, b service.Source) service.Source {
+	for _, s := range []service.Source{service.SourceComputed, service.SourceMaintained, service.SourceCached} {
+		if a == s || b == s {
+			return s
 		}
-		return 0
-	}
-	if rank(b) > rank(a) {
-		return b
 	}
 	return a
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Register places a relation across the cluster: tuples are partitioned

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -194,9 +196,15 @@ func TestShardedMatchesSimulator(t *testing.T) {
 						}
 						samePairs(t, label+" vs simulator", gresp.Skyline, sim.Skyline)
 
-						// The live round-2 traffic counters must behave
-						// like the simulator's: single shard ships
-						// nothing, message counts come in pairs.
+						// One coordinator behind both transports: the same
+						// candidates, messages and floats. A single shard
+						// ships nothing; message counts come in pairs.
+						gd, sd := gresp.Dist, sim.Stats
+						if !slices.Equal(gd.CandidatesPerNode, sd.CandidatesPerNode) ||
+							gd.MessagesSent != sd.MessagesSent || gd.FloatsShipped != sd.FloatsShipped {
+							t.Fatalf("%s: gateway traffic %v candidates, %d msgs, %d floats; simulator %v, %d, %d", label,
+								gd.CandidatesPerNode, gd.MessagesSent, gd.FloatsShipped, sd.CandidatesPerNode, sd.MessagesSent, sd.FloatsShipped)
+						}
 						if shards == 1 && (gresp.Dist.MessagesSent != 0 || gresp.Dist.FloatsShipped != 0) {
 							t.Fatalf("%s: single shard shipped %d msgs / %d floats",
 								label, gresp.Dist.MessagesSent, gresp.Dist.FloatsShipped)
@@ -412,6 +420,71 @@ func TestGatewayShardDown(t *testing.T) {
 	}
 	if !strings.Contains(body.Error, c.urls[1]) {
 		t.Fatalf("503 body does not name the dead shard: %q", body.Error)
+	}
+}
+
+// TestGatewayQueryDeadline: a query's timeout bounds both rounds, however
+// many legs and retries they take, and a query that runs out of it is told
+// so — a 504, like a single node's — rather than that a healthy shard is
+// down. Both shards answer /v1/query and /v1/verify 80 ms late, so a
+// two-round query needs more than 160 ms.
+func TestGatewayQueryDeadline(t *testing.T) {
+	ctx := context.Background()
+	const local, agg = 2, 1
+	var urls []string
+	for i := 0; i < 2; i++ {
+		svc := service.New(service.Config{SweepInterval: -1})
+		t.Cleanup(func() { svc.Close() })
+		inner := httpapi.NewHandler(svc, 0)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/query" || r.URL.Path == "/v1/verify" {
+				time.Sleep(80 * time.Millisecond)
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	gw, err := New(ctx, urls, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	rng := rand.New(rand.NewSource(31)) // both relations on both shards, as in TestGatewayShardDown
+	for _, name := range []string{"r1", "r2"} {
+		if _, err := gw.Register(ctx, name, local, agg, genTuples(rng, 30, local, agg, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := service.QueryRequest{R1: "r1", R2: "r2", K: 4, Join: "eq", Agg: "sum", NoCache: true, Timeout: -1}
+	if resp, err := gw.Query(ctx, req); err != nil || resp.Dist.MessagesSent == 0 {
+		t.Fatalf("unbounded query: err %v; it must run round 2 for this test to mean anything", err)
+	}
+
+	req.Timeout = 100 * time.Millisecond
+	if _, err := gw.Query(ctx, req); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrShardDown) {
+		t.Fatalf("query past its timeout: got %v, want only context.DeadlineExceeded", err)
+	}
+
+	gwsrv := httptest.NewServer(NewHandler(gw, 0))
+	t.Cleanup(gwsrv.Close)
+	resp, err := http.Post(gwsrv.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"r1":"r1","r2":"r2","k":4,"join":"eq","agg":"sum","no_cache":true,"timeout_ms":100}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
+	}
+	for _, u := range urls {
+		if strings.Contains(string(body), strings.TrimPrefix(u, "http://")) {
+			t.Fatalf("the 504 blames shard %s: %s", u, body)
+		}
 	}
 }
 
