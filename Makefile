@@ -35,9 +35,11 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The code-line measure code-diet PRs report: non-blank, non-comment lines
-# of non-test Go outside bench/.
+# of non-test Go outside bench/, one line per package, then the total.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | grep -vcE '^\s*($$|//)'
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 awk \
+		'!/^[[:space:]]*($$|\/\/)/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); n[d == "" ? "." : d]++; t++ } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 # Statement-coverage gate: internal/core and internal/service against
 # the floors in scripts/coverage_floor.txt (WARN_ONLY=1 to report only).

@@ -27,8 +27,8 @@ import (
 // dominated tuples, but can never displace a surviving member — so
 // Delete*/RetractBatch evict members referencing deleted rows and
 // re-verify only the resurrection candidates some removed pair dominated
-// (see retract.go); batches large relative to the relation fall back to a
-// full recompute, mirroring the absorb side's hybrid.
+// (see retract.go). In both directions a batch large relative to the
+// relation is folded in by a full recompute instead (largeBatch).
 type Maintainer struct {
 	q      Query
 	sky    map[[2]int]join.Pair
@@ -49,8 +49,8 @@ var ErrMaintainerClosed = errors.New("core: maintainer closed")
 // NewMaintainer computes the initial answer with the grouping algorithm
 // and returns a maintainer positioned on it. The relations inside q are
 // owned by the maintainer afterwards: callers must not mutate them except
-// through Insert/Delete (or Append + Absorb when an external writer shares
-// the relations).
+// through Insert/Delete (or Append + AbsorbBatch when an external writer
+// shares the relations).
 func NewMaintainer(q Query) (*Maintainer, error) {
 	res, err := Run(q, Grouping)
 	if err != nil {
@@ -102,57 +102,33 @@ func (m *Maintainer) Closed() bool { return m.closed }
 // assigned by the maintainer. It returns the number of skyline tuples
 // displaced and the number of new pairs admitted.
 func (m *Maintainer) InsertLeft(t dataset.Tuple) (displaced, admitted int, err error) {
-	return m.insert(t, true)
+	return m.insert(t, Left)
 }
 
 // InsertRight adds a tuple to R2 and updates the skyline.
 func (m *Maintainer) InsertRight(t dataset.Tuple) (displaced, admitted int, err error) {
-	return m.insert(t, false)
+	return m.insert(t, Right)
 }
 
-func (m *Maintainer) insert(t dataset.Tuple, left bool) (displaced, admitted int, err error) {
+// insert appends t to one side's relation and absorbs it as a one-tuple
+// batch.
+func (m *Maintainer) insert(t dataset.Tuple, side Side) (displaced, admitted int, err error) {
 	if m.closed {
 		return 0, 0, ErrMaintainerClosed
 	}
-	r := m.q.R2
-	if left {
-		r = m.q.R1
-	}
-	id, err := r.Append(t)
+	id, err := m.rel(side == Left).Append(t)
 	if err != nil {
 		return 0, 0, err
 	}
-	return m.absorb(id, left)
+	return m.AbsorbBatch(side, []int{id})
 }
 
-// AbsorbLeft folds into the skyline the R1 tuple at index id that an
-// external writer already appended to the relation (via Relation.Append).
-// It exists for writers that fan one physical insert out to several
-// maintainers sharing a relation — the query service's insert path:
-// exactly one maintainer (or the writer itself) appends the tuple, every
-// other maintainer absorbs it. Each appended tuple must be absorbed
-// exactly once, in append order.
-func (m *Maintainer) AbsorbLeft(id int) (displaced, admitted int, err error) {
-	return m.absorbChecked(id, true)
-}
-
-// AbsorbRight is AbsorbLeft for the R2 side.
-func (m *Maintainer) AbsorbRight(id int) (displaced, admitted int, err error) {
-	return m.absorbChecked(id, false)
-}
-
-func (m *Maintainer) absorbChecked(id int, left bool) (displaced, admitted int, err error) {
-	if m.closed {
-		return 0, 0, ErrMaintainerClosed
-	}
-	r := m.q.R2
+// rel returns R1 for the left side, R2 for the right.
+func (m *Maintainer) rel(left bool) *dataset.Relation {
 	if left {
-		r = m.q.R1
+		return m.q.R1
 	}
-	if id < 0 || id >= r.Len() {
-		return 0, 0, fmt.Errorf("core: absorb index %d out of range [0,%d)", id, r.Len())
-	}
-	return m.absorb(id, left)
+	return m.q.R2
 }
 
 // UseResident lets the next absorbs reuse prebuilt index structures (a
@@ -164,41 +140,40 @@ func (m *Maintainer) absorbChecked(id int, left bool) (displaced, admitted int, 
 // never an error.
 func (m *Maintainer) UseResident(res *Resident) { m.res = res }
 
-// AbsorbBatchLeft folds into the skyline a whole batch of R1 tuples an
-// external writer already appended (via Relation.AppendBatch): ids are the
-// appended row indices, each absorbed exactly once. One call does the work
-// of one absorb per id in sequence — one engine, one materialization of
-// all new pairs, one blocked displacement sweep of the current members
-// against them, and one blocked admission sweep against the updated join —
-// so the per-insert setup cost is paid once per batch; a batch large
-// relative to the relation (see absorbRecomputeFraction) switches to a
-// from-scratch recompute instead, which is cheaper there. The resulting
-// skyline is identical to sequential per-id absorbs; the (displaced,
-// admitted) totals can group differently — a pair a sequential run would
-// admit and then displace within the same batch is simply never admitted
-// here.
-func (m *Maintainer) AbsorbBatchLeft(ids []int) (displaced, admitted int, err error) {
-	return m.absorbBatchChecked(ids, true)
+// resident returns the resident handed to UseResident if it still matches
+// the relations, nil otherwise.
+func (m *Maintainer) resident() *Resident {
+	if m.res != nil && !m.res.matches(m.q) {
+		return nil
+	}
+	return m.res
 }
 
-// AbsorbBatchRight is AbsorbBatchLeft for the R2 side.
-func (m *Maintainer) AbsorbBatchRight(ids []int) (displaced, admitted int, err error) {
-	return m.absorbBatchChecked(ids, false)
-}
+// largeBatch is the hybrid rule, the one place AbsorbBatch and RetractBatch
+// choose between their incremental arm and recomputeDiff: a batch of b rows
+// against a relation of n rows (post-append or post-delete) is recomputed
+// from scratch when b·8 ≥ n. The incremental arms pay per new or removed
+// pair, so their cost grows with the batch while a recompute's is fixed;
+// BenchmarkMaintainerArms measures both arms on each side of the rule.
+func largeBatch(b, n int) bool { return b*8 >= n }
 
-// AbsorbBatch dispatches to AbsorbBatchLeft or AbsorbBatchRight.
+// AbsorbBatch folds into the skyline a batch of tuples an external writer
+// already appended to one side's relation (via Relation.Append or
+// AppendBatch): ids are the appended row indices, each absorbed exactly
+// once, in append order. It exists for writers that fan one physical
+// insert out to several maintainers sharing a relation — the query
+// service's insert path: one writer appends, every maintainer absorbs. A
+// large batch (largeBatch) is folded in by recomputeDiff, any other by
+// absorbIncremental. The resulting skyline is identical to sequential
+// per-id absorbs; the (displaced, admitted) totals can group differently —
+// a pair a sequential run would admit and then displace within the same
+// batch is simply never admitted here.
 func (m *Maintainer) AbsorbBatch(side Side, ids []int) (displaced, admitted int, err error) {
-	return m.absorbBatchChecked(ids, side == Left)
-}
-
-func (m *Maintainer) absorbBatchChecked(ids []int, left bool) (displaced, admitted int, err error) {
 	if m.closed {
 		return 0, 0, ErrMaintainerClosed
 	}
-	r := m.q.R2
-	if left {
-		r = m.q.R1
-	}
+	left := side == Left
+	r := m.rel(left)
 	for _, id := range ids {
 		if id < 0 || id >= r.Len() {
 			return 0, 0, fmt.Errorf("core: absorb index %d out of range [0,%d)", id, r.Len())
@@ -207,43 +182,22 @@ func (m *Maintainer) absorbBatchChecked(ids []int, left bool) (displaced, admitt
 	if len(ids) == 0 {
 		return 0, 0, nil
 	}
-	return m.absorbIDs(ids, left)
-}
-
-// absorb updates the skyline for the already-appended tuple r[id].
-func (m *Maintainer) absorb(id int, left bool) (displaced, admitted int, err error) {
-	return m.absorbIDs([]int{id}, left)
-}
-
-// absorbRecomputeFraction is the batch-size threshold of the hybrid
-// absorb: a batch of b ids against a (post-append) relation of n rows
-// takes the from-scratch recompute path when b*absorbRecomputeFraction
-// >= n. Incremental absorption pays per new pair, so its cost grows
-// linearly with the batch while a recompute's is fixed; past roughly a
-// 1/8 growth the recompute wins, and per-tuple absorbs (b = 1) never
-// come near the threshold.
-const absorbRecomputeFraction = 8
-
-// absorbIDs updates the skyline for the already-appended tuples ids on one
-// side: the shared core of the per-tuple and batched absorb paths.
-func (m *Maintainer) absorbIDs(ids []int, left bool) (displaced, admitted int, err error) {
 	m.inserted += len(ids)
+	if largeBatch(len(ids), r.Len()) {
+		return m.recomputeDiff(m.resident())
+	}
+	return m.absorbIncremental(m.resident(), ids, left)
+}
 
+// absorbIncremental is AbsorbBatch's incremental arm: one engine, one
+// materialization of all new pairs, one blocked displacement sweep of the
+// current members against them, and one blocked admission sweep against
+// the updated join — the per-insert setup paid once per batch.
+func (m *Maintainer) absorbIncremental(res *Resident, ids []int, left bool) (displaced, admitted int, err error) {
 	// New joined pairs introduced by the batch. For a left batch that is
 	// ids × R2 — which, R2 including any rows this same physical batch
 	// appended there (self-join), covers the new×new pairs too.
 	st := Stats{}
-	res := m.res
-	if res != nil && !res.matches(m.q) {
-		res = nil
-	}
-	rel := m.q.R2
-	if left {
-		rel = m.q.R1
-	}
-	if len(ids)*absorbRecomputeFraction >= rel.Len() {
-		return m.recomputeDiff(res)
-	}
 	e := newEngineResident(m.q, &st, res)
 	all1 := allIndices(m.q.R1.Len())
 	all2 := allIndices(m.q.R2.Len())
@@ -318,11 +272,12 @@ func (m *Maintainer) absorbIDs(ids []int, left bool) (displaced, admitted int, e
 }
 
 // recomputeDiff repositions the maintainer on a from-scratch grouping run
-// — the large-batch arm of the hybrid absorb — and derives the displaced/
-// admitted counts by diffing the old and new member sets. The counts are
-// exactly what the incremental arm would report: insert-monotonicity
-// means every member that leaves was displaced and every member that
-// appears is a newly admitted pair.
+// — the large-batch arm of AbsorbBatch and RetractBatch — and derives the
+// displaced/admitted counts by diffing the old and new member sets. The
+// counts are exactly what the incremental arms would report: after an
+// append every member that leaves was displaced and every member that
+// appears is newly admitted; after a delete (the evicted members already
+// gone) nothing leaves and every member that appears resurrected.
 func (m *Maintainer) recomputeDiff(res *Resident) (displaced, admitted int, err error) {
 	var out *Result
 	if res != nil {
@@ -369,28 +324,18 @@ func (m *Maintainer) delete(idx int, left bool) error {
 	// UseResident after the physical delete, which is the one way to keep
 	// one across a delete.)
 	m.res = nil
-	r := m.q.R2
-	if left {
-		r = m.q.R1
-	}
+	r := m.rel(left)
 	if idx < 0 || idx >= r.Len() {
 		return r.Delete(idx) // dataset's bounds error; nothing is mutated
 	}
 	ids := []int{idx}
-	var rs *RetractSet
-	snap := !RetractPrefersRecompute(1, r.Len()-1)
-	var del *dataset.Relation
-	if snap {
-		del = SnapshotRows(r, ids)
-	}
+	del := SnapshotRows(r, ids)
 	if err := r.DeleteBatch(ids); err != nil {
 		return err
 	}
 	self := m.q.R1 == m.q.R2
-	if snap {
-		rs = NewRetractSet(m.q, left || self, !left || self, del)
-	}
-	_, _, err := m.RetractBatch(left || self, !left || self, ids, rs)
+	onL, onR := left || self, !left || self
+	_, _, err := m.RetractBatch(onL, onR, ids, NewRetractSet(m.q, onL, onR, del))
 	return err
 }
 
@@ -414,8 +359,8 @@ func (m *Maintainer) Len() int { return len(m.sky) }
 
 // Counters reports maintenance activity: incremental insert/absorb
 // operations processed (a self-joined tuple absorbed on both sides counts
-// as two operations) and full recomputes — triggered by absorb or retract
-// batches past their hybrid thresholds.
+// as two operations) and full recomputes — the absorb and retract batches
+// largeBatch sent to recomputeDiff.
 func (m *Maintainer) Counters() (inserted, recomputes int) {
 	return m.inserted, m.recomputes
 }

@@ -175,10 +175,10 @@ func TestMaintainerAbsorbSharedRelation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := mB.AbsorbLeft(id); err != nil {
+			if _, _, err := mB.AbsorbBatch(Left, []int{id}); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := mC.AbsorbLeft(id); err != nil {
+			if _, _, err := mC.AbsorbBatch(Left, []int{id}); err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range []struct {
@@ -203,10 +203,10 @@ func TestMaintainerAbsorbOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.AbsorbLeft(5); err == nil {
+	if _, _, err := m.AbsorbBatch(Left, []int{5}); err == nil {
 		t.Error("out-of-range absorb accepted")
 	}
-	if _, _, err := m.AbsorbRight(-1); err == nil {
+	if _, _, err := m.AbsorbBatch(Right, []int{-1}); err == nil {
 		t.Error("negative absorb accepted")
 	}
 }
@@ -283,11 +283,11 @@ func TestMaintainerClose(t *testing.T) {
 	if _, _, err := m.InsertRight(tup); !errors.Is(err, ErrMaintainerClosed) {
 		t.Errorf("InsertRight after Close: err = %v, want ErrMaintainerClosed", err)
 	}
-	if _, _, err := m.AbsorbLeft(0); !errors.Is(err, ErrMaintainerClosed) {
-		t.Errorf("AbsorbLeft after Close: err = %v, want ErrMaintainerClosed", err)
+	if _, _, err := m.AbsorbBatch(Left, []int{0}); !errors.Is(err, ErrMaintainerClosed) {
+		t.Errorf("AbsorbBatch(Left) after Close: err = %v, want ErrMaintainerClosed", err)
 	}
-	if _, _, err := m.AbsorbRight(0); !errors.Is(err, ErrMaintainerClosed) {
-		t.Errorf("AbsorbRight after Close: err = %v, want ErrMaintainerClosed", err)
+	if _, _, err := m.AbsorbBatch(Right, []int{0}); !errors.Is(err, ErrMaintainerClosed) {
+		t.Errorf("AbsorbBatch(Right) after Close: err = %v, want ErrMaintainerClosed", err)
 	}
 	if err := m.DeleteLeft(0); !errors.Is(err, ErrMaintainerClosed) {
 		t.Errorf("DeleteLeft after Close: err = %v, want ErrMaintainerClosed", err)

@@ -112,8 +112,8 @@ func TestResidentAbsorbRejectsBadTails(t *testing.T) {
 }
 
 // TestAbsorbBatchMatchesSequential pins the maintainer's batch entry
-// points to the per-tuple path: one AbsorbBatch over the appended tail
-// must land on the same skyline as one Absorb per id, and
+// point to the per-tuple path: one AbsorbBatch over the appended tail
+// must land on the same skyline as one one-id AbsorbBatch per id, and
 // both must match a from-scratch recompute.
 func TestAbsorbBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
@@ -148,21 +148,16 @@ func TestAbsorbBatchMatchesSequential(t *testing.T) {
 				ts[i] = randTuple(rng, local+agg, groups, 5)
 			}
 			left := rng.Intn(2) == 0
-			relSeq, relBat := qSeq.R2, qBat.R2
+			relSeq, relBat, side := qSeq.R2, qBat.R2, Right
 			if left {
-				relSeq, relBat = qSeq.R1, qBat.R1
+				relSeq, relBat, side = qSeq.R1, qBat.R1, Left
 			}
 			for _, tup := range ts {
 				id, err := relSeq.Append(tup)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if left {
-					_, _, err = mSeq.AbsorbLeft(id)
-				} else {
-					_, _, err = mSeq.AbsorbRight(id)
-				}
-				if err != nil {
+				if _, _, err := mSeq.AbsorbBatch(side, []int{id}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -173,10 +168,6 @@ func TestAbsorbBatchMatchesSequential(t *testing.T) {
 			ids := make([]int, n)
 			for i := range ids {
 				ids[i] = first + i
-			}
-			side := Right
-			if left {
-				side = Left
 			}
 			if _, _, err := mBat.AbsorbBatch(side, ids); err != nil {
 				t.Fatal(err)
@@ -210,10 +201,10 @@ func TestAbsorbBatchRejectsOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, _, err := m.AbsorbBatchLeft([]int{6}); err == nil {
-		t.Fatal("AbsorbBatchLeft accepted an id beyond the relation")
+	if _, _, err := m.AbsorbBatch(Left, []int{6}); err == nil {
+		t.Fatal("AbsorbBatch(Left) accepted an id beyond the relation")
 	}
-	if _, _, err := m.AbsorbBatchRight([]int{-1}); err == nil {
-		t.Fatal("AbsorbBatchRight accepted a negative id")
+	if _, _, err := m.AbsorbBatch(Right, []int{-1}); err == nil {
+		t.Fatal("AbsorbBatch(Right) accepted a negative id")
 	}
 }

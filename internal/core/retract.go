@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -21,23 +22,28 @@ import (
 //     dominator it had was removed — in particular, at least one removed
 //     pair k-dominated it.
 //
-// The second point is the resurrection filter: RetractBatch materializes
-// the removed pairs once (RetractSet), tests each non-member candidate
-// against them, and runs the expensive dominator verification only on the
-// candidates that pass. Everything else is bookkeeping — evicting members
-// that reference deleted rows and renumbering the survivors to the
-// relation's post-delete IDs.
+// The second point is the resurrection filter: RetractBatch's incremental
+// arm materializes the removed pairs once (RetractSet), tests each
+// non-member candidate against them, and runs the expensive dominator
+// verification only on the candidates that pass. Everything else is
+// bookkeeping — evicting members that reference deleted rows and
+// renumbering the survivors to the relation's post-delete IDs.
 
 // RetractSet is the set of joined pairs a batch delete removed from a
 // query's join, organized for the resurrection filter: pairs are grouped
 // by their deleted component, each group keyed by that component's base
 // attributes so one local-prefix reachability test (the same bound the
-// verification kernel hoists) can skip the whole group.
+// verification kernel hoists) can skip the whole group. The pairs are
+// materialized on the first Dominated call, so a batch RetractBatch
+// recomputes never pays for them. A set is not safe for concurrent use.
 type RetractSet struct {
-	k          int
-	l1, l2     int
+	// q, del and the sides (onL, onR) are NewRetractSet's inputs; built
+	// marks the thresholds and groups below as materialized.
+	q          Query
+	del        *dataset.Relation
+	onL, onR   bool
+	built      bool
 	k1pp, k2pp int
-	count      int
 	// left groups pairs by a deleted R1-side row, right by a deleted
 	// R2-side row; a self-join's deleted×deleted pairs live in left.
 	left, right []retractGroup
@@ -69,28 +75,29 @@ func SnapshotRows(r *dataset.Relation, ids []int) *dataset.Relation {
 	return del
 }
 
-// NewRetractSet materializes the joined pairs a DeleteBatch removed from
-// q's join. q must be the post-delete query (relations already compacted)
-// and del a snapshot of the deleted rows (SnapshotRows, taken before the
-// physical delete); left/right say which sides of the query the mutated
-// relation occupies (both, for a self-join). The removed pairs decompose
-// into deleted×survivors, survivors×deleted and — for a self-join —
+// NewRetractSet records what the resurrection filter needs to enumerate
+// the joined pairs a DeleteBatch removed from q's join. q must be the
+// post-delete query (relations already compacted, and still so when
+// RetractBatch runs) and del a snapshot of the deleted rows (SnapshotRows,
+// taken before the physical delete); left/right say which sides of the
+// query the mutated relation occupies (both, for a self-join).
+func NewRetractSet(q Query, left, right bool, del *dataset.Relation) *RetractSet {
+	return &RetractSet{q: q, del: del, onL: left, onR: right}
+}
+
+// materialize enumerates the removed pairs. They decompose into
+// deleted×survivors, survivors×deleted and — for a self-join —
 // deleted×deleted; each part is enumerated by indexing the small deleted
 // set (under the reversed condition where the probe direction flips) and
 // probing it from the big surviving relation, so the cost is
 // O(n log |del| + removed pairs), never O(n²).
-func NewRetractSet(q Query, left, right bool, del *dataset.Relation) *RetractSet {
+func (rs *RetractSet) materialize() {
+	q, del := rs.q, rs.del
 	agg := q.aggregator()
-	k1pp, k2pp := q.KDoublePrimes()
-	rs := &RetractSet{
-		k:    q.K,
-		l1:   q.R1.Local,
-		l2:   q.R2.Local,
-		k1pp: k1pp,
-		k2pp: k2pp,
-	}
+	rs.k1pp, rs.k2pp = q.KDoublePrimes()
+	rs.built = true
 	w := join.Width(q.R1, q.R2)
-	if left {
+	if rs.onL {
 		byU := make([][][]float64, del.Len())
 		// Index del under the reversed condition and probe it by each
 		// surviving R2 row: Partners answers "which deleted u join with
@@ -104,7 +111,7 @@ func NewRetractSet(q Query, left, right bool, del *dataset.Relation) *RetractSet
 			pos += w
 			return false
 		})
-		if right {
+		if rs.onR {
 			// Self-join: both deleted rows of a deleted×deleted pair are
 			// gone from the survivors, so neither sweep above saw it.
 			ixd := join.NewFullIndex(del, del, q.Spec.Cond)
@@ -117,9 +124,9 @@ func NewRetractSet(q Query, left, right bool, del *dataset.Relation) *RetractSet
 				return false
 			})
 		}
-		rs.left = packRetractGroups(del, byU, &rs.count)
+		rs.left = packRetractGroups(del, byU)
 	}
-	if right {
+	if rs.onR {
 		byV := make([][][]float64, del.Len())
 		// Natural probe direction: index del as the right side, probe by
 		// each surviving R1 row.
@@ -132,16 +139,15 @@ func NewRetractSet(q Query, left, right bool, del *dataset.Relation) *RetractSet
 			pos += w
 			return false
 		})
-		rs.right = packRetractGroups(del, byV, &rs.count)
+		rs.right = packRetractGroups(del, byV)
 	}
-	return rs
 }
 
 // packRetractGroups turns the per-deleted-row pair lists into the sorted
 // group form Dominated scans: groups ascending by their component's
 // attribute sum, pairs within a group ascending by combined sum, so the
 // strongest dominators are met first.
-func packRetractGroups(del *dataset.Relation, byRow [][][]float64, count *int) []retractGroup {
+func packRetractGroups(del *dataset.Relation, byRow [][][]float64) []retractGroup {
 	groups := make([]retractGroup, 0, len(byRow))
 	for id, pairs := range byRow {
 		if len(pairs) == 0 {
@@ -153,14 +159,10 @@ func packRetractGroups(del *dataset.Relation, byRow [][][]float64, count *int) [
 			sum:   sumOf(del.Attrs(id)),
 			pairs: pairs,
 		})
-		*count += len(pairs)
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].sum < groups[b].sum })
 	return groups
 }
-
-// Pairs returns the number of removed joined pairs the set holds.
-func (rs *RetractSet) Pairs() int { return rs.count }
 
 // Dominated reports whether any removed pair k-dominates cand, a combined
 // attribute vector in the engine's [left locals, right locals, aggregates]
@@ -168,13 +170,17 @@ func (rs *RetractSet) Pairs() int { return rs.count }
 // (all its dominators were removed, and it had at least one); candidates
 // that fail skip dominator verification entirely.
 func (rs *RetractSet) Dominated(cand []float64) bool {
+	if !rs.built {
+		rs.materialize()
+	}
+	k, l1, l2 := rs.q.K, rs.q.R1.Local, rs.q.R2.Local
 	for gi := range rs.left {
 		g := &rs.left[gi]
-		if _, _, ok := localPrefix(g.local, cand, rs.l1, rs.k1pp); !ok {
+		if _, _, ok := localPrefix(g.local, cand, l1, rs.k1pp); !ok {
 			continue
 		}
 		for _, pa := range g.pairs {
-			if dom.KDominates(pa, cand, rs.k) {
+			if dom.KDominates(pa, cand, k) {
 				return true
 			}
 		}
@@ -183,11 +189,11 @@ func (rs *RetractSet) Dominated(cand []float64) bool {
 		g := &rs.right[gi]
 		// The deleted component sits on the right: its locals line up with
 		// cand[l1:l1+l2], and the reachability threshold is k2''.
-		if _, _, ok := localPrefix(g.local, cand[rs.l1:], rs.l2, rs.k2pp); !ok {
+		if _, _, ok := localPrefix(g.local, cand[l1:], l2, rs.k2pp); !ok {
 			continue
 		}
 		for _, pa := range g.pairs {
-			if dom.KDominates(pa, cand, rs.k) {
+			if dom.KDominates(pa, cand, k) {
 				return true
 			}
 		}
@@ -195,36 +201,19 @@ func (rs *RetractSet) Dominated(cand []float64) bool {
 	return false
 }
 
-// retractRecomputeFraction mirrors absorbRecomputeFraction on the delete
-// side: a batch of b deleted rows against a post-delete relation of n rows
-// takes the from-scratch recompute arm when b*retractRecomputeFraction
-// >= n. The incremental arm pays per removed pair and per filtered
-// candidate, so its cost grows with the batch while a recompute's is
-// fixed; past roughly 1/8 shrinkage the recompute wins.
-const retractRecomputeFraction = 8
-
-// RetractPrefersRecompute reports whether RetractBatch will take its
-// from-scratch recompute arm for a batch of b deleted rows against a
-// post-delete relation of n rows — callers can skip building the
-// RetractSet (and retracting residents) in that case.
-func RetractPrefersRecompute(b, n int) bool {
-	return b*retractRecomputeFraction >= n
-}
-
 // RetractBatch folds an already-executed DeleteBatch into the skyline: the
 // caller has removed rows ids (pre-delete IDs, strictly ascending — the
 // slice handed to dataset.Relation.DeleteBatch) from the relation on the
 // given side(s) of the query; left and right are both true for a
 // self-join, whose one physical delete shrinks both sides at once. rs is
-// the removed-pair set built by NewRetractSet over the post-delete query
-// and a pre-delete SnapshotRows of the deleted rows; nil forces the
-// recompute arm (callers that know the batch is large skip building it,
-// see RetractPrefersRecompute).
+// the batch's NewRetractSet over the post-delete query and a pre-delete
+// SnapshotRows of the deleted rows; only the incremental arm reads it.
 //
 // Members that reference a deleted row are evicted and the survivors
 // renumbered to the post-delete IDs; surviving members are kept without
-// re-verification (a delete only shrinks dominator sets). Resurrection
-// candidates — non-members some removed pair dominated — are then swept
+// re-verification (a delete only shrinks dominator sets). A large batch
+// (largeBatch) then recomputes; any other runs resurrect, which sweeps the
+// resurrection candidates — non-members some removed pair dominated —
 // through the same categorize/verify cells the grouping recompute would
 // run, so the resulting skyline is identical to a from-scratch recompute.
 // It returns the number of members evicted (their rows deleted) and the
@@ -240,18 +229,28 @@ func (m *Maintainer) RetractBatch(left, right bool, ids []int, rs *RetractSet) (
 	if len(ids) == 0 || (!left && !right) {
 		return 0, 0, nil
 	}
-	rel := m.q.R2
-	if left {
-		rel = m.q.R1
+	if rs == nil {
+		return 0, 0, errors.New("core: RetractBatch needs the batch's RetractSet")
 	}
+	rel := m.rel(left)
 	preLen := rel.Len() + len(ids)
 	for i, id := range ids {
 		if id < 0 || id >= preLen || (i > 0 && id <= ids[i-1]) {
 			return 0, 0, fmt.Errorf("core: retract ids must be strictly ascending pre-delete row IDs in [0,%d)", preLen)
 		}
 	}
+	evicted = m.evict(left, right, ids)
+	if largeBatch(len(ids), rel.Len()) {
+		_, resurrected, err = m.recomputeDiff(m.resident())
+	} else {
+		resurrected, err = m.resurrect(m.resident(), rs)
+	}
+	return evicted, resurrected, err
+}
 
-	// Evict members referencing deleted rows; renumber the survivors.
+// evict drops the members that reference a deleted row, renumbers the
+// survivors to post-delete IDs and returns how many it dropped.
+func (m *Maintainer) evict(left, right bool, ids []int) (evicted int) {
 	renum := func(id int) (int, bool) {
 		i := sort.SearchInts(ids, id)
 		if i < len(ids) && ids[i] == id {
@@ -277,19 +276,13 @@ func (m *Maintainer) RetractBatch(left, right bool, ids []int, rs *RetractSet) (
 		next[[2]int{l, r}] = p
 	}
 	m.sky = next
+	return evicted
+}
 
-	res := m.res
-	if res != nil && !res.matches(m.q) {
-		res = nil
-	}
-	if rs == nil || RetractPrefersRecompute(len(ids), rel.Len()) {
-		_, resurrected, err = m.recomputeDiff(res)
-		return evicted, resurrected, err
-	}
-
-	// Resurrection sweep: mirror the grouping recompute's cells, but only
-	// verify non-members the removed pairs dominated — everything else
-	// keeps its pre-delete verdict.
+// resurrect is RetractBatch's incremental arm: it mirrors the grouping
+// recompute's cells, but only verifies non-members the removed pairs
+// dominated — everything else keeps its pre-delete verdict.
+func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int, err error) {
 	st := Stats{}
 	e := newEngineResident(m.q, &st, res)
 	q := m.q
@@ -345,7 +338,7 @@ func (m *Maintainer) RetractBatch(left, right bool, ids []int, rs *RetractSet) (
 		chk.ensurePartners()
 		keep := e.keepBits(len(sweep))
 		if err := chk.verifyRange(ctx, sweep, 0, len(sweep), keep); err != nil {
-			return evicted, resurrected, err
+			return resurrected, err
 		}
 		for i, p := range sweep {
 			if keep[i>>6]&(uint64(1)<<uint(i&63)) != 0 {
@@ -354,5 +347,5 @@ func (m *Maintainer) RetractBatch(left, right bool, ids []int, rs *RetractSet) (
 			}
 		}
 	}
-	return evicted, resurrected, nil
+	return resurrected, nil
 }

@@ -90,19 +90,12 @@ func TestRetractBatchMatchesRecompute(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var del *dataset.Relation
-			recompute := RetractPrefersRecompute(len(ids), rel.Len()-len(ids))
-			if !recompute {
-				del = SnapshotRows(rel, ids)
-			}
+			del := SnapshotRows(rel, ids)
 			if err := rel.DeleteBatch(ids); err != nil {
 				t.Fatal(err)
 			}
-			var rs *RetractSet
-			if del != nil {
-				rs = NewRetractSet(q, left, !left, del)
-			}
-			if res != nil && !recompute {
+			rs := NewRetractSet(q, left, !left, del)
+			if res != nil {
 				side := Right
 				if left {
 					side = Left

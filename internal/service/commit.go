@@ -63,16 +63,10 @@ type commitResult struct {
 // the advanced answer. It is the only place the exclusive section, the WAL
 // hooks and the ingest mutex appear.
 func (s *Service) commit(name string, mut mutation) (commitResult, error) {
-	if s.closed.Load() {
-		return commitResult{}, ErrClosed
-	}
-	if err := s.durableOK(); err != nil {
-		return commitResult{}, err
-	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.closed.Load() {
-		return commitResult{}, ErrClosed
+	if err := s.writable(); err != nil {
+		return commitResult{}, err
 	}
 
 	s.mu.Lock()
@@ -272,8 +266,7 @@ func (s *Service) DeleteBatch(name string, ids []int) (*DeleteResult, error) {
 type deleteMutation struct {
 	ids    []int
 	expiry bool
-	// rows snapshots the deleted rows for the resurrection filter; nil when
-	// the batch is past the hybrid threshold and maintainers recompute.
+	// rows snapshots the deleted rows for the resurrection filter.
 	rows *dataset.Relation
 }
 
@@ -296,13 +289,10 @@ func (d *deleteMutation) apply(s *Service, name string, rr *regRelation) error {
 		return fmt.Errorf("%w: cannot delete all %d rows of %q (registered relations stay non-empty)", ErrBadRequest, n, name)
 	}
 	// The resurrection filter needs the deleted rows' pairs, and the rows
-	// are unrecoverable once the columns compact — snapshot them now, but
-	// only when the batch is small enough that maintainers will take the
-	// incremental arm (past the hybrid threshold they recompute and the
-	// snapshot would be dead weight).
-	if !core.RetractPrefersRecompute(len(sorted), n-len(sorted)) {
-		d.rows = core.SnapshotRows(rr.rel, sorted)
-	}
+	// are unrecoverable once the columns compact — snapshot them now (an
+	// O(b·d) copy; the pairs are only materialized if a maintainer takes its
+	// incremental arm).
+	d.rows = core.SnapshotRows(rr.rel, sorted)
 	if err := rr.rel.DeleteBatch(sorted); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -340,11 +330,7 @@ func (d *deleteMutation) resident(res *core.Resident, side core.Side) error {
 // (sides, condition, aggregator, k): the group-prune thresholds bake in k
 // and the pair points bake in the aggregator, so answers cannot share one.
 func (d *deleteMutation) maintain(m *core.Maintainer, q core.Query, left, right bool) (evicted, resurrected int, err error) {
-	var rs *core.RetractSet
-	if d.rows != nil {
-		rs = core.NewRetractSet(q, left, right, d.rows)
-	}
-	return m.RetractBatch(left, right, d.ids, rs)
+	return m.RetractBatch(left, right, d.ids, core.NewRetractSet(q, left, right, d.rows))
 }
 
 // expiryMutation is the sweeper's delete: which rows go is decided inside

@@ -20,10 +20,17 @@ import (
 	"repro/internal/store"
 )
 
-// durableOK fails mutations once a WAL write has failed: the in-memory
-// state may be ahead of the log, and accepting more mutations would widen
-// the window of acknowledged-but-unlogged data. Queries never call it.
-func (s *Service) durableOK() error {
+// writable fails a mutation once the service is closed or, on a durable
+// service, once a WAL write has failed: the in-memory state may be ahead of
+// the log, and accepting more mutations would widen the window of
+// acknowledged-but-unlogged data. Every writer calls it once, holding
+// ingestMu — the lock that orders writers — so no other writer can latch
+// the store between the check and this writer's own WAL append. Queries
+// never call it.
+func (s *Service) writable() error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
 	if s.store != nil && s.storeBroken.Load() {
 		return ErrDurability
 	}
@@ -45,8 +52,8 @@ func (s *Service) logAppend(rec store.Record) (uint64, error) {
 	return seq, nil
 }
 
-// logSync group-commits the WAL through seq — the durability point an
-// acknowledgment waits on. After a successful sync it kicks the
+// logSync fsyncs the WAL, which covers record seq — the durability point
+// an acknowledgment waits on. After a successful sync it kicks the
 // checkpointer if the WAL has outgrown the size trigger.
 func (s *Service) logSync(seq uint64) error {
 	if s.store == nil || s.replaying || seq == 0 {
@@ -208,23 +215,16 @@ func (s *Service) rebuildResidents(combos []store.ResidentCombo) {
 // regardless of the configured interval: one columnar segment per
 // relation at its current version, the resident combos worth rebuilding
 // warm, and a truncated WAL. Mutations are held quiescent for the
-// duration (ingestMu plus a read lock — RegisterWindow needs the write
-// lock, so it too is excluded); queries keep running. A no-op on an
-// in-memory service.
+// duration (ingestMu, which every writer takes, plus a read lock on mu);
+// queries keep running. A no-op on an in-memory service.
 func (s *Service) Checkpoint() error {
 	if s.store == nil {
 		return nil
 	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if err := s.durableOK(); err != nil {
-		return err
-	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

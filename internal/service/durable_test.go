@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -389,6 +391,61 @@ func TestDurabilityFailureLatches(t *testing.T) {
 	}
 	if _, err := s.Query(context.Background(), QueryRequest{R1: "r1", R2: "r2", K: 5}); err != nil {
 		t.Fatalf("query after latch should still serve: %v", err)
+	}
+}
+
+// TestQueuedMutationSeesLatch: a mutation queued behind a writer whose WAL
+// write fails must see the latch once it gets the ingest lock — it is never
+// applied, logged or acknowledged after the failure. The test plays that
+// writer: it holds ingestMu, lets an insert queue behind it, latches the
+// store and releases.
+func TestQueuedMutationSeesLatch(t *testing.T) {
+	s, err := Open(durableConfig(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	registerPair(t, s, 30)
+	before := s.Stats().WALRecords
+
+	s.ingestMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Insert("r1", dataset.Tuple{Key: "g0001", Band: 0.5, Attrs: []float64{1, 2, 3, 4}})
+		done <- err
+	}()
+	// Wait until the insert is parked on ingestMu inside commit, past any
+	// check made before taking it.
+	parked := func() bool {
+		buf := make([]byte, 1<<20)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, ".(*Service).commit(") {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * time.Second); !parked(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			s.ingestMu.Unlock() // the deferred Close takes it
+			t.Fatal("insert never queued on the ingest lock")
+		}
+	}
+	s.storeBroken.Store(true)
+	s.ingestMu.Unlock()
+
+	if err := <-done; !errors.Is(err, ErrDurability) {
+		t.Fatalf("insert queued behind the latch: %v, want ErrDurability", err)
+	}
+	r1, _, err := s.Relation("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Len() != 30 {
+		t.Fatalf("r1 has %d rows after the refused insert, want 30", r1.Len())
+	}
+	if got := s.Stats().WALRecords; got != before {
+		t.Fatalf("refused insert moved WAL records %d → %d", before, got)
 	}
 }
 

@@ -295,10 +295,10 @@ type Service struct {
 	cache     *AnswerStore
 	residents *residentCache
 
-	// ingestMu serializes commits end to end (single writer), fsync
-	// included, and orders them against Checkpoint, Unregister and Close —
-	// a checkpoint holds it with only a read lock on mu, so readers keep
-	// running while it writes segments. Lock order: ingestMu before mu.
+	// ingestMu serializes every writer — commits end to end (fsync
+	// included), Register/Unregister, Checkpoint and Close. A checkpoint
+	// holds it with only a read lock on mu, so readers keep running while
+	// it writes segments. Lock order: ingestMu before mu.
 	ingestMu sync.Mutex
 
 	// mu guards the registry and — via read-locking for the whole of
@@ -406,12 +406,6 @@ func (s *Service) RegisterWindow(name string, r *dataset.Relation, window time.D
 	if window < 0 {
 		return 0, fmt.Errorf("%w: negative window %v", ErrBadRequest, window)
 	}
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := s.durableOK(); err != nil {
-		return 0, err
-	}
 	if name == "" {
 		return 0, fmt.Errorf("%w: empty relation name", ErrBadRequest)
 	}
@@ -421,11 +415,14 @@ func (s *Service) RegisterWindow(name string, r *dataset.Relation, window time.D
 	if err := r.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	// A writer like any commit (lock order: ingestMu before mu).
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if err := s.writable(); err != nil {
+		return 0, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
 	if _, ok := s.rels[name]; ok {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateRelation, name)
 	}

@@ -125,18 +125,12 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 // registered relations stay non-empty, so an empty partition must leave
 // the registry rather than linger at zero rows.
 func (s *Service) Unregister(name string) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if err := s.durableOK(); err != nil {
-		return err
-	}
 	// Unregister is a writer like any commit: ingestMu queues it behind one
 	// still waiting on its fsync (lock order: ingestMu before mu).
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -129,14 +129,15 @@ func (s *Store) Append(rec Record) (uint64, error) {
 	return s.wal.append(EncodeRecord(rec))
 }
 
-// Sync group-commits the WAL through at least record seq. An insert is
-// acknowledged only after its record's Sync returns — the fsync is the
-// durability point of the service's commit.
+// Sync fsyncs the WAL, covering record seq and every record appended
+// before it; seq itself is not consulted, since every call is one fsync. A
+// mutation is acknowledged only after its record's Sync returns — the
+// fsync is the durability point of the service's commit.
 func (s *Store) Sync(seq uint64) error {
 	if s.closed.Load() {
 		return ErrStoreClosed
 	}
-	return s.wal.sync(seq)
+	return s.wal.sync()
 }
 
 // CheckpointRelation is one relation's snapshot input to Checkpoint. Cols
@@ -246,7 +247,7 @@ type Stats struct {
 	// checkpoint — together they bound recovery's replay work.
 	WALRecords uint64
 	WALBytes   int64
-	// WALSyncs counts fsync group commits actually issued.
+	// WALSyncs counts the fsyncs Sync completed: one per successful call.
 	WALSyncs uint64
 	// Segments is the relation count of the current segment generation.
 	Segments int

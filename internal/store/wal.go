@@ -241,25 +241,22 @@ func DecodeWAL(data []byte) (recs []Record, good int64) {
 
 // walWriter appends framed records to the live WAL file. Appends are
 // ordered by an internal mutex (callers append in commit order while
-// holding the service's locks); Sync group-commits everything appended so
-// far, skipping the fsync when a later call already covered this writer's
-// high-water mark.
+// holding the service's locks); every sync is one fsync of everything
+// appended so far.
 type walWriter struct {
 	mu        sync.Mutex
 	f         *os.File
-	appended  uint64 // records appended
-	synced    uint64 // records covered by a completed fsync
 	bytes     int64
 	records   uint64
 	syncCount uint64
 }
 
 func newWALWriter(f *os.File, bytes int64, records uint64) *walWriter {
-	return &walWriter{f: f, bytes: bytes, records: records, appended: records, synced: records}
+	return &walWriter{f: f, bytes: bytes, records: records}
 }
 
-// append writes one framed record and returns its sequence number (the
-// count of records ever appended, including recovered ones).
+// append writes one framed record and returns its sequence number: its
+// position in the live WAL, counting from 1.
 func (w *walWriter) append(payload []byte) (uint64, error) {
 	framed := FrameRecord(payload)
 	w.mu.Lock()
@@ -270,31 +267,22 @@ func (w *walWriter) append(payload []byte) (uint64, error) {
 	if _, err := w.f.Write(framed); err != nil {
 		return 0, err
 	}
-	w.appended++
 	w.records++
 	w.bytes += int64(len(framed))
-	return w.appended, nil
+	return w.records, nil
 }
 
-// sync fsyncs through at least record seq. Concurrent group commits
-// coalesce: if another sync already covered seq, this is a no-op.
-func (w *walWriter) sync(seq uint64) error {
+// sync fsyncs every record appended so far.
+func (w *walWriter) sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return ErrStoreClosed
 	}
-	if w.synced >= seq {
-		return nil
-	}
-	target := w.appended
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	w.syncCount++
-	if target > w.synced {
-		w.synced = target
-	}
 	return nil
 }
 

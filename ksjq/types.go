@@ -51,7 +51,9 @@ type (
 	// FindKResult is the answer to Problem 3 or 4.
 	FindKResult = core.FindKResult
 
-	// Maintainer keeps a query's answer current under inserts/deletes.
+	// Maintainer keeps a query's answer current under inserts/deletes; it
+	// alone decides, per batch, between incremental maintenance and a
+	// from-scratch recompute.
 	Maintainer = core.Maintainer
 	// Side selects a relation side for batch absorption
 	// (Maintainer.AbsorbBatch).
