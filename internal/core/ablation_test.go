@@ -37,13 +37,13 @@ func (e *engine) pairKDominates(i, j int, cand []float64) bool {
 	return e.pairKDominatesTail(x, j, leq, strict, cand)
 }
 
-// unprunedDominates is the ablation control arm: the checker's probe lists
-// with no left-level target-set skip and no shared x-section — every
+// unprunedDominates is the ablation control arm: the checker's partner
+// list with no left-level target-set skip and no shared x-section — every
 // partner pair gets its own counted full test.
 func unprunedDominates(c *checker, cand []float64) bool {
-	for _, i := range c.left {
-		for _, j := range c.ix.Partners(c.e.q.R1, i) {
-			if c.e.pairKDominates(i, j, cand) {
+	for n, i := range c.lefts {
+		for _, j := range c.partners[n] {
+			if c.e.pairKDominates(int(i), j, cand) {
 				return true
 			}
 		}
@@ -140,7 +140,8 @@ func BenchmarkAblationProbeOrder(b *testing.B) {
 		}
 	})
 	b.Run("identity-order", func(b *testing.B) {
-		chk := &checker{e: e, left: all1, ix: join.NewIndex(q.R1, q.R2, all2, e.cond)}
+		chk := &checker{e: e}
+		chk.reset(all1, join.NewIndex(q.R1, q.R2, all2, e.cond))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, p := range candidates {

@@ -211,12 +211,11 @@ type Stats struct {
 	// The count is deterministic per query and algorithm: a candidate is
 	// tested against its checker's (left, partner) pairs in probe order
 	// until its first dominator, and that per-candidate sequence is the
-	// same on the streaming, blocked-kernel, and worker-pool paths —
-	// Workers and the blocked sweep change only the interleaving across
-	// candidates, never which tests run (target-set-pruned lefts are
-	// skipped uncounted on every path). Early stops (Emit returning false,
-	// Limit) end the run at path-dependent points and are the one source of
-	// count differences.
+	// same on the serial and worker-pool paths — Workers change only the
+	// interleaving across candidates, never which tests run (target-set-
+	// pruned lefts are skipped uncounted on every path). Early stops (Emit
+	// returning false, Limit) end the run at path-dependent points and are
+	// the one source of count differences.
 	DominationTests int64
 }
 

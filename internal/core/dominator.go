@@ -53,18 +53,20 @@ func runDominator(ctx context.Context, q Query, res *Resident) (*Result, error) 
 	// Phase 3: join the surviving cells.
 	t0 = time.Now()
 	yes := e.pairs(c1.SS, c2.SS)
-	candidates := e.pairs(c1.SS, c2.SN)
-	candidates = append(candidates, e.pairs(c1.SN, c2.SS)...)
-	candidates = append(candidates, e.pairs(c1.SN, c2.SN)...)
+	cells := [...][]join.Pair{e.pairs(c1.SS, c2.SN), e.pairs(c1.SN, c2.SS), e.pairs(c1.SN, c2.SN)}
 	st.JoinTime = time.Since(t0)
-	st.Candidates = len(candidates)
+	for _, cell := range cells {
+		st.Candidates += len(cell)
+	}
 
 	// Phase 4: verify each candidate against the join of its components'
 	// dominator sets. Many candidates share a component — u ⋈ v and u ⋈ v'
 	// reuse τ(u) — so the checker inputs are cached per tuple: each τ(u) is
 	// sum-sorted once and each τ(v) indexed once instead of once per
-	// candidate, and one checker struct is rebound instead of allocated per
-	// pair. The probe order and test sequence per candidate are unchanged.
+	// candidate, and one checker is reset onto each pair's lists (its
+	// partner list resolved into the engine scratch) instead of allocated
+	// per pair. The probe order and test sequence per candidate are
+	// unchanged.
 	t0 = time.Now()
 	sorted1 := make(map[int][]int, len(dom1))
 	ix2 := make(map[int]*join.Index, len(dom2))
@@ -80,7 +82,7 @@ func runDominator(ctx context.Context, q Query, res *Resident) (*Result, error) 
 			ix = e.checkerRightIndex(dom2[p.Right])
 			ix2[p.Right] = ix
 		}
-		chk.left, chk.ix = left, ix
+		chk.reset(left, ix)
 		return chk.dominates(p.Attrs)
 	}
 	skyline := make([]join.Pair, 0, len(yes))
@@ -97,12 +99,14 @@ func runDominator(ctx context.Context, q Query, res *Resident) (*Result, error) 
 		skyline = append(skyline, yes...)
 		st.YesEmitted = len(yes)
 	}
-	for n, p := range candidates {
-		if n%cancelEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if !dominated(p) {
-			skyline = append(skyline, p)
+	for _, cell := range cells {
+		for n, p := range cell {
+			if n%cancelEvery == 0 && ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			if !dominated(p) {
+				skyline = append(skyline, p)
+			}
 		}
 	}
 	st.RemainingTime = time.Since(t0)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"math/bits"
 	"sort"
 
 	"repro/internal/dataset"
@@ -46,8 +44,8 @@ type engine struct {
 	memoLeft, memoLeftSorted []int
 	memoRight                []int
 	memoRightIx              *join.Index
-	// scratch holds the per-run verification buffers (keep bitset, the
-	// checker's per-left partner cache) reused across cells, so repeated
+	// scratch holds the per-run verification buffers (the pool's keep
+	// bitset, the checker's partner list) reused across cells, so repeated
 	// cells allocate nothing.
 	scratch verifyScratch
 	// pool is the persistent work-stealing worker pool, spawned once per
@@ -55,12 +53,12 @@ type engine struct {
 	pool *workerPool
 }
 
-// verifyScratch is the engine-owned scratch reused by every cell's batched
-// verification: the keep bitset and the backing arrays of the checker's
-// compacted per-left partner cache.
+// verifyScratch is the engine-owned scratch reused by every cell's
+// verification: the pool's keep bitset and the backing arrays of the
+// checker's partner list.
 type verifyScratch struct {
 	keep     []uint64
-	plefts   []int32
+	lefts    []int32
 	partners [][]int
 }
 
@@ -176,25 +174,21 @@ func (e *engine) forEachPair(left, right []int, fn func(i, j int) bool) bool {
 
 // checker answers "is this joined attribute vector k-dominated by any
 // join-compatible pair drawn from my left × right index lists?". The left
-// list is sorted by attribute sum so strong dominators are tried first
-// (SFS-style early exit; any order is correct); right partners are
-// enumerated through a join.Index, so each probe touches only
-// join-compatible tuples instead of condition-scanning the right list.
+// list is probed by ascending attribute sum so strong dominators are tried
+// first (SFS-style early exit; any order is correct). Construction
+// resolves every left's join partners within the right list once, through
+// a join.Index (one equality lookup or band binary search each), and keeps
+// only the lefts that have any: dominates never looks a partner list up
+// again, nor visits a left that cannot pair.
 //
-// A checker is immutable after construction: the index and orderings can
-// be shared read-only across goroutines via bind.
+// The list lives in the engine's scratch, so repeated checkers allocate
+// nothing; a checker stays valid until its engine builds or resets the
+// next one. It is read-only until then, so parallel workers share it
+// through bind.
 type checker struct {
-	e    *engine
-	left []int       // sum-sorted candidate dominator components from R1
-	ix   *join.Index // their join partners within the right list
-	// plefts/ppartners are the blocked kernel's compacted per-left probe
-	// cache: left tuples with at least one join partner, in left order,
-	// with their partner lists resolved once per cell instead of once per
-	// (left, candidate-block) visit. Built by ensurePartners before the
-	// blocked sweep (and before workers are handed the checker); read-only
-	// afterwards, so binds share it.
-	plefts    []int32
-	ppartners [][]int
+	e        *engine
+	lefts    []int32 // R1 tuples with at least one partner, in probe order
+	partners [][]int // partners[n]: lefts[n]'s join partners in R2
 }
 
 // leftProbeOrder returns the left list sorted by ascending attribute sum,
@@ -233,41 +227,37 @@ func (e *engine) checkerRightIndex(right []int) *join.Index {
 }
 
 func (e *engine) newChecker(left, right []int) *checker {
-	return &checker{e: e, left: e.leftProbeOrder(left), ix: e.checkerRightIndex(right)}
+	c := &checker{e: e}
+	c.reset(e.leftProbeOrder(left), e.checkerRightIndex(right))
+	return c
+}
+
+// reset points the checker at left (already in probe order) × ix,
+// resolving the partner list into the engine scratch. The dominator arm
+// resets one checker per candidate rather than allocating one.
+func (c *checker) reset(left []int, ix *join.Index) {
+	e := c.e
+	if e.scratch.lefts == nil {
+		// No left list outgrows R1, so the scratch is sized once per engine.
+		e.scratch.lefts = make([]int32, 0, e.q.R1.Len())
+		e.scratch.partners = make([][]int, 0, e.q.R1.Len())
+	}
+	lefts, partners := e.scratch.lefts[:0], e.scratch.partners[:0]
+	for _, i := range left {
+		if p := ix.Partners(e.q.R1, i); len(p) > 0 {
+			lefts = append(lefts, int32(i))
+			partners = append(partners, p)
+		}
+	}
+	e.scratch.lefts, e.scratch.partners = lefts, partners
+	c.lefts, c.partners = lefts, partners
 }
 
 // bind returns a view of the checker that charges domination-test counts
-// to we's stats. The index, probe ordering, and partner cache are shared
-// read-only, so parallel workers bind one prebuilt checker instead of
-// rebuilding the index per worker.
+// to we's stats. The partner list is shared read-only, so parallel
+// workers bind one prebuilt checker instead of rebuilding it per worker.
 func (c *checker) bind(we *engine) *checker {
-	return &checker{e: we, left: c.left, ix: c.ix, plefts: c.plefts, ppartners: c.ppartners}
-}
-
-// ensurePartners builds the blocked kernel's per-left probe cache: every
-// left tuple's partner list resolved once (one equality lookup or band
-// binary search each), compacted to the lefts that have any partner. The
-// backing arrays live in the engine scratch, so repeated cells allocate
-// nothing. Must be called on the cell's owning checker before verifyRange
-// (the coordinator does this before publishing work to the pool).
-func (c *checker) ensurePartners() {
-	if c.plefts != nil || len(c.left) == 0 {
-		return
-	}
-	e := c.e
-	r1 := e.q.R1
-	plefts := e.scratch.plefts[:0]
-	partners := e.scratch.partners[:0]
-	for _, i := range c.left {
-		p := c.ix.Partners(r1, i)
-		if len(p) == 0 {
-			continue
-		}
-		plefts = append(plefts, int32(i))
-		partners = append(partners, p)
-	}
-	e.scratch.plefts, e.scratch.partners = plefts, partners
-	c.plefts, c.ppartners = plefts, partners
+	return &checker{e: we, lefts: c.lefts, partners: c.partners}
 }
 
 // dominates reports whether some join-compatible pair from the checker's
@@ -281,95 +271,27 @@ func (c *checker) ensurePartners() {
 // tuple; and the x-section of the test (the l1 left-local comparisons plus
 // the reachability bound) is computed once per left tuple and shared by
 // all of its partners, instead of being redone inside every pair test.
+// It is the only verification loop: cells, the pool's chunks, the
+// maintainer's sweeps, membership probes and round-2 votes all call it.
 func (c *checker) dominates(cand []float64) bool {
 	e := c.e
-	r1 := e.q.R1
 	// The x-section threshold: the pair test's own reachability bound at
 	// pos = l1 is K − (d − l1) = K − l2 − a (d = l1+l2+a), which is exactly
 	// the target-set threshold k″1 — Def 5's prune is the bound the test
 	// would apply anyway, hoisted above the partner loop.
-	for _, i := range c.left {
-		x := e.at1[i*e.d1 : i*e.d1+e.d1]
+	for n, i := range c.lefts {
+		x := e.at1[int(i)*e.d1 : int(i)*e.d1+e.d1]
 		leq, strict, ok := localPrefix(x, cand, e.l1, e.k1pp)
 		if !ok {
 			continue
 		}
-		for _, j := range c.ix.Partners(r1, i) {
+		for _, j := range c.partners[n] {
 			if e.pairKDominatesTail(x, j, leq, strict, cand) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// blockCands is the blocked kernel's candidate block width: one 16-bit
-// lane of a keep word, small enough that a block's attribute vectors stay
-// cache-hot across the whole left sweep.
-const blockCands = 16
-
-// verifyRange filters candidates[lo:hi) through the checker's blocked
-// kernel, clearing keep's bit for every k-dominated candidate. It visits
-// exactly the (left, partner) pairs the per-candidate dominates would —
-// for each candidate, lefts in probe order until the first dominator — so
-// results and domination-test counts are identical; only the sweep order
-// changes. Candidates are processed in blocks of blockCands: each block's
-// live set is one bit lane, the per-left x-section slice and partner list
-// come from the cache ensurePartners hoisted out of the sweep, and a block
-// whose lane empties stops scanning lefts immediately. Dead candidates
-// cost one mask test per block, not a per-candidate branch.
-//
-// lo must be block-aligned (the pool's chunks are multiples of 64, so
-// concurrent workers never share a keep word or a block). The context is
-// polled once per block — the same worst-case latency as cancelEvery
-// sequential per-candidate checks.
-func (c *checker) verifyRange(ctx context.Context, candidates []join.Pair, lo, hi int, keep []uint64) error {
-	e := c.e
-	for b0 := lo; b0 < hi; b0 += blockCands {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		b1 := b0 + blockCands
-		if b1 > hi {
-			b1 = hi
-		}
-		word, shift := b0>>6, uint(b0&63)
-		m := uint16(keep[word] >> shift)
-		if n := b1 - b0; n < blockCands {
-			m &= uint16(1)<<n - 1
-		}
-		if m == 0 {
-			continue
-		}
-		orig := m
-		for pi, i := range c.plefts {
-			x := e.at1[int(i)*e.d1 : int(i)*e.d1+e.d1]
-			partners := c.ppartners[pi]
-			rem := m
-			for rem != 0 {
-				t := rem & (-rem)
-				rem ^= t
-				cand := candidates[b0+bits.TrailingZeros16(t)].Attrs
-				leq, strict, ok := localPrefix(x, cand, e.l1, e.k1pp)
-				if !ok {
-					continue
-				}
-				for _, j := range partners {
-					if e.pairKDominatesTail(x, j, leq, strict, cand) {
-						m ^= t
-						break
-					}
-				}
-			}
-			if m == 0 {
-				break
-			}
-		}
-		if dead := orig ^ m; dead != 0 {
-			keep[word] &^= uint64(dead) << shift
-		}
-	}
-	return nil
 }
 
 // localPrefix computes the x-section of the k-dominance test: how many of

@@ -21,11 +21,11 @@ type ExecOptions struct {
 	// collecting the answer in Result.Skyline. Returning false stops the
 	// query early (not an error). Emitted pairs are detached from internal
 	// arenas, so callers may retain them. Tuples arrive cell by cell (yes,
-	// SS⋈SN, SN⋈SS, SN⋈SN), not in (Left, Right) order. With Workers <= 1
-	// each tuple is emitted the moment it is verified; with Workers > 1
-	// streaming is cell-granular — a cell's survivors are emitted in
-	// candidate order after its parallel verification completes, and a
-	// false return stops before the next cell, not mid-cell.
+	// SS⋈SN, SN⋈SS, SN⋈SN), not in (Left, Right) order. Each tuple is
+	// emitted the moment it is verified, except in a cell the worker pool
+	// verifies (Workers > 1 and more candidates than one pool chunk): its
+	// survivors are emitted in candidate order once the whole cell is
+	// verified, and a false return stops before the next cell.
 	Emit Emit
 	// Resident, when non-nil, supplies prebuilt per-(R1, R2, condition)
 	// structures (full-R2 join index, probe orders) so
@@ -37,7 +37,7 @@ type ExecOptions struct {
 	Resident *Resident
 	// Limit > 0 caps the answer at that many tuples. The grouping
 	// algorithm stops the run the moment the cap is reached (strictly
-	// less verification work; with Workers > 1 the stop is cell-granular,
+	// less verification work; after the cell, in a cell the pool verifies,
 	// as with Emit); the other algorithms compute the full answer and
 	// truncate it after the canonical sort. Which members survive a
 	// grouping-path cap is unspecified beyond "a subset of the skyline" —
@@ -119,22 +119,20 @@ type sink func(p join.Pair) bool
 // verifyCell filters candidates through a checker over chkLeft × chkRight,
 // feeding the survivors to emit in candidate order. It returns false when
 // emit stopped the run, and ctx.Err() when the context was cancelled
-// mid-verification. stream marks a user-visible Emit sink (or a Limit):
-// the serial streaming path verifies candidate by candidate so each tuple
-// is emitted the moment it is confirmed; every other path verifies the
-// whole cell through the blocked kernel into the engine's keep bitset
-// before emitting, which is cheaper and observationally identical. With an
-// active pool (Workers > 1) a large cell's chunks are pulled by the
-// persistent workers from a shared cursor; small cells stay on the
-// coordinator — a broadcast costs more than poolChunk candidates. Every
-// path notices a cancellation within one chunk/block, so verifyCell never
-// leaves work running.
-func verifyCell(ctx context.Context, e *engine, stream bool, candidates []join.Pair, chkLeft, chkRight []int, emit sink) (bool, error) {
+// mid-verification. Serially, each candidate is emitted the moment
+// checker.dominates clears it, so Emit and Limit stop mid-cell. With an
+// active pool (Workers > 1) a cell over poolChunk candidates is split into
+// chunks the persistent workers pull from a shared cursor into the
+// engine's keep bitset, and its survivors are emitted once the whole cell
+// is verified; smaller cells stay on the coordinator — a broadcast costs
+// more than poolChunk candidates. Both paths poll the context every
+// cancelEvery candidates, so verifyCell never leaves work running.
+func verifyCell(ctx context.Context, e *engine, candidates []join.Pair, chkLeft, chkRight []int, emit sink) (bool, error) {
 	if len(candidates) == 0 {
 		return true, nil
 	}
 	chk := e.newChecker(chkLeft, chkRight)
-	if stream && e.pool == nil {
+	if e.pool == nil || len(candidates) <= poolChunk {
 		for i := range candidates {
 			if i%cancelEvery == 0 && ctx.Err() != nil {
 				return false, ctx.Err()
@@ -146,14 +144,7 @@ func verifyCell(ctx context.Context, e *engine, stream bool, candidates []join.P
 		return true, nil
 	}
 	keep := e.keepBits(len(candidates))
-	chk.ensurePartners()
-	var err error
-	if e.pool != nil && len(candidates) > poolChunk {
-		err = e.pool.verify(ctx, chk, candidates, keep)
-	} else {
-		err = chk.verifyRange(ctx, candidates, 0, len(candidates), keep)
-	}
-	if err != nil {
+	if err := e.pool.verify(ctx, chk, candidates, keep); err != nil {
 		return false, err
 	}
 	for i := range candidates {

@@ -128,11 +128,9 @@ func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 			st.Candidates += len(candidates)
 		}
 		t0 = time.Now()
-		// A limit behaves like a stream on the serial path: verify tuple
-		// by tuple so the cap stops mid-cell, not after the whole cell's
-		// batched sweep (with Workers > 1 the cap stays cell-granular,
-		// like Emit).
-		more, err := verifyCell(ctx, e, emitFn != nil || limit > 0, candidates, cell.chkLeft, cell.chkRight, out)
+		// A limit stops verification the moment the cap is reached: mid-cell
+		// serially, after the cell for a cell the pool verified (like Emit).
+		more, err := verifyCell(ctx, e, candidates, cell.chkLeft, cell.chkRight, out)
 		st.RemainingTime += time.Since(t0)
 		if err != nil {
 			return nil, err

@@ -159,11 +159,8 @@ func BenchmarkMaintainerArms(b *testing.B) {
 					}
 					b.StartTimer()
 					if incremental {
-						_, _, err = m.absorbIncremental(res, ids, true)
-					} else {
-						_, _, err = m.recomputeDiff(res)
-					}
-					if err != nil {
+						m.absorbIncremental(res, ids, true)
+					} else if _, _, err := m.recomputeDiff(res); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -184,11 +181,8 @@ func BenchmarkMaintainerArms(b *testing.B) {
 					b.StartTimer()
 					m.evict(true, false, ids)
 					if incremental {
-						_, err = m.resurrect(res, rs)
-					} else {
-						_, _, err = m.recomputeDiff(res)
-					}
-					if err != nil {
+						m.resurrect(res, rs)
+					} else if _, _, err := m.recomputeDiff(res); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -186,14 +186,15 @@ func (m *Maintainer) AbsorbBatch(side Side, ids []int) (displaced, admitted int,
 	if largeBatch(len(ids), r.Len()) {
 		return m.recomputeDiff(m.resident())
 	}
-	return m.absorbIncremental(m.resident(), ids, left)
+	displaced, admitted = m.absorbIncremental(m.resident(), ids, left)
+	return displaced, admitted, nil
 }
 
 // absorbIncremental is AbsorbBatch's incremental arm: one engine, one
-// materialization of all new pairs, one blocked displacement sweep of the
-// current members against them, and one blocked admission sweep against
-// the updated join — the per-insert setup paid once per batch.
-func (m *Maintainer) absorbIncremental(res *Resident, ids []int, left bool) (displaced, admitted int, err error) {
+// materialization of all new pairs, one displacement loop testing the
+// current members against them, and one admission loop testing them
+// against the updated join — the per-insert setup paid once per batch.
+func (m *Maintainer) absorbIncremental(res *Resident, ids []int, left bool) (displaced, admitted int) {
 	// New joined pairs introduced by the batch. For a left batch that is
 	// ids × R2 — which, R2 including any rows this same physical batch
 	// appended there (self-join), covers the new×new pairs too.
@@ -208,55 +209,36 @@ func (m *Maintainer) absorbIncremental(res *Resident, ids []int, left bool) (dis
 		newPairs = e.pairs(all1, ids)
 	}
 	if len(newPairs) == 0 {
-		return 0, 0, nil
+		return 0, 0
 	}
-	ctx := context.Background()
 
 	// Displacement: an existing member leaves exactly when some new pair
 	// k-dominates it, and a checker restricted to the batch's side
-	// enumerates precisely the new pairs — so the blocked verification
-	// kernel sweeps all current members against them at once instead of
-	// testing |sky| × |newPairs| combinations pair by pair.
+	// enumerates precisely the new pairs — its partner list is resolved
+	// once, so every current member is tested against the new pairs alone
+	// instead of probing the full join.
 	if len(m.sky) > 0 {
-		keys := make([][2]int, 0, len(m.sky))
-		members := make([]join.Pair, 0, len(m.sky))
-		for key, p := range m.sky {
-			keys = append(keys, key)
-			members = append(members, p)
-		}
 		var chk *checker
 		if left {
 			chk = e.newChecker(ids, all2)
 		} else {
 			chk = e.newChecker(all1, ids)
 		}
-		chk.ensurePartners()
-		keep := e.keepBits(len(members))
-		if err := chk.verifyRange(ctx, members, 0, len(members), keep); err != nil {
-			return 0, 0, err
-		}
-		for i := range members {
-			if keep[i>>6]&(uint64(1)<<uint(i&63)) == 0 {
-				delete(m.sky, keys[i])
+		for key, p := range m.sky {
+			if chk.dominates(p.Attrs) {
+				delete(m.sky, key)
 				displaced++
 			}
 		}
 	}
 
 	// Admission: new pairs not k-dominated by any pair of the updated
-	// join (the checker's target pruning applies as usual), verified
-	// through the same blocked kernel.
+	// join (the checker's target pruning applies as usual).
 	chk := e.newChecker(all1, all2)
-	chk.ensurePartners()
-	keep := e.keepBits(len(newPairs))
-	if err := chk.verifyRange(ctx, newPairs, 0, len(newPairs), keep); err != nil {
-		return 0, 0, err
-	}
-	for i := range newPairs {
-		if keep[i>>6]&(uint64(1)<<uint(i&63)) == 0 {
+	for _, np := range newPairs {
+		if chk.dominates(np.Attrs) {
 			continue
 		}
-		np := newPairs[i]
 		key := [2]int{np.Left, np.Right}
 		// Count only genuinely new members: a self-join absorbs the
 		// (new, new) pair from both sides, and it must not show up as
@@ -268,7 +250,7 @@ func (m *Maintainer) absorbIncremental(res *Resident, ids []int, left bool) (dis
 		// map is long-lived and must not pin the whole batch's pairs.
 		m.sky[key] = detach(np)
 	}
-	return displaced, admitted, nil
+	return displaced, admitted
 }
 
 // recomputeDiff repositions the maintainer on a from-scratch grouping run

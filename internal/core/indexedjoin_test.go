@@ -88,8 +88,11 @@ func TestPropertyEnginePairsMatchScanOracle(t *testing.T) {
 // TestPropertyCheckerMatchesScanOracle: checker.dominates agrees with a
 // first-principles scan — some join-compatible pair from the lists
 // k-dominates the candidate — for all conditions and random candidates.
+// The random subsets leave some lefts without a partner, which the
+// checker's partner list must drop (and the test checks that it does).
 func TestPropertyCheckerMatchesScanOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	partnerless := 0
 	for trial := 0; trial < 40; trial++ {
 		r1 := randRelation(rng, "r1", 2+rng.Intn(20), 2, 1, 3, 4)
 		r2 := randRelation(rng, "r2", 2+rng.Intn(20), 2, 1, 3, 4)
@@ -100,6 +103,20 @@ func TestPropertyCheckerMatchesScanOracle(t *testing.T) {
 			left := randSubset(rng, r1.Len())
 			right := randSubset(rng, r2.Len())
 			chk := e.newChecker(left, right)
+			paired := 0
+			for _, i := range left {
+				for _, j := range right {
+					if cond.MatchesAt(r1, i, r2, j) {
+						paired++
+						break
+					}
+				}
+			}
+			if len(chk.lefts) != paired {
+				t.Fatalf("trial %d cond %v: partner list holds %d lefts, %d of %d have partners",
+					trial, cond, len(chk.lefts), paired, len(left))
+			}
+			partnerless += len(left) - paired
 			candidates := e.pairs(allIndices(r1.Len()), allIndices(r2.Len()))
 			for _, cand := range candidates {
 				want := false
@@ -116,6 +133,9 @@ func TestPropertyCheckerMatchesScanOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	if partnerless == 0 {
+		t.Fatal("no random subset left a left tuple without partners")
 	}
 }
 

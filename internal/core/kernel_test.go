@@ -30,43 +30,68 @@ func execGrouping(t testing.TB, q Query, workers int, emitMode bool, limit int) 
 	return res.Skyline, res.Stats
 }
 
-// TestKernelEquivalenceOracle pins the blocked verification kernel to the
-// per-candidate arm production keeps for streaming: a serial Emit run
-// verifies candidate by candidate through checker.dominates, and every run
-// that goes through the blocked kernel instead — collected, serial and
-// pooled, and the pooled Emit stream — must, across all six join
-// conditions, produce the byte-identical skyline (indices and attribute
-// vectors) with equal DominationTests — the determinism documented on
-// Stats.DominationTests. A capped run confirms tuples in cell order, so it
-// is pinned as a full-size subset of that oracle.
+// TestKernelEquivalenceOracle pins every grouping execution path to one
+// answer: serial and pooled runs, each collected and streamed through
+// Emit, must across all six join conditions produce Run(q, Naive)'s
+// skyline byte for byte (indices and attribute vectors) and spend equal
+// DominationTests — the determinism documented on Stats.DominationTests.
+// Only cells over poolChunk candidates go to the pool, so the test also
+// checks that some did. A capped run confirms tuples in cell order, so it
+// is pinned as a full-size subset of the skyline.
 func TestKernelEquivalenceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(611))
 	conds := []join.Condition{
 		join.Equality, join.Cross,
 		join.BandLess, join.BandLessEq, join.BandGreater, join.BandGreaterEq,
 	}
+	var pooledChunks int64
+	poolStatsHook = func(chunks []int64) {
+		for _, c := range chunks {
+			pooledChunks += c
+		}
+	}
+	defer func() { poolStatsHook = nil }()
 	for _, cond := range conds {
-		for trial := 0; trial < 6; trial++ {
-			agg := rng.Intn(3) // a >= 2 puts even the "yes" cell through the kernel
-			r1 := randRelation(rng, "r1", 20+rng.Intn(60), 1+rng.Intn(3), agg, 1+rng.Intn(4), 5)
-			r2 := randRelation(rng, "r2", 20+rng.Intn(60), 1+rng.Intn(3), agg, 1+rng.Intn(4), 5)
-			q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: cond, Agg: join.Sum}}
-			q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
+		for trial := 0; trial < 7; trial++ {
+			var q Query
+			if trial == 6 {
+				// One single-group instance per condition whose cells exceed
+				// poolChunk and hold dominated candidates, so the pooled runs
+				// reach the pool and must clear keep bits there.
+				big := rand.New(rand.NewSource(618))
+				r1 := randRelation(big, "r1", 50, 3, 2, 1, 1000)
+				r2 := randRelation(big, "r2", 50, 3, 2, 1, 1000)
+				q = Query{R1: r1, R2: r2, Spec: join.Spec{Cond: cond, Agg: join.Sum}}
+				q.K = q.Width()
+			} else {
+				agg := rng.Intn(3) // a >= 2 puts even the "yes" cell through verification
+				r1 := randRelation(rng, "r1", 20+rng.Intn(60), 1+rng.Intn(3), agg, 1+rng.Intn(4), 5)
+				r2 := randRelation(rng, "r2", 20+rng.Intn(60), 1+rng.Intn(3), agg, 1+rng.Intn(4), 5)
+				q = Query{R1: r1, R2: r2, Spec: join.Spec{Cond: cond, Agg: join.Sum}}
+				q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
+			}
 			label := fmt.Sprintf("cond=%v trial=%d k=%d", cond, trial, q.K)
 
-			oracle, ost := execGrouping(t, q, 1, true, 0)
+			naive, err := Run(q, Naive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := naive.Skyline
 			member := make(map[[2]int]bool, len(oracle))
 			for _, p := range oracle {
 				member[[2]int{p.Left, p.Right}] = true
 			}
+			_, serial := execGrouping(t, q, 1, false, 0)
 			for _, workers := range []int{1, 4} {
-				blocked, bst := execGrouping(t, q, workers, false, 0)
-				if !reflect.DeepEqual(blocked, oracle) {
-					t.Fatalf("%s workers=%d: blocked and per-candidate skylines differ", label, workers)
-				}
-				if bst.DominationTests != ost.DominationTests {
-					t.Fatalf("%s workers=%d: blocked %d tests, per-candidate %d — count must depend on neither kernel nor workers",
-						label, workers, bst.DominationTests, ost.DominationTests)
+				for _, emitMode := range []bool{false, true} {
+					got, st := execGrouping(t, q, workers, emitMode, 0)
+					if len(got) != len(oracle) || len(got) > 0 && !reflect.DeepEqual(got, oracle) {
+						t.Fatalf("%s workers=%d emit=%v: skyline differs from Run(q, Naive)", label, workers, emitMode)
+					}
+					if st.DominationTests != serial.DominationTests {
+						t.Fatalf("%s workers=%d emit=%v: %d tests, serial %d — count must depend on neither path nor workers",
+							label, workers, emitMode, st.DominationTests, serial.DominationTests)
+					}
 				}
 
 				limited, _ := execGrouping(t, q, workers, false, 3)
@@ -79,14 +104,10 @@ func TestKernelEquivalenceOracle(t *testing.T) {
 					}
 				}
 			}
-			pooled, pst := execGrouping(t, q, 4, true, 0)
-			if !reflect.DeepEqual(pooled, oracle) {
-				t.Fatalf("%s: pooled (blocked) and serial (per-candidate) streams differ", label)
-			}
-			if pst.DominationTests != ost.DominationTests {
-				t.Fatalf("%s emit: pooled %d tests, serial %d", label, pst.DominationTests, ost.DominationTests)
-			}
 		}
+	}
+	if pooledChunks == 0 {
+		t.Fatal("no cell exceeded poolChunk: the pooled runs never reached the pool")
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 
 // poolChunk is the candidate-range unit workers claim from a job's shared
 // cursor. A multiple of 64, so two workers never touch the same keep-bitset
-// word (each word belongs to exactly one chunk) and every chunk start is
-// block-aligned for verifyRange. Small enough that a single skewed cell
-// splits into many claims — the work-stealing that lets extra workers help
-// on one giant cell — and large enough that the atomic Add amortizes to
-// noise.
+// word (each word belongs to exactly one chunk). Small enough that a
+// single skewed cell splits into many claims — the work-stealing that lets
+// extra workers help on one giant cell — and large enough that the atomic
+// Add amortizes to noise.
 const poolChunk = 256
 
 // poolJob is one cell's verification published to the pool: the job is
@@ -78,7 +77,9 @@ func newWorkerPool(e *engine, workers int) *workerPool {
 
 // run is one worker's loop: bind the job's checker to the private engine,
 // drain chunks from the shared cursor, report the job's test count, next
-// job. A cancelled context stops chunk claims within one chunk.
+// job. Each chunk is verified candidate by candidate, clearing the keep
+// bit of every dominated one; a cancelled context is noticed within
+// cancelEvery candidates.
 func (p *workerPool) run(w int) {
 	defer p.wg.Done()
 	local := Stats{}
@@ -86,18 +87,21 @@ func (p *workerPool) run(w int) {
 	for job := range p.jobs {
 		start := local.DominationTests
 		chk := job.chk.bind(we)
-		n := int64(len(job.candidates))
+		n := len(job.candidates)
 		for job.ctx.Err() == nil {
-			lo := job.cursor.Add(poolChunk) - poolChunk
+			lo := int(job.cursor.Add(poolChunk) - poolChunk)
 			if lo >= n {
 				break
 			}
-			hi := lo + poolChunk
-			if hi > n {
-				hi = n
-			}
 			p.chunks[w]++
-			_ = chk.verifyRange(job.ctx, job.candidates, int(lo), int(hi), job.keep)
+			for i := lo; i < min(lo+poolChunk, n); i++ {
+				if i%cancelEvery == 0 && job.ctx.Err() != nil {
+					break
+				}
+				if chk.dominates(job.candidates[i].Attrs) {
+					job.keep[i>>6] &^= uint64(1) << uint(i&63)
+				}
+			}
 		}
 		job.tests.Add(local.DominationTests - start)
 		job.wg.Done()
@@ -105,11 +109,10 @@ func (p *workerPool) run(w int) {
 }
 
 // verify runs one cell's candidate filtering on the pool and blocks until
-// every worker has drained the cursor. The checker must already have its
-// partner cache built (ensurePartners). Domination-test
-// counts are flushed into the coordinating engine's stats before
-// returning, so Stats stay deterministic: each candidate's tests depend
-// only on the candidate, never on which worker claimed it.
+// every worker has drained the cursor. Domination-test counts are flushed
+// into the coordinating engine's stats before returning, so Stats stay
+// deterministic: each candidate's tests depend only on the candidate,
+// never on which worker claimed it.
 func (p *workerPool) verify(ctx context.Context, chk *checker, candidates []join.Pair, keep []uint64) error {
 	job := &p.job
 	job.ctx, job.chk, job.candidates, job.keep = ctx, chk, candidates, keep

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -32,8 +31,8 @@ import (
 // RetractSet is the set of joined pairs a batch delete removed from a
 // query's join, organized for the resurrection filter: pairs are grouped
 // by their deleted component, each group keyed by that component's base
-// attributes so one local-prefix reachability test (the same bound the
-// verification kernel hoists) can skip the whole group. The pairs are
+// attributes so one local-prefix reachability test (the same bound
+// checker.dominates hoists) can skip the whole group. The pairs are
 // materialized on the first Dominated call, so a batch RetractBatch
 // recomputes never pays for them. A set is not safe for concurrent use.
 type RetractSet struct {
@@ -243,7 +242,7 @@ func (m *Maintainer) RetractBatch(left, right bool, ids []int, rs *RetractSet) (
 	if largeBatch(len(ids), rel.Len()) {
 		_, resurrected, err = m.recomputeDiff(m.resident())
 	} else {
-		resurrected, err = m.resurrect(m.resident(), rs)
+		resurrected = m.resurrect(m.resident(), rs)
 	}
 	return evicted, resurrected, err
 }
@@ -282,7 +281,7 @@ func (m *Maintainer) evict(left, right bool, ids []int) (evicted int) {
 // resurrect is RetractBatch's incremental arm: it mirrors the grouping
 // recompute's cells, but only verifies non-members the removed pairs
 // dominated — everything else keeps its pre-delete verdict.
-func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int, err error) {
+func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int) {
 	st := Stats{}
 	e := newEngineResident(m.q, &st, res)
 	q := m.q
@@ -303,8 +302,6 @@ func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int, 
 		{c1.SN, c2.SS, all1, a2, false},
 		{c1.SN, c2.SN, all1, all2, false},
 	}
-	ctx := context.Background()
-	var sweep []join.Pair
 	for _, cell := range cells {
 		candidates := e.pairs(cell.left, cell.right)
 		if len(candidates) == 0 {
@@ -322,30 +319,25 @@ func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int, 
 			}
 			continue
 		}
-		sweep = sweep[:0]
+		// The cell's checker is built on its first filtered candidate, so a
+		// cell the removed pairs never dominated pays nothing.
+		var chk *checker
 		for _, p := range candidates {
-			if _, ok := m.sky[[2]int{p.Left, p.Right}]; ok {
+			key := [2]int{p.Left, p.Right}
+			if _, ok := m.sky[key]; ok {
 				continue // surviving member: cannot be displaced by a delete
 			}
-			if rs.Dominated(p.Attrs) {
-				sweep = append(sweep, p)
+			if !rs.Dominated(p.Attrs) {
+				continue
 			}
-		}
-		if len(sweep) == 0 {
-			continue
-		}
-		chk := e.newChecker(cell.chkLeft, cell.chkRight)
-		chk.ensurePartners()
-		keep := e.keepBits(len(sweep))
-		if err := chk.verifyRange(ctx, sweep, 0, len(sweep), keep); err != nil {
-			return resurrected, err
-		}
-		for i, p := range sweep {
-			if keep[i>>6]&(uint64(1)<<uint(i&63)) != 0 {
-				m.sky[[2]int{p.Left, p.Right}] = detach(p)
+			if chk == nil {
+				chk = e.newChecker(cell.chkLeft, cell.chkRight)
+			}
+			if !chk.dominates(p.Attrs) {
+				m.sky[key] = detach(p)
 				resurrected++
 			}
 		}
 	}
-	return resurrected, nil
+	return resurrected
 }

@@ -576,14 +576,14 @@ func (s *Service) resolveLocked(req QueryRequest, p Parsed) (core.Query, AnswerK
 
 // resolveAndValidate resolves the request and fail-fasts malformed
 // queries under one read lock.
-func (s *Service) resolveAndValidate(req QueryRequest, p Parsed) (AnswerKey, [2]uint64, error) {
+func (s *Service) resolveAndValidate(req QueryRequest, p Parsed) (core.Query, AnswerKey, [2]uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	q, key, versions, err := s.resolveLocked(req, p)
 	if err != nil {
-		return key, versions, err
+		return q, key, versions, err
 	}
-	return key, versions, CheckRequest(q.R1, q.R2, req.K, p)
+	return q, key, versions, CheckRequest(q.R1, q.R2, req.K, p)
 }
 
 // CheckRequest is the O(1) structural subset of core's query validation,
@@ -654,7 +654,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// must be rejected if it is malformed, so accept/reject behavior
 	// never depends on cache state. Then the fast path: a warm answer
 	// needs no admission and no engine work.
-	key, versions, err := s.resolveAndValidate(req, p)
+	_, key, versions, err := s.resolveAndValidate(req, p)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/join"
 	"repro/internal/store"
 )
 
@@ -51,13 +50,24 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 		return nil, ErrClosed
 	}
 	s.verifies.Add(1)
-	var p Parsed
-	var err error
-	if p.Cond, err = join.ParseCondition(req.Join); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	// Check the request like a query before admission, so a malformed one
+	// is rejected for what it is, never as overload. Naming the naive
+	// algorithm admits any aggregator: a non-strict one votes through the
+	// scan arm below.
+	qreq := QueryRequest{R1: req.R1, R2: req.R2, K: req.K, Join: req.Join, Agg: req.Agg, Algorithm: "naive"}
+	p, err := ParseRequest(qreq)
+	if err != nil {
+		return nil, err
 	}
-	if p.Agg, err = join.ParseAggregator(req.Agg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	q, _, _, err := s.resolveAndValidate(qreq, p)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range req.Vectors {
+		if len(v) != q.Width() {
+			return nil, fmt.Errorf("%w: vector %d has %d attributes, joined width is %d",
+				ErrBadRequest, i, len(v), q.Width())
+		}
 	}
 
 	ctx, cancel := WithTimeout(ctx, req.Timeout, s.cfg.DefaultTimeout)
@@ -76,20 +86,11 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	q, key, versions, err := s.resolveLocked(QueryRequest{R1: req.R1, R2: req.R2, K: req.K}, p)
+	// Resolve again under the lock the votes are taken under: the registry
+	// may have moved on while the request queued.
+	q, key, versions, err := s.resolveLocked(qreq, p)
 	if err != nil {
 		return nil, err
-	}
-	// p names no algorithm, which reads as core.Naive: the arm a non-strict
-	// aggregator votes through below, so any aggregator passes the check.
-	if err := CheckRequest(q.R1, q.R2, req.K, p); err != nil {
-		return nil, err
-	}
-	for i, v := range req.Vectors {
-		if len(v) != q.Width() {
-			return nil, fmt.Errorf("%w: vector %d has %d attributes, joined width is %d",
-				ErrBadRequest, i, len(v), q.Width())
-		}
 	}
 
 	var dominated []bool

@@ -130,3 +130,42 @@ func TestUnregister(t *testing.T) {
 		t.Fatalf("query after re-register: %v", err)
 	}
 }
+
+// TestVerifyValidatesBeforeAdmission: with the only slot held and no
+// queue, a malformed verification request is rejected for what it is —
+// unknown relation, bad k, wrong vector width, bad join spelling — never
+// as overload, and the rejected counter stays 0, exactly like Query. Only
+// the well-formed request is refused with ErrOverloaded.
+func TestVerifyValidatesBeforeAdmission(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, Config{SweepInterval: -1})
+	oracle := registerPair(t, s, 20)
+	s.sched = newScheduler(1, 0)
+	release, err := s.sched.acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	vectors := [][]float64{make([]float64, oracle.Width())}
+	for _, tc := range []struct {
+		name string
+		req  VerifyRequest
+		want error
+	}{
+		{"unknown relation", VerifyRequest{R1: "nope", R2: "r2", K: oracle.K, Vectors: vectors}, ErrUnknownRelation},
+		{"bad k", VerifyRequest{R1: "r1", R2: "r2", K: oracle.Width() + 1, Vectors: vectors}, ErrBadRequest},
+		{"wrong width", VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Vectors: [][]float64{{1}}}, ErrBadRequest},
+		{"bad join", VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Join: "nope", Vectors: vectors}, ErrBadRequest},
+	} {
+		if _, err := s.Verify(ctx, tc.req); !errors.Is(err, tc.want) {
+			t.Errorf("%s under saturation: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if got := s.Stats().Rejected; got != 0 {
+		t.Errorf("rejected counter = %d after malformed requests, want 0", got)
+	}
+	if _, err := s.Verify(ctx, VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Vectors: vectors}); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("well-formed request under saturation: err = %v, want ErrOverloaded", err)
+	}
+}

@@ -133,10 +133,10 @@ type Options struct {
 	// collecting Result.Skyline; returning false stops the query early.
 	// Emit is a thin adapter over Stream — new code should range over
 	// Stream directly. Emitted pairs are detached from internal arenas
-	// and arrive cell by cell, not in (Left, Right) order. With
-	// Workers <= 1 tuples stream the moment they are verified; with
-	// Workers > 1 streaming is cell-granular (survivors are emitted in
-	// candidate order once each cell's parallel verification completes).
+	// and arrive cell by cell, not in (Left, Right) order. Tuples stream
+	// the moment they are verified, except in a cell verified in parallel
+	// (Workers > 1, and a cell larger than one pool chunk): its survivors
+	// are emitted in candidate order once the whole cell is verified.
 	Emit Emit
 	// K, when > 0, overrides the query's K for this run — the knob that
 	// lets one Prepared snapshot (which is k-independent) serve queries
@@ -144,10 +144,10 @@ type Options struct {
 	K int
 	// Limit > 0 caps the answer at that many tuples. The grouping
 	// algorithm stops the run the moment the cap is reached (strictly
-	// less verification work; with Workers > 1 the stop is cell-granular,
-	// as with Emit); the other algorithms compute the full answer and
-	// truncate after the canonical sort. Which members survive a
-	// grouping-path cap is unspecified beyond "a subset of the skyline".
+	// less verification work; after the cell, in a cell verified in
+	// parallel, as with Emit); the other algorithms compute the full
+	// answer and truncate after the canonical sort. Which members survive
+	// a grouping-path cap is unspecified beyond "a subset of the skyline".
 	Limit int
 	// Stats, when non-nil, receives the run's phase timings and work
 	// counters once a Stream ends (normally, by early break, or by

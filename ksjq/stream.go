@@ -32,7 +32,7 @@ import (
 //     the full answer is computed first and then yielded in canonical
 //     (Left, Right) order; an early break saves only the yielding.
 //   - Options.Limit caps the stream; Options.Workers shards verification
-//     (cell-granular yielding, as with Emit).
+//     (a cell verified in parallel yields after the cell, as with Emit).
 //   - A failed run yields exactly one final (zero Pair, non-nil error)
 //     element; iteration ends after it. Consumers must check err.
 //   - Options.Stats, when non-nil, is filled when iteration ends —
