@@ -11,10 +11,11 @@
 //
 // With -delta the tool solves Problem 3 instead: it reports the smallest k
 // whose skyline has at least delta tuples (or, with -atmost, the largest k
-// with at most delta tuples). -alg auto lets the sampling planner choose
-// the algorithm; -workers parallelizes the grouping algorithm (it
-// conflicts with an explicit -alg other than grouping, and constrains
-// auto's choice to grouping); -timeout bounds the whole query.
+// with at most delta tuples). -alg auto lets the planner choose the
+// algorithm (naive for a small join, dominator otherwise); -workers
+// parallelizes the grouping algorithm (it conflicts with an explicit -alg
+// other than grouping, and constrains auto's choice to grouping); -timeout
+// bounds the whole query.
 package main
 
 import (
@@ -54,7 +55,7 @@ func main() {
 	flag.IntVar(&o.agg, "agg", 0, "number of trailing aggregate attributes in each relation")
 	flag.StringVar(&o.aggFn, "aggfn", "sum", "aggregation function: sum, max or min (max/min only with -alg naive)")
 	flag.IntVar(&o.k, "k", 0, "k-dominance parameter (required unless -delta is set)")
-	flag.StringVar(&o.algName, "alg", "grouping", "algorithm: naive, grouping, dominator or auto (sampling planner)")
+	flag.StringVar(&o.algName, "alg", "grouping", "algorithm: naive, grouping, dominator or auto (planner)")
 	flag.StringVar(&o.cond, "join", "eq", "join condition: eq, cross, lt, le, gt, ge (band conditions need -band)")
 	flag.BoolVar(&o.band, "band", false, "CSV files carry a band column after the key")
 	flag.IntVar(&o.delta, "delta", 0, "find k: smallest k with at least delta skylines (Problem 3)")
@@ -120,7 +121,7 @@ func run(out io.Writer, o options) error {
 	if alg == ksjq.Auto {
 		if o.workers > 1 {
 			// The parallel degree leaves the planner exactly one viable
-			// choice, so the facade runs grouping without sampling.
+			// choice, so the facade runs grouping without planning.
 			res, err = ksjq.Run(ctx, q, ksjq.Options{Workers: o.workers})
 			chosen = fmt.Sprintf("auto→parallel-grouping(workers=%s)", ksjq.Workers(o.workers))
 		} else {

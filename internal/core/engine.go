@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/join"
@@ -191,16 +192,22 @@ type checker struct {
 	partners [][]int // partners[n]: lefts[n]'s join partners in R2
 }
 
+// allLeftOrder returns all of R1 sorted by ascending attribute sum,
+// building the order on first use.
+func (e *engine) allLeftOrder() []int {
+	if e.allLeftSorted == nil {
+		e.allLeftSorted = sortBySum(e.q.R1, allIndices(e.q.R1.Len()))
+	}
+	return e.allLeftSorted
+}
+
 // leftProbeOrder returns the left list sorted by ascending attribute sum,
 // reusing the cached ordering when the list is all of R1 and the last
 // subset ordering when the list is the one most recently sorted (the
 // augmented target list A1 feeds two of the grouping cells).
 func (e *engine) leftProbeOrder(left []int) []int {
 	if len(left) == e.q.R1.Len() {
-		if e.allLeftSorted == nil {
-			e.allLeftSorted = sortBySum(e.q.R1, allIndices(e.q.R1.Len()))
-		}
-		return e.allLeftSorted
+		return e.allLeftOrder()
 	}
 	if sameIDs(left, e.memoLeft) {
 		return e.memoLeftSorted
@@ -389,19 +396,6 @@ func targetUnion(r *dataset.Relation, base []int, local, kpp int) []int {
 	return out
 }
 
-// targetSet returns the target set τ(u) (Def 5): every x that could be the
-// same-side component of a joined dominator of a tuple built from u.
-func targetSet(r *dataset.Relation, u, local, kpp int) []int {
-	var out []int
-	ua := r.Attrs(u)
-	for x := 0; x < r.Len(); x++ {
-		if localLeqAtLeast(r.Attrs(x), ua, local, kpp) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // allIndices returns 0..n-1.
 func allIndices(n int) []int {
 	out := make([]int, n)
@@ -411,19 +405,22 @@ func allIndices(n int) []int {
 	return out
 }
 
+// sumEntry is one row of a sum-ordered sort: its index and attribute sum.
+type sumEntry struct {
+	idx int
+	sum float64
+}
+
 // sortBySum returns a copy of idx ordered by ascending attribute sum of the
-// referenced rows of r, so likely dominators are probed first. Sums are
-// precomputed into a flat entry slice — no map lookups in the comparator.
+// referenced rows of r, so likely dominators are probed first; rows with
+// equal sums keep their order in idx. Sums are precomputed into a flat
+// entry slice — no lookups in the comparator, and no reflective swaps.
 func sortBySum(r *dataset.Relation, idx []int) []int {
-	entries := make([]struct {
-		idx int
-		sum float64
-	}, len(idx))
+	entries := make([]sumEntry, len(idx))
 	for n, i := range idx {
-		entries[n].idx = i
-		entries[n].sum = sumOf(r.Attrs(i))
+		entries[n] = sumEntry{i, sumOf(r.Attrs(i))}
 	}
-	sort.SliceStable(entries, func(a, b int) bool { return entries[a].sum < entries[b].sum })
+	slices.SortStableFunc(entries, func(a, b sumEntry) int { return cmp.Compare(a.sum, b.sum) })
 	out := make([]int, len(entries))
 	for n := range entries {
 		out[n] = entries[n].idx

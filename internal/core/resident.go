@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -224,7 +226,7 @@ func sumOf(v []float64) float64 {
 // rebuild computes.
 func mergeBySum(sorted, ids []int, sums []float64) []int {
 	tail := append([]int(nil), ids...)
-	sort.SliceStable(tail, func(a, b int) bool { return sums[tail[a]] < sums[tail[b]] })
+	slices.SortStableFunc(tail, func(a, b int) int { return cmp.Compare(sums[a], sums[b]) })
 	merged := make([]int, len(sorted)+len(tail))
 	i, j := len(sorted)-1, len(tail)-1
 	for k := len(merged) - 1; k >= 0; k-- {

@@ -83,15 +83,16 @@ func CheckShardable(cond join.Condition, nodes int) error {
 }
 
 // LocalAlgorithm returns the algorithm the local round runs on each
-// partition: the grouping algorithm, except under a non-strict aggregator
-// (where target-set pruning is unsound and the naive algorithm is the
-// correct fallback). The verification round makes the matching choice
-// inside core.AnyDominators.
+// partition: the dominator-based algorithm, the arm a shard's "auto" plan
+// runs on any join over the planner's naive cap, except under a non-strict
+// aggregator (where target-set pruning is unsound and the naive algorithm
+// is the correct fallback). The verification round makes the matching
+// choice inside core.AnyDominators.
 func LocalAlgorithm(q core.Query) core.Algorithm {
 	if q.R1 != nil && q.R1.Agg > 0 && q.Spec.Agg.Fn != nil && !q.Spec.Agg.Strict {
 		return core.Naive
 	}
-	return core.Grouping
+	return core.DominatorBased
 }
 
 // Transport is how the coordinator reaches the nodes of a cluster.

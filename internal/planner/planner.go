@@ -1,10 +1,14 @@
-// Package planner estimates KSJQ answer cardinalities by sampling and
-// chooses an evaluation algorithm from those estimates — the query-
-// optimizer layer a system shipping KSJQ would need. The paper leaves the
-// algorithm choice to the user (its experiments sweep all three); the
-// estimator follows the spirit of the sampling-based cardinality work it
-// cites (Hwang et al., SIAM J. Comput. 2013: threshold phenomena in
-// k-dominant skylines of random samples).
+// Package planner chooses an evaluation algorithm for a KSJQ instance and
+// estimates answer cardinalities by sampling — the query-optimizer layer a
+// system shipping KSJQ would need. The paper leaves the algorithm choice
+// to the user (its experiments sweep all three). The choice needs only the
+// exact join size: a join small enough to materialize goes to the naive
+// algorithm, and every other join to the dominator-based algorithm, which
+// checks each candidate u ⋈ v only against τ(u) ⋈ τ(v) where the grouping
+// algorithm scans a whole cell join per candidate. The estimator follows
+// the spirit of the sampling-based cardinality work the paper cites
+// (Hwang et al., SIAM J. Comput. 2013: threshold phenomena in k-dominant
+// skylines of random samples); planning does not consult it.
 package planner
 
 import (
@@ -18,7 +22,8 @@ import (
 	"repro/internal/join"
 )
 
-// Estimate summarizes sampled statistics of one KSJQ instance.
+// Estimate summarizes sampled statistics of one KSJQ instance. A plan's
+// Estimate carries only the exact JoinedSize; its SampleSize is 0.
 type Estimate struct {
 	// JoinedSize is the exact size of R1 ⋈ R2 (cheap to count).
 	JoinedSize int
@@ -33,13 +38,14 @@ type Estimate struct {
 
 // Options controls estimation and planning.
 type Options struct {
-	// SampleSize bounds how many joined pairs are probed (default 200).
+	// SampleSize bounds how many joined pairs EstimateCardinality probes
+	// (default 200).
 	SampleSize int
-	// Seed makes sampling reproducible (default 1).
+	// Seed makes EstimateCardinality's sampling reproducible (default 1).
 	Seed int64
-	// NaiveJoinCap is the joined-relation size below which the naive
-	// algorithm is considered competitive (default 2048): joining
-	// everything is then cheaper than categorizing both relations.
+	// NaiveJoinCap is the joined-relation size at or below which Choose
+	// picks the naive algorithm (default 2048): joining everything is then
+	// cheaper than categorizing both relations.
 	NaiveJoinCap int
 }
 
@@ -161,42 +167,45 @@ type Plan struct {
 	Reason    string
 }
 
-// Choose picks an evaluation algorithm for the query:
+// Choose picks an evaluation algorithm for the query from its exact join
+// size, without sampling:
 //
-//   - tiny joins go to the naive algorithm — materializing everything is
-//     cheaper than categorizing two relations;
-//   - a high sampled skyline fraction favors the dominator-based
-//     algorithm: most candidates survive their checks, so bounding each
-//     verification by an explicit (small) dominator join beats the
-//     grouping algorithm's scans of R1 ⋈ R2;
-//   - otherwise the grouping algorithm, the paper's overall winner.
+//   - a join of at most NaiveJoinCap pairs goes to the naive algorithm —
+//     materializing everything is cheaper than categorizing two relations;
+//   - every larger join goes to the dominator-based algorithm. Each
+//     surviving candidate costs grouping a scan of its cell's verification
+//     join (all of R1 ⋈ R2 for "may be" tuples) and the dominator arm a
+//     scan of τ(u) ⋈ τ(v) only. How many candidates survive decides
+//     between the two, and sampling the joined relation does not measure
+//     it.
+//
+// An empty join returns ErrEmptyJoin.
 func Choose(ctx context.Context, q core.Query, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
-	est, err := EstimateCardinality(ctx, q, opts)
-	if err != nil {
+	if err := q.Validate(core.DominatorBased); err != nil {
 		return nil, err
 	}
-	switch {
-	case est.JoinedSize <= opts.NaiveJoinCap:
+	_, prefix := rankSpace(q)
+	total := prefix[len(prefix)-1]
+	if total == 0 {
+		return nil, ErrEmptyJoin
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	est := &Estimate{JoinedSize: total}
+	if total <= opts.NaiveJoinCap {
 		return &Plan{
 			Algorithm: core.Naive,
 			Estimate:  est,
-			Reason:    fmt.Sprintf("joined size %d <= cap %d: join-then-compute is cheapest", est.JoinedSize, opts.NaiveJoinCap),
-		}, nil
-	case est.SkylineFraction >= 0.5:
-		return &Plan{
-			Algorithm: core.DominatorBased,
-			Estimate:  est,
-			Reason: fmt.Sprintf("sampled skyline fraction %.2f: most candidates survive, explicit dominator sets bound their checks",
-				est.SkylineFraction),
-		}, nil
-	default:
-		return &Plan{
-			Algorithm: core.Grouping,
-			Estimate:  est,
-			Reason:    fmt.Sprintf("sampled skyline fraction %.2f: grouping prunes most of the join", est.SkylineFraction),
+			Reason:    fmt.Sprintf("joined size %d <= cap %d: join-then-compute is cheapest", total, opts.NaiveJoinCap),
 		}, nil
 	}
+	return &Plan{
+		Algorithm: core.DominatorBased,
+		Estimate:  est,
+		Reason:    fmt.Sprintf("joined size %d > cap %d: each candidate is checked against its target-set join only", total, opts.NaiveJoinCap),
+	}, nil
 }
 
 // Run plans and executes in one call, on the unified execution path.

@@ -283,3 +283,75 @@ func TestEstimateCancelled(t *testing.T) {
 func sampleRanksForTest(seed int64, total, m int) []int {
 	return sampleRanks(randv2.New(randv2.NewPCG(uint64(seed), 1)), total, m)
 }
+
+// TestChooseRule pins the planning rule: an empty join is an error, a join
+// at the naive cap runs naive, one pair over it runs the dominator arm, and
+// the plan's estimate is the exact join size with nothing sampled.
+func TestChooseRule(t *testing.T) {
+	r1 := dataset.MustNew("r1", 2, 0, []dataset.Tuple{{Key: "a", Attrs: []float64{1, 2}}})
+	r2 := dataset.MustNew("r2", 2, 0, []dataset.Tuple{{Key: "b", Attrs: []float64{1, 2}}})
+	empty := core.Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 3}
+	if _, err := Choose(context.Background(), empty, Options{}); !errors.Is(err, ErrEmptyJoin) {
+		t.Errorf("empty join planned with %v, want ErrEmptyJoin", err)
+	}
+
+	q := core.Query{
+		R1: synthetic(60, 3, 4, datagen.Independent, 91), R2: synthetic(60, 3, 4, datagen.Independent, 92),
+		Spec: join.Spec{Cond: join.Equality}, K: 5,
+	}
+	size, err := join.CountPairs(q.R1, q.R2, q.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cap  int
+		want core.Algorithm
+	}{{size, core.Naive}, {size - 1, core.DominatorBased}} {
+		plan, err := Choose(context.Background(), q, Options{NaiveJoinCap: c.cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Algorithm != c.want {
+			t.Errorf("join of %d at cap %d planned %v, want %v (%s)", size, c.cap, plan.Algorithm, c.want, plan.Reason)
+		}
+		if plan.Estimate.JoinedSize != size || plan.Estimate.SampleSize != 0 {
+			t.Errorf("cap %d: estimate joined %d sampled %d, want joined %d sampled 0",
+				c.cap, plan.Estimate.JoinedSize, plan.Estimate.SampleSize, size)
+		}
+	}
+}
+
+// TestDominatorArmDoesLessWork pins why Choose prefers the dominator arm,
+// in the deterministic domination-test count: on one large group at a k
+// where most candidates survive, grouping checks each survivor against a
+// whole cell join, the dominator arm against its target-set join only.
+func TestDominatorArmDoesLessWork(t *testing.T) {
+	rel := func(name string, seed int64) *dataset.Relation {
+		return datagen.MustGenerate(datagen.Config{
+			Name: name, N: 400, Local: 5, Agg: 2, Groups: 1, Dist: datagen.Independent, Seed: seed,
+		})
+	}
+	q := core.Query{R1: rel("r1", 101), R2: rel("r2", 102), Spec: join.Spec{Cond: join.Equality}, K: 11}
+	g, err := core.Run(q, core.Grouping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.Run(q, core.DominatorBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Skyline) != len(d.Skyline) {
+		t.Fatalf("skylines differ: grouping %d, dominator %d", len(g.Skyline), len(d.Skyline))
+	}
+	for i := range g.Skyline {
+		if g.Skyline[i].Left != d.Skyline[i].Left || g.Skyline[i].Right != d.Skyline[i].Right {
+			t.Fatalf("skylines differ at %d", i)
+		}
+	}
+	t.Logf("skyline %d, domination tests: grouping %d, dominator %d",
+		len(d.Skyline), g.Stats.DominationTests, d.Stats.DominationTests)
+	if d.Stats.DominationTests*5 > g.Stats.DominationTests {
+		t.Errorf("dominator arm ran %d domination tests, want at most a fifth of grouping's %d",
+			d.Stats.DominationTests, g.Stats.DominationTests)
+	}
+}

@@ -159,7 +159,7 @@ func (c Config) withDefaults() Config {
 // QueryRequest is one query against registered relations. Join, Agg and
 // Algorithm use the CLI spellings ("eq"/"cross"/"lt"/"le"/"gt"/"ge",
 // "sum"/"max"/"min", "auto"/"naive"/"grouping"/"dominator"); empty strings
-// mean equality join, sum, and the sampling planner respectively.
+// mean equality join, sum, and the planner respectively.
 type QueryRequest struct {
 	R1, R2    string
 	K         int
@@ -172,7 +172,10 @@ type QueryRequest struct {
 	// The requested value implies the grouping algorithm: combined with
 	// "auto" the planner is skipped and grouping runs; combined with
 	// another explicit algorithm the request is rejected (same
-	// contradiction the CLI rejects).
+	// contradiction the CLI rejects). Forced grouping can be slower than
+	// serial "auto", which runs the dominator arm on any join over the
+	// naive cap: where many candidates survive, grouping on 2 workers
+	// takes over 3× the serial dominator arm (DESIGN.md §6).
 	Workers int
 	// Timeout bounds this request (queue wait + execution); 0 defers to
 	// Config.DefaultTimeout, negative means no deadline.

@@ -27,11 +27,12 @@ import (
 )
 
 // Algorithm selects the evaluation strategy. The zero value, Auto, asks
-// the sampling planner to choose from cardinality estimates.
+// the planner to choose from the exact join size.
 type Algorithm int
 
 const (
-	// Auto lets the sampling planner choose among the three algorithms.
+	// Auto lets the planner choose: naive for a join within its naive
+	// cap, the dominator-based algorithm otherwise.
 	Auto Algorithm = iota
 	// Naive joins first, then computes the k-dominant skyline (Algo 1).
 	Naive
@@ -121,10 +122,9 @@ func (a Algorithm) coreAlgorithm() (core.Algorithm, error) {
 // Options configures one Run or Stream on the unified execution path.
 type Options struct {
 	// Algorithm selects the strategy; Auto (the zero value) consults the
-	// sampling planner. When Auto is combined with options only the
-	// grouping algorithm can honor (Workers > 1, a non-nil Emit, or a
-	// Stream), the planner's choice is constrained to Grouping instead of
-	// consulted.
+	// planner. When Auto is combined with options only the grouping
+	// algorithm can honor (Workers > 1, a non-nil Emit, or a Stream), the
+	// planner's choice is constrained to Grouping instead of consulted.
 	Algorithm Algorithm
 	// Workers > 1 verifies candidates in parallel. Requires Grouping (or
 	// Auto, which it constrains to Grouping).
@@ -158,7 +158,8 @@ type Options struct {
 	// result still refreshes it) — for callers that need a recompute, not
 	// a warm answer. Run and Stream ignore it.
 	NoCache bool
-	// Planner tunes Auto's sampling (ignored for explicit algorithms).
+	// Planner tunes Auto's naive cap (ignored for explicit algorithms);
+	// its sampling fields affect only EstimateCardinality.
 	Planner PlannerOptions
 }
 
@@ -173,7 +174,7 @@ var ErrOptionConflict = errors.New("ksjq: workers and emit require Algorithm == 
 // rebuilds the snapshot against the relations' current state.
 var ErrStaleResident = core.ErrStaleResident
 
-// Run evaluates one query. With Algorithm == Auto the sampling planner
+// Run evaluates one query. With Algorithm == Auto the planner
 // chooses the strategy first (use RunAuto to also receive the plan),
 // unless Workers or Emit constrain the choice to Grouping. The context
 // bounds the whole call, planning included.
@@ -227,9 +228,13 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 }
 
 // resolveAlgorithm maps Options to the concrete engine strategy. Auto
-// consults the sampling planner — except when Workers, Emit or a Stream
-// narrow the viable set to Grouping, in which case the planner has no
-// choice left to make and is skipped.
+// consults the planner — except when Workers, Emit or a Stream narrow the
+// viable set to Grouping, in which case the planner has no choice left to
+// make and is skipped. That forced grouping can cost more than the serial
+// plan wherever many candidates survive: grouping checks each against a
+// whole cell join, the dominator arm against its target-set join only
+// (DESIGN.md §6 measures grouping on 2 workers at over 3× the serial
+// dominator arm).
 func resolveAlgorithm(ctx context.Context, q Query, opts Options, stream bool) (core.Algorithm, error) {
 	if opts.Algorithm == Auto {
 		if opts.Workers > 1 || opts.Emit != nil || stream {
@@ -250,8 +255,9 @@ func RunAuto(ctx context.Context, q Query, opts PlannerOptions) (*Result, *Plan,
 	return planner.Run(ctx, q, opts)
 }
 
-// Choose asks the sampling planner which algorithm it would pick, without
-// executing the query.
+// Choose asks the planner which algorithm it would pick, without
+// executing the query. It samples nothing: the plan's Estimate carries
+// only the exact join size.
 func Choose(ctx context.Context, q Query, opts PlannerOptions) (*Plan, error) {
 	return planner.Choose(ctx, q, opts)
 }
