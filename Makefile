@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-check loc coverage docs-check examples staticcheck apicheck shuffle shard-smoke persist-smoke ci
+.PHONY: build vet test race bench bench-check loc coverage docs-check examples staticcheck apicheck shuffle ingest-smoke delete-smoke shard-smoke persist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,15 @@ apicheck:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
+# Ingest smoke: boot ksjqd, POST a batched insert, check the maintained
+# answer against a no_cache recompute.
+ingest-smoke:
+	./scripts/smoke_ingest.sh
+
+# Delete smoke: the same round trip through a batched /v1/delete.
+delete-smoke:
+	./scripts/smoke_delete.sh
+
 # Cluster smoke: boot 2 real shard processes + a gateway, check the
 # scatter-gathered answer against a single-node recompute, and that a
 # dead shard surfaces as a 503 naming it.
@@ -80,4 +89,4 @@ staticcheck:
 		echo "staticcheck not installed; run: go install honnef.co/go/tools/cmd/staticcheck@latest"; exit 1; }
 	staticcheck ./...
 
-ci: build vet test race shuffle apicheck bench-check coverage examples docs-check shard-smoke persist-smoke
+ci: build vet test race shuffle apicheck bench-check coverage examples docs-check ingest-smoke delete-smoke shard-smoke persist-smoke

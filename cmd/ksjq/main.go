@@ -11,11 +11,12 @@
 //
 // With -delta the tool solves Problem 3 instead: it reports the smallest k
 // whose skyline has at least delta tuples (or, with -atmost, the largest k
-// with at most delta tuples). -alg auto lets the planner choose the
-// algorithm (naive for a small join, dominator otherwise); -workers
-// parallelizes the grouping algorithm (it conflicts with an explicit -alg
-// other than grouping, and constrains auto's choice to grouping); -timeout
-// bounds the whole query.
+// with at most delta tuples). -alg auto lets the engine choose the
+// algorithm (naive for a small join or a max/min aggregator, grouping for
+// -workers on more than one CPU, dominator otherwise), and the summary
+// line reports the pick; -workers parallelizes the grouping algorithm (it
+// conflicts with an explicit -alg other than grouping); -timeout bounds
+// the whole query.
 package main
 
 import (
@@ -53,9 +54,9 @@ func main() {
 	flag.IntVar(&o.l1, "l1", 0, "number of local skyline attributes in r1 (required)")
 	flag.IntVar(&o.l2, "l2", 0, "number of local skyline attributes in r2 (required)")
 	flag.IntVar(&o.agg, "agg", 0, "number of trailing aggregate attributes in each relation")
-	flag.StringVar(&o.aggFn, "aggfn", "sum", "aggregation function: sum, max or min (max/min only with -alg naive)")
+	flag.StringVar(&o.aggFn, "aggfn", "sum", "aggregation function: sum, max or min (max/min only with -alg naive or auto)")
 	flag.IntVar(&o.k, "k", 0, "k-dominance parameter (required unless -delta is set)")
-	flag.StringVar(&o.algName, "alg", "grouping", "algorithm: naive, grouping, dominator or auto (planner)")
+	flag.StringVar(&o.algName, "alg", "grouping", "algorithm: naive, grouping, dominator or auto (the engine picks; the summary reports it)")
 	flag.StringVar(&o.cond, "join", "eq", "join condition: eq, cross, lt, le, gt, ge (band conditions need -band)")
 	flag.BoolVar(&o.band, "band", false, "CSV files carry a band column after the key")
 	flag.IntVar(&o.delta, "delta", 0, "find k: smallest k with at least delta skylines (Problem 3)")
@@ -82,9 +83,8 @@ func run(out io.Writer, o options) error {
 	// -workers parallelizes the grouping algorithm; combining a parallel
 	// degree with another explicit -alg is a contradiction, not a
 	// preference, so it is an error rather than a silent override. -alg
-	// auto is not a contradiction: a parallel degree constrains the
-	// planner's choice to the one algorithm that can honor it. workers
-	// <= 1 is the serial path and conflicts with nothing.
+	// auto never conflicts. workers <= 1 is the serial path and conflicts
+	// with nothing.
 	if o.workers > 1 && alg != ksjq.Grouping && alg != ksjq.Auto {
 		return fmt.Errorf("-workers requires -alg grouping or auto (got -alg %s)", alg)
 	}
@@ -116,27 +116,13 @@ func run(out io.Writer, o options) error {
 		return runFindK(ctx, out, q, o)
 	}
 
-	var res *ksjq.Result
-	var chosen string
-	if alg == ksjq.Auto {
-		if o.workers > 1 {
-			// The parallel degree leaves the planner exactly one viable
-			// choice, so the facade runs grouping without planning.
-			res, err = ksjq.Run(ctx, q, ksjq.Options{Workers: o.workers})
-			chosen = fmt.Sprintf("auto→parallel-grouping(workers=%s)", ksjq.Workers(o.workers))
-		} else {
-			var plan *ksjq.Plan
-			res, plan, err = ksjq.RunAuto(ctx, q, ksjq.PlannerOptions{})
-			if err == nil {
-				chosen = fmt.Sprintf("auto→%s (%s)", plan.Algorithm, plan.Reason)
-			}
-		}
-	} else {
-		res, err = ksjq.Run(ctx, q, ksjq.Options{Algorithm: alg, Workers: o.workers})
-		chosen = algLabel(alg, o.workers)
-	}
+	res, err := ksjq.Run(ctx, q, ksjq.Options{Algorithm: alg, Workers: o.workers})
 	if err != nil {
 		return err
+	}
+	chosen := armLabel(res, o.workers)
+	if alg == ksjq.Auto {
+		chosen = "auto→" + chosen
 	}
 
 	st := res.Stats
@@ -153,15 +139,15 @@ func run(out io.Writer, o options) error {
 	return nil
 }
 
-// algLabel renders the chosen strategy the way the summary line reports
-// it: the paper's one-letter labels for serial runs, the parallel marker
-// only when verification actually shards (workers > 1 — a single worker
-// runs the serial path).
-func algLabel(alg ksjq.Algorithm, workers int) string {
-	if workers > 1 {
-		return fmt.Sprintf("parallel-grouping(workers=%s)", ksjq.Workers(workers))
+// armLabel renders the arm that ran the way the summary line reports it:
+// the paper's one-letter labels for serial runs, the parallel marker only
+// when grouping verification actually shards (workers > 1 — a single
+// worker runs the serial path).
+func armLabel(res *ksjq.Result, workers int) string {
+	if label := res.Algorithm.String(); label != "G" || workers <= 1 {
+		return label
 	}
-	return alg.Label()
+	return fmt.Sprintf("parallel-grouping(workers=%s)", ksjq.Workers(workers))
 }
 
 func runFindK(ctx context.Context, out io.Writer, q ksjq.Query, o options) error {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -183,9 +184,12 @@ func TestRunConflictingFlags(t *testing.T) {
 			t.Errorf("-alg %s conflict error does not name the flag: %v", alg, err)
 		}
 	}
-	// -alg auto with -workers is not a contradiction: the degree constrains
-	// the planner to grouping.
-	{
+	// -alg auto with -workers is not a contradiction: on more than one CPU
+	// auto runs grouping, on one it keeps the serial pick (naive for this
+	// small join), and the summary reports the arm that ran.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for procs, want := range map[int]string{2: "auto→parallel-grouping(workers=3)", 1: "auto→N"} {
+		runtime.GOMAXPROCS(procs)
 		o := baseOptions(t)
 		o.algName = "auto"
 		o.workers = 3
@@ -193,8 +197,8 @@ func TestRunConflictingFlags(t *testing.T) {
 		if err := run(&buf, o); err != nil {
 			t.Fatalf("-workers with -alg auto rejected: %v", err)
 		}
-		if !strings.Contains(buf.String(), "auto→parallel-grouping") {
-			t.Errorf("auto+workers summary does not report the constrained choice:\n%s", buf.String())
+		if !strings.Contains(buf.String(), "algorithm="+want+" ") {
+			t.Errorf("GOMAXPROCS=%d: auto+workers summary does not report %s:\n%s", procs, want, buf.String())
 		}
 	}
 	o := baseOptions(t)

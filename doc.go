@@ -12,8 +12,9 @@
 // ksjqd query server — resident relations, an answer cache, incremental
 // maintenance under inserts, and watchable answers (Service.Watch
 // delivers Added/Removed deltas as inserts arrive). The engine itself
-// lives under internal/: see internal/core for the KSJQ algorithms,
-// internal/planner for algorithm selection, internal/service for the
+// lives under internal/: see internal/core for the KSJQ algorithms and
+// the "auto" rule, internal/planner for plan explanations and
+// cardinality estimates, internal/service for the
 // serving layer, internal/experiments for the figure harness, and
 // DESIGN.md for the system inventory (§6 covers the facade and the
 // unified execution path, §7 the query service, §9 the prepared/stream/

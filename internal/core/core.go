@@ -50,6 +50,9 @@ const (
 	// DominatorBased additionally materializes explicit dominator sets so
 	// "may be" tuples are verified against small joins (Algo 3).
 	DominatorBased
+	// Auto lets ResolveAuto pick one of the three per run; Result.Algorithm
+	// reports the arm that ran.
+	Auto
 )
 
 // Algorithms lists all strategies in the order the paper's figures use.
@@ -64,6 +67,8 @@ func (a Algorithm) String() string {
 		return "G"
 	case DominatorBased:
 		return "D"
+	case Auto:
+		return "A"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -80,28 +85,29 @@ func (a Algorithm) Token() string {
 		return "grouping"
 	case DominatorBased:
 		return "dominator"
+	case Auto:
+		return "auto"
 	default:
 		return a.String()
 	}
 }
 
 // ParseAlgorithm maps CLI and API spellings (full names and the paper's
-// one-letter labels, case-insensitive) to a strategy. The empty string
-// and "auto" report auto=true: the caller should consult the sampling
-// planner. This is the one spelling table both the ksjq facade and the
+// one-letter labels, case-insensitive) to a strategy; the empty string
+// means Auto. This is the one spelling table both the ksjq facade and the
 // query service delegate to.
-func ParseAlgorithm(s string) (alg Algorithm, auto bool, err error) {
+func ParseAlgorithm(s string) (Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "", "auto", "a":
-		return 0, true, nil
+		return Auto, nil
 	case "naive", "n":
-		return Naive, false, nil
+		return Naive, nil
 	case "grouping", "g":
-		return Grouping, false, nil
+		return Grouping, nil
 	case "dominator", "dominator-based", "d":
-		return DominatorBased, false, nil
+		return DominatorBased, nil
 	default:
-		return 0, false, fmt.Errorf("%w: %q (want auto, naive, grouping or dominator)", ErrUnknownAlgorithm, s)
+		return 0, fmt.Errorf("%w: %q (want auto, naive, grouping or dominator)", ErrUnknownAlgorithm, s)
 	}
 }
 
@@ -150,7 +156,8 @@ func (q Query) KDoublePrimes() (k1, k2 int) {
 	return q.K - q.R2.Local - a, q.K - q.R1.Local - a
 }
 
-// Validate checks the query invariants for the given algorithm.
+// Validate checks the query invariants for the given algorithm. Auto
+// accepts a non-strict aggregator: ResolveAuto runs it naive.
 func (q Query) Validate(alg Algorithm) error {
 	if q.R1 == nil || q.R2 == nil {
 		return errors.New("core: nil relation")
@@ -167,15 +174,23 @@ func (q Query) Validate(alg Algorithm) error {
 	if q.K < q.KMin() || q.K > q.Width() {
 		return fmt.Errorf("%w: k=%d, admissible range (%d, %d]", ErrBadK, q.K, q.KMin()-1, q.Width())
 	}
-	if alg != Naive && q.R1.Agg > 0 && !q.aggregator().Strict {
+	if alg != Naive && alg != Auto && !q.Strict() {
 		return fmt.Errorf("%w: aggregator %q", ErrNonStrictAgg, q.aggregator().Name)
 	}
 	switch alg {
-	case Naive, Grouping, DominatorBased:
+	case Naive, Grouping, DominatorBased, Auto:
 		return nil
 	default:
 		return fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(alg))
 	}
+}
+
+// Strict reports whether the optimized algorithms are exact for q: it has
+// no aggregate attributes, or a strictly monotonic aggregator (sum).
+// Theorem 4's target-set pruning needs the strict attribute a non-strict
+// aggregator (max, min) can erase.
+func (q Query) Strict() bool {
+	return q.R1.Agg == 0 || q.aggregator().Strict
 }
 
 func (q Query) aggregator() join.Aggregator {
@@ -225,6 +240,9 @@ type Result struct {
 	// by (Left, Right) base-tuple indices.
 	Skyline []join.Pair
 	Stats   Stats
+	// Algorithm is the arm that ran: the requested one, or ResolveAuto's
+	// pick for Auto.
+	Algorithm Algorithm
 }
 
 // Run evaluates the query with the selected algorithm. It is

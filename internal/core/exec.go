@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/join"
@@ -12,13 +13,18 @@ import (
 // ExecOptions configures the unified execution path. The zero value runs
 // the naive algorithm serially; callers normally set Algorithm.
 type ExecOptions struct {
-	// Algorithm selects the evaluation strategy.
+	// Algorithm selects the evaluation strategy; Auto lets ResolveAuto
+	// pick it.
 	Algorithm Algorithm
 	// Workers > 1 verifies candidates in parallel on the grouping
-	// algorithm's execution path; any other value runs serially.
+	// algorithm's execution path; any other value runs serially. Under
+	// Auto the degree is read clamped to GOMAXPROCS, and it is ignored
+	// when the rule picks another arm.
 	Workers int
 	// Emit, when non-nil, streams each confirmed skyline tuple instead of
-	// collecting the answer in Result.Skyline. Returning false stops the
+	// collecting the answer in Result.Skyline. Under Auto with a non-strict
+	// aggregator the naive answer is emitted once computed, in (Left,
+	// Right) order. Returning false stops the
 	// query early (not an error). Emitted pairs are detached from internal
 	// arenas, so callers may retain them. Tuples arrive cell by cell (yes,
 	// SS⋈SN, SN⋈SS, SN⋈SN), not in (Left, Right) order. Each tuple is
@@ -55,8 +61,54 @@ type ExecOptions struct {
 type Emit func(p join.Pair) bool
 
 // ErrOptionConflict is returned when exec options are combined with an
-// algorithm that cannot honor them (Workers/Emit require Grouping).
+// explicit algorithm that cannot honor them (Workers/Emit require
+// Grouping). Auto never conflicts.
 var ErrOptionConflict = errors.New("core: workers and emit require the grouping algorithm")
+
+// AutoNaiveCap is the joined size at or below which Auto runs the naive
+// algorithm: materializing a join this small is cheaper than categorizing
+// both relations.
+const AutoNaiveCap = 2048
+
+// ResolveAuto is the one rule behind Auto; an explicit o.Algorithm is
+// returned unchanged. In order:
+//
+//  1. a non-strict aggregator over aggregate attributes runs naive, the
+//     one exact arm (Query.Strict);
+//  2. a parallel degree over 1 after the GOMAXPROCS clamp, or a non-nil
+//     Emit, runs grouping, the one arm that can honor them;
+//  3. a join of at most AutoNaiveCap pairs runs naive;
+//  4. every larger join runs the dominator-based algorithm, which checks
+//     each candidate u ⋈ v against τ(u) ⋈ τ(v) only, where grouping scans
+//     a whole cell join per candidate.
+//
+// joined is the exact |R1 ⋈ R2| when step 3 counted it, otherwise -1. The
+// count probes o.Resident's join index when one is set, building nothing;
+// without one it builds one full-R2 index. q must be valid, and
+// o.Resident, if set, must match it.
+func ResolveAuto(q Query, o ExecOptions) (alg Algorithm, joined int) {
+	switch {
+	case o.Algorithm != Auto:
+		return o.Algorithm, -1
+	case !q.Strict():
+		return Naive, -1
+	case o.Emit != nil || min(o.Workers, runtime.GOMAXPROCS(0)) > 1:
+		return Grouping, -1
+	}
+	var ix *join.Index
+	if o.Resident != nil {
+		ix = o.Resident.rightIx
+	} else {
+		ix = join.NewFullIndex(q.R1, q.R2, q.Spec.Cond)
+	}
+	for i := 0; i < q.R1.Len(); i++ {
+		joined += len(ix.Partners(q.R1, i))
+	}
+	if joined <= AutoNaiveCap {
+		return Naive, joined
+	}
+	return DominatorBased, joined
+}
 
 // cancelEvery is the verification batch size between context checks: a
 // cancelled context is noticed after at most this many candidate
@@ -68,16 +120,13 @@ const cancelEvery = 16
 // Exec evaluates the query on the single engine execution path shared by
 // every public entry point: Run is Exec with defaults, a parallel run
 // (the paper's Sec. 8 future-work item) is Workers > 1, a progressive one
-// is a non-nil Emit. The context is checked
-// between phases and periodically inside candidate verification (the
-// dominant cost); on cancellation Exec returns ctx.Err() promptly with no
-// goroutines left behind.
+// is a non-nil Emit, and Auto resolves through ResolveAuto. The context is
+// checked between phases and periodically inside candidate verification
+// (the dominant cost); on cancellation Exec returns ctx.Err() promptly
+// with no goroutines left behind.
 func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	if err := q.Validate(o.Algorithm); err != nil {
 		return nil, err
-	}
-	if o.Algorithm != Grouping && (o.Workers > 1 || o.Emit != nil) {
-		return nil, fmt.Errorf("%w (got %v)", ErrOptionConflict, o.Algorithm)
 	}
 	if o.Resident != nil {
 		if err := o.Resident.check(q); err != nil {
@@ -88,6 +137,11 @@ func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
+	if o.Algorithm == Auto {
+		o.Algorithm, _ = ResolveAuto(q, o)
+	} else if o.Algorithm != Grouping && (o.Workers > 1 || o.Emit != nil) {
+		return nil, fmt.Errorf("%w (got %v)", ErrOptionConflict, o.Algorithm)
+	}
 	var res *Result
 	var err error
 	switch o.Algorithm {
@@ -101,13 +155,24 @@ func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Emit == nil {
+	if o.Emit == nil || o.Algorithm != Grouping {
 		join.SortPairs(res.Skyline)
 		if o.Limit > 0 && len(res.Skyline) > o.Limit {
 			res.Skyline = res.Skyline[:o.Limit]
 		}
 		compactAttrs(res.Skyline)
 	}
+	// Auto under a non-strict aggregator pairs Emit with the naive arm:
+	// stream its finished answer.
+	if o.Emit != nil && o.Algorithm != Grouping {
+		for _, p := range res.Skyline {
+			if !o.Emit(p) {
+				break
+			}
+		}
+		res.Skyline = nil
+	}
+	res.Algorithm = o.Algorithm
 	res.Stats.Total = time.Since(start)
 	return res, nil
 }

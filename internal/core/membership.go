@@ -92,12 +92,7 @@ func AnyDominatorsContext(ctx context.Context, q Query, vectors [][]float64) ([]
 // a non-strict one falls back to scanning the materialized join, where
 // every joined vector is a potential dominator.
 func anyDominatorsContext(ctx context.Context, q Query, vectors [][]float64, res *Resident) ([]bool, error) {
-	strict := q.R1 == nil || q.R1.Agg == 0 || q.aggregator().Strict
-	alg := Grouping
-	if !strict {
-		alg = Naive
-	}
-	if err := q.Validate(alg); err != nil {
+	if err := q.Validate(Auto); err != nil {
 		return nil, err
 	}
 	for i, v := range vectors {
@@ -105,7 +100,7 @@ func anyDominatorsContext(ctx context.Context, q Query, vectors [][]float64, res
 			return nil, fmt.Errorf("core: vector %d has %d attributes, joined width is %d", i, len(v), q.Width())
 		}
 	}
-	if !strict {
+	if !q.Strict() {
 		return anyDominatorsScan(ctx, q, vectors)
 	}
 	st := Stats{}

@@ -7,8 +7,8 @@
 // on one node, so any joined tuple — candidate or dominator — is local to
 // exactly one node. Evaluation then has two rounds:
 //
-//  1. Local round: each node runs the grouping algorithm on its partition
-//     and produces local skyline candidates. A globally undominated pair
+//  1. Local round: each node runs "auto" (core.ResolveAuto) on its
+//     partition and produces local skyline candidates. A globally undominated pair
 //     is locally undominated, so the global answer is a subset of the
 //     union of local candidates.
 //  2. Verification round: every node is sent the other nodes' candidates'
@@ -80,19 +80,6 @@ func CheckShardable(cond join.Condition, nodes int) error {
 		return fmt.Errorf("%w: got %v with %d nodes", ErrNotShardable, cond, nodes)
 	}
 	return nil
-}
-
-// LocalAlgorithm returns the algorithm the local round runs on each
-// partition: the dominator-based algorithm, the arm a shard's "auto" plan
-// runs on any join over the planner's naive cap, except under a non-strict
-// aggregator (where target-set pruning is unsound and the naive algorithm
-// is the correct fallback). The verification round makes the matching
-// choice inside core.AnyDominators.
-func LocalAlgorithm(q core.Query) core.Algorithm {
-	if q.R1 != nil && q.R1.Agg > 0 && q.Spec.Agg.Fn != nil && !q.Spec.Agg.Strict {
-		return core.Naive
-	}
-	return core.DominatorBased
 }
 
 // Transport is how the coordinator reaches the nodes of a cluster.
@@ -217,8 +204,8 @@ func Run(q core.Query, nodes int) (*Result, error) {
 	if err := CheckShardable(q.Spec.Cond, nodes); err != nil {
 		return nil, err
 	}
-	c := &cluster{alg: LocalAlgorithm(q), parts: make([]partition, nodes)}
-	if err := q.Validate(c.alg); err != nil {
+	c := &cluster{parts: make([]partition, nodes)}
+	if err := q.Validate(core.Auto); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -264,9 +251,9 @@ func Run(q core.Query, nodes int) (*Result, error) {
 }
 
 // cluster is the in-process Transport: node n evaluates partition n with
-// the engine directly.
+// the engine directly, resolving Auto over its partition as a shard's
+// "auto" query does.
 type cluster struct {
-	alg   core.Algorithm
 	parts []partition
 }
 
@@ -278,7 +265,7 @@ type partition struct {
 func (c *cluster) Local(ctx context.Context, n int) ([]join.Pair, time.Duration, error) {
 	start := time.Now()
 	p := &c.parts[n]
-	res, err := core.Exec(ctx, p.q, core.ExecOptions{Algorithm: c.alg})
+	res, err := core.Exec(ctx, p.q, core.ExecOptions{Algorithm: core.Auto})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,11 +1,9 @@
-// Package planner chooses an evaluation algorithm for a KSJQ instance and
-// estimates answer cardinalities by sampling — the query-optimizer layer a
-// system shipping KSJQ would need. The paper leaves the algorithm choice
-// to the user (its experiments sweep all three). The choice needs only the
-// exact join size: a join small enough to materialize goes to the naive
-// algorithm, and every other join to the dominator-based algorithm, which
-// checks each candidate u ⋈ v only against τ(u) ⋈ τ(v) where the grouping
-// algorithm scans a whole cell join per candidate. The estimator follows
+// Package planner explains the evaluation algorithm "auto" picks for a KSJQ
+// instance and estimates answer cardinalities by sampling — the
+// query-optimizer layer a system shipping KSJQ would need. The paper leaves
+// the algorithm choice to the user (its experiments sweep all three). The
+// rule itself is core.ResolveAuto, which every surface runs through
+// core.Exec; Choose wraps it with a reason. The estimator follows
 // the spirit of the sampling-based cardinality work the paper cites
 // (Hwang et al., SIAM J. Comput. 2013: threshold phenomena in k-dominant
 // skylines of random samples); planning does not consult it.
@@ -36,17 +34,13 @@ type Estimate struct {
 	Cardinality int
 }
 
-// Options controls estimation and planning.
+// Options controls estimation; planning has no knobs.
 type Options struct {
 	// SampleSize bounds how many joined pairs EstimateCardinality probes
 	// (default 200).
 	SampleSize int
 	// Seed makes EstimateCardinality's sampling reproducible (default 1).
 	Seed int64
-	// NaiveJoinCap is the joined-relation size at or below which Choose
-	// picks the naive algorithm (default 2048): joining everything is then
-	// cheaper than categorizing both relations.
-	NaiveJoinCap int
 }
 
 func (o Options) withDefaults() Options {
@@ -56,13 +50,11 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.NaiveJoinCap <= 0 {
-		o.NaiveJoinCap = 2048
-	}
 	return o
 }
 
-// ErrEmptyJoin is returned when the two relations produce no joined pairs.
+// ErrEmptyJoin is returned by EstimateCardinality when the two relations
+// produce no joined pairs: there is nothing to sample.
 var ErrEmptyJoin = errors.New("planner: join is empty")
 
 // EstimateCardinality samples joined pairs uniformly and probes their
@@ -167,45 +159,31 @@ type Plan struct {
 	Reason    string
 }
 
-// Choose picks an evaluation algorithm for the query from its exact join
-// size, without sampling:
-//
-//   - a join of at most NaiveJoinCap pairs goes to the naive algorithm —
-//     materializing everything is cheaper than categorizing two relations;
-//   - every larger join goes to the dominator-based algorithm. Each
-//     surviving candidate costs grouping a scan of its cell's verification
-//     join (all of R1 ⋈ R2 for "may be" tuples) and the dominator arm a
-//     scan of τ(u) ⋈ τ(v) only. How many candidates survive decides
-//     between the two, and sampling the joined relation does not measure
-//     it.
-//
-// An empty join returns ErrEmptyJoin.
-func Choose(ctx context.Context, q core.Query, opts Options) (*Plan, error) {
-	opts = opts.withDefaults()
-	if err := q.Validate(core.DominatorBased); err != nil {
+// Choose reports the algorithm "auto" runs for a serial, collected query
+// (core.ResolveAuto) with the reason: naive under a non-strict aggregator
+// or for a join of at most core.AutoNaiveCap pairs (an empty join
+// included), the dominator-based algorithm otherwise. It samples nothing;
+// the plan's Estimate carries only the exact join size, and is nil when
+// the rule did not count the join. opts is unused.
+func Choose(ctx context.Context, q core.Query, _ Options) (*Plan, error) {
+	if err := q.Validate(core.Auto); err != nil {
 		return nil, err
-	}
-	_, prefix := rankSpace(q)
-	total := prefix[len(prefix)-1]
-	if total == 0 {
-		return nil, ErrEmptyJoin
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	est := &Estimate{JoinedSize: total}
-	if total <= opts.NaiveJoinCap {
-		return &Plan{
-			Algorithm: core.Naive,
-			Estimate:  est,
-			Reason:    fmt.Sprintf("joined size %d <= cap %d: join-then-compute is cheapest", total, opts.NaiveJoinCap),
-		}, nil
+	alg, joined := core.ResolveAuto(q, core.ExecOptions{Algorithm: core.Auto})
+	plan := &Plan{Algorithm: alg, Estimate: &Estimate{JoinedSize: joined}}
+	switch {
+	case joined < 0:
+		plan.Estimate = nil
+		plan.Reason = fmt.Sprintf("aggregator %q is not strictly monotonic: only join-then-compute is exact", q.Spec.Agg.Name)
+	case alg == core.Naive:
+		plan.Reason = fmt.Sprintf("joined size %d <= cap %d: join-then-compute is cheapest", joined, core.AutoNaiveCap)
+	default:
+		plan.Reason = fmt.Sprintf("joined size %d > cap %d: each candidate is checked against its target-set join only", joined, core.AutoNaiveCap)
 	}
-	return &Plan{
-		Algorithm: core.DominatorBased,
-		Estimate:  est,
-		Reason:    fmt.Sprintf("joined size %d > cap %d: each candidate is checked against its target-set join only", total, opts.NaiveJoinCap),
-	}, nil
+	return plan, nil
 }
 
 // Run plans and executes in one call, on the unified execution path.

@@ -284,40 +284,53 @@ func sampleRanksForTest(seed int64, total, m int) []int {
 	return sampleRanks(randv2.New(randv2.NewPCG(uint64(seed), 1)), total, m)
 }
 
-// TestChooseRule pins the planning rule: an empty join is an error, a join
-// at the naive cap runs naive, one pair over it runs the dominator arm, and
-// the plan's estimate is the exact join size with nothing sampled.
+// TestChooseRule pins Choose as the core rule plus a reason: an empty join
+// plans naive with JoinedSize 0, a join at core.AutoNaiveCap runs naive,
+// one pair over it runs the dominator arm, a non-strict aggregator runs
+// naive without counting, and nothing is sampled.
 func TestChooseRule(t *testing.T) {
-	r1 := dataset.MustNew("r1", 2, 0, []dataset.Tuple{{Key: "a", Attrs: []float64{1, 2}}})
-	r2 := dataset.MustNew("r2", 2, 0, []dataset.Tuple{{Key: "b", Attrs: []float64{1, 2}}})
-	empty := core.Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 3}
-	if _, err := Choose(context.Background(), empty, Options{}); !errors.Is(err, ErrEmptyJoin) {
-		t.Errorf("empty join planned with %v, want ErrEmptyJoin", err)
+	rel := func(name string, n, agg int) *dataset.Relation {
+		ts := make([]dataset.Tuple, n)
+		for i := range ts {
+			ts[i] = dataset.Tuple{Key: name, Attrs: []float64{float64(i), float64(-i), 1}[:2+agg]}
+		}
+		return dataset.MustNew(name, 2, agg, ts)
 	}
-
-	q := core.Query{
-		R1: synthetic(60, 3, 4, datagen.Independent, 91), R2: synthetic(60, 3, 4, datagen.Independent, 92),
-		Spec: join.Spec{Cond: join.Equality}, K: 5,
-	}
-	size, err := join.CountPairs(q.R1, q.R2, q.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := rel("a", 1, 0)
 	for _, c := range []struct {
-		cap  int
+		r2   *dataset.Relation
+		cond join.Condition
 		want core.Algorithm
-	}{{size, core.Naive}, {size - 1, core.DominatorBased}} {
-		plan, err := Choose(context.Background(), q, Options{NaiveJoinCap: c.cap})
+	}{
+		{rel("b", 1, 0), join.Equality, core.Naive},
+		{rel("b", core.AutoNaiveCap, 0), join.Cross, core.Naive},
+		{rel("b", core.AutoNaiveCap+1, 0), join.Cross, core.DominatorBased},
+	} {
+		q := core.Query{R1: one, R2: c.r2, Spec: join.Spec{Cond: c.cond}, K: 3}
+		size, err := join.CountPairs(q.R1, q.R2, q.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Choose(context.Background(), q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if plan.Algorithm != c.want {
-			t.Errorf("join of %d at cap %d planned %v, want %v (%s)", size, c.cap, plan.Algorithm, c.want, plan.Reason)
+			t.Errorf("join of %d planned %v, want %v (%s)", size, plan.Algorithm, c.want, plan.Reason)
 		}
 		if plan.Estimate.JoinedSize != size || plan.Estimate.SampleSize != 0 {
-			t.Errorf("cap %d: estimate joined %d sampled %d, want joined %d sampled 0",
-				c.cap, plan.Estimate.JoinedSize, plan.Estimate.SampleSize, size)
+			t.Errorf("join of %d: estimate joined %d sampled %d, want sampled 0",
+				size, plan.Estimate.JoinedSize, plan.Estimate.SampleSize)
 		}
+	}
+
+	q := core.Query{R1: rel("a", 1, 1), R2: rel("b", 4000, 1), Spec: join.Spec{Cond: join.Cross, Agg: join.Max}, K: 4}
+	plan, err := Choose(context.Background(), q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Algorithm != core.Naive || plan.Estimate != nil || plan.Reason == "" {
+		t.Errorf("max aggregator planned %v, estimate %v, reason %q; want naive, nil, a reason", plan.Algorithm, plan.Estimate, plan.Reason)
 	}
 }
 

@@ -68,7 +68,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/join"
-	"repro/internal/planner"
 	"repro/internal/store"
 )
 
@@ -159,7 +158,8 @@ func (c Config) withDefaults() Config {
 // QueryRequest is one query against registered relations. Join, Agg and
 // Algorithm use the CLI spellings ("eq"/"cross"/"lt"/"le"/"gt"/"ge",
 // "sum"/"max"/"min", "auto"/"naive"/"grouping"/"dominator"); empty strings
-// mean equality join, sum, and the planner respectively.
+// mean equality join, sum, and auto respectively. Auto resolves through
+// core.ResolveAuto, like every other surface.
 type QueryRequest struct {
 	R1, R2    string
 	K         int
@@ -169,13 +169,9 @@ type QueryRequest struct {
 	// Workers > 1 parallelizes candidate verification; the execution
 	// degree is clamped to GOMAXPROCS (requests arrive over the wire; an
 	// oversized degree must not spawn goroutines beyond the machine).
-	// The requested value implies the grouping algorithm: combined with
-	// "auto" the planner is skipped and grouping runs; combined with
-	// another explicit algorithm the request is rejected (same
-	// contradiction the CLI rejects). Forced grouping can be slower than
-	// serial "auto", which runs the dominator arm on any join over the
-	// naive cap: where many candidates survive, grouping on 2 workers
-	// takes over 3× the serial dominator arm (DESIGN.md §6).
+	// Combined with an explicit algorithm other than grouping the request
+	// is rejected (same contradiction the CLI rejects); "auto" reads the
+	// clamped degree, so on one CPU it keeps the serial arm.
 	Workers int
 	// Timeout bounds this request (queue wait + execution); 0 defers to
 	// Config.DefaultTimeout, negative means no deadline.
@@ -518,14 +514,13 @@ type Parsed struct {
 	Cond join.Condition
 	Agg  join.Aggregator
 	Alg  core.Algorithm
-	Auto bool
 }
 
-// ParseRequest resolves the request's spellings and the algorithm a
-// parallel degree implies. Together with CheckRequest it is the whole
-// request check, run by the service and by the sharded gateway alike
-// before any cache lookup — so accept/reject never depends on cache state
-// or on which of the two answered.
+// ParseRequest resolves the request's spellings and rejects a parallel
+// degree beside an explicit algorithm other than grouping. Together with
+// CheckRequest it is the whole request check, run by the service and by
+// the sharded gateway alike before any cache lookup — so accept/reject
+// never depends on cache state or on which of the two answered.
 func ParseRequest(req QueryRequest) (Parsed, error) {
 	var p Parsed
 	var err error
@@ -535,18 +530,11 @@ func ParseRequest(req QueryRequest) (Parsed, error) {
 	if p.Agg, err = join.ParseAggregator(req.Agg); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if p.Alg, p.Auto, err = core.ParseAlgorithm(req.Algorithm); err != nil {
+	if p.Alg, err = core.ParseAlgorithm(req.Algorithm); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if req.Workers > 1 {
-		if p.Auto {
-			// A parallel degree implies the one algorithm that can honor
-			// it; skipping the planner is the only non-contradictory
-			// reading.
-			p.Alg, p.Auto = core.Grouping, false
-		} else if p.Alg != core.Grouping {
-			return p, fmt.Errorf("%w: workers require the grouping algorithm (got %q)", ErrBadRequest, req.Algorithm)
-		}
+	if req.Workers > 1 && p.Alg != core.Grouping && p.Alg != core.Auto {
+		return p, fmt.Errorf("%w: workers require the grouping algorithm (got %q)", ErrBadRequest, req.Algorithm)
 	}
 	return p, nil
 }
@@ -599,17 +587,16 @@ func (s *Service) resolveAndValidate(req QueryRequest, p Parsed) (core.Query, An
 // included. The computed path still runs the full validation inside
 // core.Exec.
 func CheckRequest(r1, r2 *dataset.Relation, k int, p Parsed) error {
-	q := core.Query{R1: r1, R2: r2, K: k}
+	q := core.Query{R1: r1, R2: r2, Spec: join.Spec{Cond: p.Cond, Agg: p.Agg}, K: k}
 	if err := join.CheckSchemas(r1, r2); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if k < q.KMin() || k > q.Width() {
 		return fmt.Errorf("%w: %v: k=%d, admissible range (%d, %d]", ErrBadRequest, core.ErrBadK, k, q.KMin()-1, q.Width())
 	}
-	// Only the naive algorithm accepts a non-strict aggregator, and the
-	// planner never picks on strictness — reject auto here rather than
-	// let a planner choice fail deep inside Exec as a server error.
-	if r1.Agg > 0 && !p.Agg.Strict && (p.Auto || p.Alg != core.Naive) {
+	// Of the explicit algorithms only naive accepts a non-strict
+	// aggregator; auto runs it naive.
+	if !q.Strict() && p.Alg != core.Naive && p.Alg != core.Auto {
 		return fmt.Errorf("%w: %v: aggregator %q requires algorithm \"naive\"", ErrBadRequest, core.ErrNonStrictAgg, p.Agg.Name)
 	}
 	return nil
@@ -647,8 +634,8 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	// Bound the execution degree after parsing: the requested value
-	// decides algorithm implication and conflicts, but an over-the-wire
-	// degree must never spawn goroutines beyond the machine.
+	// decides conflicts, but an over-the-wire degree must never spawn
+	// goroutines beyond the machine.
 	if max := runtime.GOMAXPROCS(0); req.Workers > max {
 		req.Workers = max
 	}
@@ -698,43 +685,21 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	}
 
 	// The naive algorithm materializes the full join instead of probing
-	// and ignores resident structures; don't build them for it.
+	// and ignores resident structures; don't build them for it. Auto
+	// counts the join through the resident's index.
 	var res *core.Resident
-	if p.Auto || p.Alg != core.Naive {
+	if p.Alg != core.Naive {
 		res, err = s.residents.get(residentKeyOf(key), q)
 		if err != nil {
 			return nil, err
 		}
 	}
-	alg := p.Alg
-	if p.Auto {
-		plan, err := planner.Choose(ctx, q, planner.Options{})
-		switch {
-		case errors.Is(err, planner.ErrEmptyJoin):
-			// Deletes and window expiry can drain the join entirely; that
-			// is a valid state whose answer is the empty skyline, not a
-			// planning failure. Any algorithm computes it instantly.
-			alg = core.Grouping
-		case err != nil:
-			return nil, err
-		default:
-			alg = plan.Algorithm
-		}
-	}
-	// The service's query path is built on the same prepared-state surface
-	// the ksjq.Prepared facade exposes: every run over resident relations
-	// goes through the snapshot's own Exec.
-	var out *core.Result
-	if res != nil {
-		out, err = res.Exec(ctx, q, core.ExecOptions{Algorithm: alg, Workers: req.Workers})
-	} else {
-		out, err = core.Exec(ctx, q, core.ExecOptions{Algorithm: alg, Workers: req.Workers})
-	}
+	out, err := core.Exec(ctx, q, core.ExecOptions{Algorithm: p.Alg, Workers: req.Workers, Resident: res})
 	if err != nil {
 		return nil, err
 	}
 	s.computed.Add(1)
-	algo := alg.Token()
+	algo := out.Algorithm.Token()
 	s.cache.Store(key, versions, q, out.Skyline, algo)
 	return &QueryResponse{
 		Skyline:   out.Skyline,

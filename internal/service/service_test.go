@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -358,13 +359,26 @@ func TestBadRequests(t *testing.T) {
 		{"k too small", QueryRequest{R1: "r1", R2: "r2", K: 1}, ErrBadRequest},
 		{"k too large", QueryRequest{R1: "r1", R2: "r2", K: 99}, ErrBadRequest},
 		{"workers with naive", QueryRequest{R1: "r1", R2: "r2", K: 5, Algorithm: "naive", Workers: 4}, ErrBadRequest},
-		{"auto with non-strict agg", QueryRequest{R1: "r1", R2: "r2", K: 5, Agg: "max"}, ErrBadRequest},
+		{"grouping with non-strict agg", QueryRequest{R1: "r1", R2: "r2", K: 5, Agg: "max", Algorithm: "grouping"}, ErrBadRequest},
 	}
 	for _, c := range cases {
 		if _, err := s.Query(ctx, c.req); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
+	// Auto under a non-strict aggregator is accepted and runs naive.
+	got, err := s.Query(ctx, QueryRequest{R1: "r1", R2: "r2", K: 5, Agg: "max", NoCache: true})
+	if err != nil {
+		t.Fatalf("auto with non-strict agg: %v", err)
+	}
+	want, err := s.Query(ctx, QueryRequest{R1: "r1", R2: "r2", K: 5, Agg: "max", Algorithm: "naive", NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Algorithm != "naive" {
+		t.Errorf("auto with non-strict agg ran %q, want naive", got.Algorithm)
+	}
+	assertPairsEqual(t, "auto+max vs naive+max", got.Skyline, want.Skyline)
 	if _, err := s.Insert("nope", dataset.Tuple{Attrs: []float64{1}}); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("insert unknown relation: err = %v", err)
 	}
@@ -416,15 +430,28 @@ func TestInvalidRequestRejectedEvenWhenCached(t *testing.T) {
 	}
 }
 
+// TestWorkersAutoImpliesGrouping pins that auto reads the parallel degree
+// after the GOMAXPROCS clamp: on one CPU a requested degree leaves the
+// serial arm in place.
 func TestWorkersAutoImpliesGrouping(t *testing.T) {
 	s := newTestService(t, Config{})
-	registerPair(t, s, 30)
-	resp, err := s.Query(context.Background(), QueryRequest{R1: "r1", R2: "r2", K: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	q := registerPair(t, s, 120)
+	if n, err := join.CountPairs(q.R1, q.R2, q.Spec); err != nil || n <= core.AutoNaiveCap {
+		t.Fatalf("join of %d pairs (%v), want over %d", n, err, core.AutoNaiveCap)
 	}
-	if resp.Algorithm != "grouping" {
-		t.Errorf("auto+workers ran %q, want grouping", resp.Algorithm)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		procs int
+		want  string
+	}{{2, "grouping"}, {1, "dominator"}} {
+		runtime.GOMAXPROCS(c.procs)
+		resp, err := s.Query(context.Background(), QueryRequest{R1: "r1", R2: "r2", K: 5, Workers: 4, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Algorithm != c.want {
+			t.Errorf("GOMAXPROCS=%d: auto+workers ran %q, want %s", c.procs, resp.Algorithm, c.want)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -51,10 +50,9 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	}
 	s.verifies.Add(1)
 	// Check the request like a query before admission, so a malformed one
-	// is rejected for what it is, never as overload. Naming the naive
-	// algorithm admits any aggregator: a non-strict one votes through the
-	// scan arm below.
-	qreq := QueryRequest{R1: req.R1, R2: req.R2, K: req.K, Join: req.Join, Agg: req.Agg, Algorithm: "naive"}
+	// is rejected for what it is, never as overload. Like an "auto" query
+	// it admits any aggregator: a non-strict one votes through the scan.
+	qreq := QueryRequest{R1: req.R1, R2: req.R2, K: req.K, Join: req.Join, Agg: req.Agg}
 	p, err := ParseRequest(qreq)
 	if err != nil {
 		return nil, err
@@ -93,24 +91,17 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 		return nil, err
 	}
 
-	var dominated []bool
-	if q.R1.Agg == 0 || p.Agg.Strict {
-		// The checker path probes the resident index, so repeated
-		// verification rounds over an unchanged partition skip the build —
-		// the same amortization the query path gets.
-		res, err := s.residents.get(residentKeyOf(key), q)
-		if err != nil {
-			return nil, err
-		}
-		dominated, err = res.AnyDominators(ctx, q, req.Vectors)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		dominated, err = core.AnyDominatorsContext(ctx, q, req.Vectors)
-		if err != nil {
-			return nil, err
-		}
+	// The checker path probes the resident index, so repeated verification
+	// rounds over an unchanged partition skip the build — the same
+	// amortization the query path gets. A non-strict aggregator scans the
+	// join instead and only pays the resident lookup.
+	res, err := s.residents.get(residentKeyOf(key), q)
+	if err != nil {
+		return nil, err
+	}
+	dominated, err := res.AnyDominators(ctx, q, req.Vectors)
+	if err != nil {
+		return nil, err
 	}
 	return &VerifyResponse{
 		Dominated: dominated,

@@ -138,9 +138,6 @@ func TestGatewayShardCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: gateway: %v", label, aggName, err)
 			}
-			if aggName != "sum" {
-				req.Algorithm = "naive" // non-strict aggregators need it single-node
-			}
 			mresp, err := mirror.Query(ctx, req)
 			if err != nil {
 				t.Fatalf("%s %s: mirror: %v", label, aggName, err)

@@ -210,19 +210,6 @@ type QueryResponse struct {
 	R1Elapsed []time.Duration
 }
 
-// parse is the service's own request parse plus the gateway's one
-// leniency: under a non-strict aggregator "auto" means the naive algorithm
-// (like distributed.LocalAlgorithm — target-set pruning is unsound there),
-// where a single node rejects the combination.
-func parse(req service.QueryRequest) (service.QueryRequest, service.Parsed, error) {
-	p, err := service.ParseRequest(req)
-	if err == nil && p.Auto && !p.Agg.Strict {
-		req.Algorithm = "naive"
-		p, err = service.ParseRequest(req)
-	}
-	return req, p, err
-}
-
 // checkLocked resolves the request's placements and runs the service's
 // O(1) geometry check over their schemas, then the one check only a
 // cluster has. Caller holds g.mu.
@@ -235,7 +222,7 @@ func (g *Gateway) checkLocked(req service.QueryRequest, p service.Parsed) (rp1, 
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", service.ErrUnknownRelation, req.R2)
 	}
-	if err := service.CheckRequest(&rp1.schema, &rp2.schema, req.K, p); err != nil {
+	if err := service.CheckRequest(rp1.schema, rp2.schema, req.K, p); err != nil {
 		return nil, nil, err
 	}
 	return rp1, rp2, distributed.CheckShardable(p.Cond, len(g.shards))
@@ -251,7 +238,7 @@ func (g *Gateway) Query(ctx context.Context, req service.QueryRequest) (*QueryRe
 	}
 	defer g.wg.Done()
 	g.queries.Add(1)
-	req, p, err := parse(req)
+	p, err := service.ParseRequest(req)
 	if err != nil {
 		return nil, err
 	}
@@ -319,8 +306,11 @@ func (g *Gateway) scatter(ctx context.Context, req service.QueryRequest, rp1, rp
 	g.r2Messages.Add(uint64(st.MessagesSent))
 	g.r2Floats.Add(uint64(st.FloatsShipped))
 	resp := &QueryResponse{
-		Skyline: skyline, Source: SourceSharded, Algorithm: req.Algorithm,
+		Skyline: skyline, Source: SourceSharded,
 		Versions: [2]uint64{rp1.version, rp2.version}, Dist: st, R1Elapsed: make([]time.Duration, n),
+	}
+	if len(participants) == 0 {
+		resp.Algorithm = emptyJoinArm(req, rp1, rp2)
 	}
 	for i, s := range participants {
 		r := t.r1[s]
@@ -333,6 +323,15 @@ func (g *Gateway) scatter(ctx context.Context, req service.QueryRequest, rp1, rp
 	resp.Dist.Total = time.Since(start)
 	resp.Elapsed = resp.Dist.Total
 	return resp, nil
+}
+
+// emptyJoinArm is the arm a single node reports for a join with no pairs:
+// the one rule, over the placements' row-less schemas. req was checked.
+func emptyJoinArm(req service.QueryRequest, rp1, rp2 *relPlace) string {
+	p, _ := service.ParseRequest(req)
+	q := core.Query{R1: rp1.schema, R2: rp2.schema, Spec: join.Spec{Cond: p.Cond, Agg: p.Agg}, K: req.K}
+	alg, _ := core.ResolveAuto(q, core.ExecOptions{Algorithm: p.Alg, Workers: req.Workers})
+	return alg.Token()
 }
 
 // shardTransport is the distributed.Transport of one gateway query: node s

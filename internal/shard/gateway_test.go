@@ -161,14 +161,8 @@ func TestShardedMatchesSimulator(t *testing.T) {
 							t.Fatalf("%s: gateway: %v", label, err)
 						}
 
-						// Oracle 1: single-node service. Non-strict
-						// aggregators need the explicit naive algorithm
-						// there; the gateway does that mapping itself.
-						mreq := req
-						if aggName != "sum" {
-							mreq.Algorithm = "naive"
-						}
-						mresp, err := mirror.Query(ctx, mreq)
+						// Oracle 1: single-node service, same request.
+						mresp, err := mirror.Query(ctx, req)
 						if err != nil {
 							t.Fatalf("%s: mirror: %v", label, err)
 						}
@@ -253,9 +247,6 @@ func TestGatewayMutationsMatchSingleNode(t *testing.T) {
 			gresp, err := c.gw.Query(ctx, req)
 			if err != nil {
 				t.Fatalf("step %d %s: gateway: %v", step, aggName, err)
-			}
-			if aggName != "sum" {
-				req.Algorithm = "naive"
 			}
 			mresp, err := mirror.Query(ctx, req)
 			if err != nil {
@@ -907,9 +898,6 @@ func TestGatewayStoreUnderPressure(t *testing.T) {
 		got, err := c.gw.Query(ctx, req)
 		if err != nil {
 			t.Fatalf("k=%d %s: gateway: %v", k, aggName, err)
-		}
-		if aggName != "sum" {
-			req.Algorithm = "naive"
 		}
 		want, err := mirror.Query(ctx, req)
 		if err != nil {

@@ -125,6 +125,7 @@ func TestHandlerRejectsLikeSingleNode(t *testing.T) {
 		{"query k=5, explicit spellings", post, "/v1/query", `{"r1":"r1","r2":"r2","k":5,"join":"eq","agg":"sum","algorithm":"grouping","no_cache":true}`, ok},
 		{"query max needs naive", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"agg":"max","algorithm":"grouping"}`, bad},
 		{"query max, naive", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"agg":"max","algorithm":"naive"}`, ok},
+		{"query max, auto runs naive", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"agg":"max","no_cache":true}`, ok},
 		{"warm: max needs naive", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"agg":"max","algorithm":"grouping"}`, bad},
 		{"query k too small", post, "/v1/query", `{"r1":"r1","r2":"r2","k":3}`, bad},
 		{"query k too large", post, "/v1/query", `{"r1":"r1","r2":"r2","k":6}`, bad},

@@ -38,8 +38,8 @@ type rowLoc struct {
 // the mapping agreeing with what the surviving shards actually hold.
 type relPlace struct {
 	// schema is the relation's Name, Local and Agg with no rows — the form
-	// service.CheckRequest reads a schema in.
-	schema     dataset.Relation
+	// service.CheckRequest and core.ResolveAuto read a schema in.
+	schema     *dataset.Relation
 	version    uint64
 	global     []rowLoc
 	perShard   [][]int
@@ -48,7 +48,7 @@ type relPlace struct {
 
 func newRelPlace(name string, local, agg, shards int) *relPlace {
 	return &relPlace{
-		schema:     dataset.Relation{Name: name, Local: local, Agg: agg},
+		schema:     dataset.MustNew(name, local, agg, nil),
 		version:    1,
 		perShard:   make([][]int, shards),
 		registered: make([]bool, shards),

@@ -5,7 +5,7 @@
 //
 // Every query runs on a single context-aware engine execution path:
 //
-//	res, err := ksjq.Run(ctx, q, ksjq.Options{})                       // planner picks the algorithm
+//	res, err := ksjq.Run(ctx, q, ksjq.Options{})                       // auto picks the algorithm
 //	res, err := ksjq.Run(ctx, q, ksjq.Options{Algorithm: ksjq.Grouping, Workers: 8})
 //	res, err := ksjq.Run(ctx, q, ksjq.Options{Algorithm: ksjq.Grouping, Emit: stream})
 //
@@ -26,13 +26,15 @@ import (
 	"repro/internal/planner"
 )
 
-// Algorithm selects the evaluation strategy. The zero value, Auto, asks
-// the planner to choose from the exact join size.
+// Algorithm selects the evaluation strategy. The zero value, Auto, lets
+// the engine's one rule choose; Result.Algorithm reports its pick.
 type Algorithm int
 
 const (
-	// Auto lets the planner choose: naive for a join within its naive
-	// cap, the dominator-based algorithm otherwise.
+	// Auto lets the engine choose (core.ResolveAuto): naive under a
+	// non-strict aggregator; grouping for Workers > 1 (clamped to
+	// GOMAXPROCS), Emit or a Stream; naive for a join of at most 2 048
+	// pairs; the dominator-based algorithm otherwise.
 	Auto Algorithm = iota
 	// Naive joins first, then computes the k-dominant skyline (Algo 1).
 	Naive
@@ -65,20 +67,19 @@ func (a Algorithm) String() string {
 // an Algorithm. It delegates to the engine's one spelling table, shared
 // with the query service's request parser.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	calg, auto, err := core.ParseAlgorithm(s)
+	calg, err := core.ParseAlgorithm(s)
 	if err != nil {
 		return 0, fmt.Errorf("ksjq: unknown algorithm %q (want auto, naive, grouping or dominator)", s)
-	}
-	if auto {
-		return Auto, nil
 	}
 	switch calg {
 	case core.Naive:
 		return Naive, nil
 	case core.Grouping:
 		return Grouping, nil
-	default:
+	case core.DominatorBased:
 		return DominatorBased, nil
+	default:
+		return Auto, nil
 	}
 }
 
@@ -86,7 +87,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // strategy ("N", "G", "D") and "auto" for Auto.
 func (a Algorithm) Label() string {
 	calg, err := a.coreAlgorithm()
-	if err != nil {
+	if err != nil || calg == core.Auto {
 		return a.String()
 	}
 	return calg.String()
@@ -108,6 +109,8 @@ func ParseFindKAlgorithm(s string) (FindKAlgorithm, error) {
 
 func (a Algorithm) coreAlgorithm() (core.Algorithm, error) {
 	switch a {
+	case Auto:
+		return core.Auto, nil
 	case Naive:
 		return core.Naive, nil
 	case Grouping:
@@ -121,13 +124,13 @@ func (a Algorithm) coreAlgorithm() (core.Algorithm, error) {
 
 // Options configures one Run or Stream on the unified execution path.
 type Options struct {
-	// Algorithm selects the strategy; Auto (the zero value) consults the
-	// planner. When Auto is combined with options only the grouping
-	// algorithm can honor (Workers > 1, a non-nil Emit, or a Stream), the
-	// planner's choice is constrained to Grouping instead of consulted.
+	// Algorithm selects the strategy; Auto (the zero value) resolves
+	// through the engine's one rule (see Auto), which never conflicts
+	// with the other options.
 	Algorithm Algorithm
-	// Workers > 1 verifies candidates in parallel. Requires Grouping (or
-	// Auto, which it constrains to Grouping).
+	// Workers > 1 verifies candidates in parallel. Requires Grouping or
+	// Auto, which runs grouping for it unless GOMAXPROCS is 1 or the
+	// aggregator is non-strict.
 	Workers int
 	// Emit, when non-nil, streams each confirmed tuple instead of
 	// collecting Result.Skyline; returning false stops the query early.
@@ -158,14 +161,10 @@ type Options struct {
 	// result still refreshes it) — for callers that need a recompute, not
 	// a warm answer. Run and Stream ignore it.
 	NoCache bool
-	// Planner tunes Auto's naive cap (ignored for explicit algorithms);
-	// its sampling fields affect only EstimateCardinality.
-	Planner PlannerOptions
 }
 
 // ErrOptionConflict is returned when Workers or Emit are combined with an
-// explicit algorithm other than Grouping. Auto never conflicts: options
-// only Grouping can honor constrain the planner's choice to Grouping.
+// explicit algorithm other than Grouping. Auto never conflicts.
 var ErrOptionConflict = errors.New("ksjq: workers and emit require Algorithm == Grouping")
 
 // ErrStaleResident is returned by Prepared methods (and by the engine
@@ -174,17 +173,16 @@ var ErrOptionConflict = errors.New("ksjq: workers and emit require Algorithm == 
 // rebuilds the snapshot against the relations' current state.
 var ErrStaleResident = core.ErrStaleResident
 
-// Run evaluates one query. With Algorithm == Auto the planner
-// chooses the strategy first (use RunAuto to also receive the plan),
-// unless Workers or Emit constrain the choice to Grouping. The context
-// bounds the whole call, planning included.
+// Run evaluates one query. With Algorithm == Auto the engine picks the
+// strategy (Result.Algorithm reports it; RunAuto also returns the reason).
+// An empty join answers the empty skyline. The context bounds the whole
+// call.
 func Run(ctx context.Context, q Query, opts Options) (*Result, error) {
 	return run(ctx, q, opts, nil)
 }
 
-// run is the shared execution path behind Run and Prepared.Run: resolve
-// the algorithm (consulting or constraining the planner for Auto), then
-// drive the engine — over the resident snapshot when one is supplied.
+// run is the shared execution path behind Run and Prepared.Run: drive the
+// engine — over the resident snapshot when one is supplied.
 // A non-nil Emit is routed through the stream implementation, making the
 // push callback a thin adapter over the pull iterator.
 func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Result, error) {
@@ -193,7 +191,7 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 	}
 	if opts.Emit != nil {
 		// The legacy push surface keeps the explicit-algorithm conflict:
-		// only Grouping (or Auto, constrained to it) can stream. The pull
+		// only Grouping (or Auto, which streams) can stream. The pull
 		// iterator is the one surface that serves every algorithm, falling
 		// back to compute-then-yield.
 		if opts.Algorithm != Auto && opts.Algorithm != Grouping {
@@ -214,7 +212,7 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 		}
 		return &Result{Stats: st}, nil
 	}
-	calg, err := resolveAlgorithm(ctx, q, opts, false)
+	calg, err := opts.Algorithm.coreAlgorithm()
 	if err != nil {
 		return nil, err
 	}
@@ -227,37 +225,15 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 	return out, err
 }
 
-// resolveAlgorithm maps Options to the concrete engine strategy. Auto
-// consults the planner — except when Workers, Emit or a Stream narrow the
-// viable set to Grouping, in which case the planner has no choice left to
-// make and is skipped. That forced grouping can cost more than the serial
-// plan wherever many candidates survive: grouping checks each against a
-// whole cell join, the dominator arm against its target-set join only
-// (DESIGN.md §6 measures grouping on 2 workers at over 3× the serial
-// dominator arm).
-func resolveAlgorithm(ctx context.Context, q Query, opts Options, stream bool) (core.Algorithm, error) {
-	if opts.Algorithm == Auto {
-		if opts.Workers > 1 || opts.Emit != nil || stream {
-			return core.Grouping, nil
-		}
-		plan, err := planner.Choose(ctx, q, opts.Planner)
-		if err != nil {
-			return 0, err
-		}
-		return plan.Algorithm, nil
-	}
-	return opts.Algorithm.coreAlgorithm()
-}
-
-// RunAuto plans and executes in one call, returning the planner's decision
-// alongside the result.
+// RunAuto runs Auto and returns the planner's account of the pick
+// alongside the result. opts is unused.
 func RunAuto(ctx context.Context, q Query, opts PlannerOptions) (*Result, *Plan, error) {
 	return planner.Run(ctx, q, opts)
 }
 
-// Choose asks the planner which algorithm it would pick, without
-// executing the query. It samples nothing: the plan's Estimate carries
-// only the exact join size.
+// Choose reports which algorithm Auto would pick for a serial Run, and
+// why, without executing the query. It samples nothing: the plan's
+// Estimate carries only the exact join size.
 func Choose(ctx context.Context, q Query, opts PlannerOptions) (*Plan, error) {
 	return planner.Choose(ctx, q, opts)
 }

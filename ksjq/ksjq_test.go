@@ -88,8 +88,37 @@ func TestRunAutoMatchesPlannedAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaRun.Skyline, res.Skyline) {
-		t.Error("Run with Auto diverged from RunAuto")
+	if !reflect.DeepEqual(viaRun.Skyline, res.Skyline) || viaRun.Algorithm != plan.Algorithm {
+		t.Errorf("Run with Auto ran %v, diverging from RunAuto's %v", viaRun.Algorithm, plan.Algorithm)
+	}
+}
+
+// TestAutoEmptyJoin pins that every facade surface answers an empty join
+// with the empty skyline, not an error.
+func TestAutoEmptyJoin(t *testing.T) {
+	ctx := context.Background()
+	q := Query{
+		R1:   MustNewRelation("r1", 2, 0, []Tuple{{Key: "a", Attrs: []float64{1, 2}}}),
+		R2:   MustNewRelation("r2", 2, 0, []Tuple{{Key: "b", Attrs: []float64{1, 2}}}),
+		Spec: Spec{Cond: Equality}, K: 3,
+	}
+	res, err := Run(ctx, q, Options{})
+	if err != nil || len(res.Skyline) != 0 {
+		t.Errorf("Run: %v, %v; want the empty skyline", res, err)
+	}
+	res, plan, err := RunAuto(ctx, q, PlannerOptions{})
+	if err != nil || len(res.Skyline) != 0 || plan.Estimate.JoinedSize != 0 {
+		t.Errorf("RunAuto: %v, %v, %v; want the empty skyline over a join of 0", res, plan, err)
+	}
+	p, err := Prepare(ctx, q, PrepareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = p.Run(ctx, Options{}); err != nil || len(res.Skyline) != 0 {
+		t.Errorf("Prepared.Run: %v, %v; want the empty skyline", res, err)
+	}
+	for pair, err := range Stream(ctx, q, Options{}) {
+		t.Errorf("Stream yielded %v, %v; want nothing", pair, err)
 	}
 }
 
@@ -136,9 +165,9 @@ func TestOptionConflicts(t *testing.T) {
 			t.Errorf("opts %+v: err = %v, want ErrOptionConflict", opts, err)
 		}
 	}
-	// Workers on Grouping is not a conflict, and Auto is never one: options
-	// only Grouping can honor constrain the planner's choice to Grouping
-	// instead of erroring.
+	// Workers on Grouping is not a conflict, and Auto is never one: it
+	// runs grouping (more than one CPU) or its serial pick, never an
+	// error.
 	want, err := Run(context.Background(), q, Options{Algorithm: Grouping})
 	if err != nil {
 		t.Fatal(err)

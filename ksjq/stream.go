@@ -23,14 +23,15 @@ import (
 //
 // Semantics:
 //
-//   - With the grouping algorithm (explicit, or Auto — a stream constrains
-//     the planner's choice to Grouping) tuples are yielded the moment
+//   - With the grouping algorithm (explicit, or Auto, which streams with
+//     it under a strict aggregator) tuples are yielded the moment
 //     their cell confirms them, in cell order, each detached from internal
 //     arenas; an early break reaches the engine as the existing early-stop
 //     and skips the remaining verification (observable in Options.Stats).
-//   - With an explicit non-streaming algorithm (Naive, DominatorBased)
-//     the full answer is computed first and then yielded in canonical
-//     (Left, Right) order; an early break saves only the yielding.
+//   - With a non-streaming algorithm (Naive, DominatorBased, or Auto's
+//     naive under a non-strict aggregator) the full answer is computed
+//     first and then yielded in canonical (Left, Right) order; an early
+//     break saves only the yielding.
 //   - Options.Limit caps the stream; Options.Workers shards verification
 //     (a cell verified in parallel yields after the cell, as with Emit).
 //   - A failed run yields exactly one final (zero Pair, non-nil error)
@@ -51,12 +52,12 @@ func streamSeq(ctx context.Context, q Query, opts Options, res *core.Resident) i
 		if opts.K > 0 {
 			q.K = opts.K
 		}
-		calg, err := resolveAlgorithm(ctx, q, opts, true)
+		calg, err := opts.Algorithm.coreAlgorithm()
 		if err != nil {
 			yield(Pair{}, err)
 			return
 		}
-		if calg != core.Grouping {
+		if calg == core.Naive || calg == core.DominatorBased {
 			// Naive and dominator-based runs cannot stream: compute the
 			// full answer, then yield it in canonical order.
 			out, err := core.Exec(ctx, q, core.ExecOptions{
@@ -80,10 +81,10 @@ func streamSeq(ctx context.Context, q Query, opts Options, res *core.Resident) i
 			return
 		}
 
-		// Grouping: run the engine in a producer goroutine and hand tuples
-		// over a rendezvous channel, so the engine advances exactly as fast
-		// as the consumer pulls (pull-based backpressure). Closing stop
-		// makes the engine's next emit return false — the existing
+		// Grouping or Auto: run the engine in a producer goroutine and hand
+		// tuples over a rendezvous channel, so the engine advances exactly
+		// as fast as the consumer pulls (pull-based backpressure). Closing
+		// stop makes the engine's next emit return false — the existing
 		// early-stop — so a consumer break cancels the remaining work and
 		// the producer always exits before the iterator returns.
 		pairs := make(chan join.Pair)
@@ -94,7 +95,7 @@ func streamSeq(ctx context.Context, q Query, opts Options, res *core.Resident) i
 		go func() {
 			defer close(done)
 			out, runErr = core.Exec(ctx, q, core.ExecOptions{
-				Algorithm: core.Grouping,
+				Algorithm: calg,
 				Workers:   opts.Workers,
 				Limit:     opts.Limit,
 				Resident:  res,
