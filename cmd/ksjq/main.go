@@ -12,15 +12,15 @@
 // With -delta the tool solves Problem 3 instead: it reports the smallest k
 // whose skyline has at least delta tuples (or, with -atmost, the largest k
 // with at most delta tuples). -alg auto lets the engine choose the
-// algorithm (naive for a small join or a max/min aggregator, grouping for
-// -workers on more than one CPU, dominator otherwise), and the summary
-// line reports the pick; -workers parallelizes the grouping algorithm (it
-// conflicts with an explicit -alg other than grouping); -timeout bounds
-// the whole query.
+// algorithm (naive for a small join or a max/min aggregator, dominator
+// otherwise), and the summary line reports the pick; -workers parallelizes
+// the grouping and dominator algorithms' verification (it conflicts with
+// an explicit -alg naive); -timeout bounds the whole query.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,7 +62,7 @@ func main() {
 	flag.IntVar(&o.delta, "delta", 0, "find k: smallest k with at least delta skylines (Problem 3)")
 	flag.BoolVar(&o.atMost, "atmost", false, "with -delta: largest k with at most delta skylines (Problem 4)")
 	flag.StringVar(&o.findAlg, "findalg", "binary", "find-k algorithm: naive, range or binary")
-	flag.IntVar(&o.workers, "workers", 0, "parallelize the grouping algorithm with this many workers (<= 1 = serial; conflicts with an explicit -alg other than grouping)")
+	flag.IntVar(&o.workers, "workers", 0, "verify candidates of the grouping and dominator algorithms with this many workers (<= 1 = serial; conflicts with -alg naive)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the query after this duration (e.g. 500ms, 30s; 0 = no deadline)")
 	flag.BoolVar(&o.quiet, "quiet", false, "print only the summary, not the skyline tuples")
 	flag.Parse()
@@ -79,14 +79,6 @@ func run(out io.Writer, o options) error {
 	alg, err := ksjq.ParseAlgorithm(o.algName)
 	if err != nil {
 		return err
-	}
-	// -workers parallelizes the grouping algorithm; combining a parallel
-	// degree with another explicit -alg is a contradiction, not a
-	// preference, so it is an error rather than a silent override. -alg
-	// auto never conflicts. workers <= 1 is the serial path and conflicts
-	// with nothing.
-	if o.workers > 1 && alg != ksjq.Grouping && alg != ksjq.Auto {
-		return fmt.Errorf("-workers requires -alg grouping or auto (got -alg %s)", alg)
 	}
 	if o.workers > 1 && o.delta > 0 {
 		return fmt.Errorf("-workers cannot be combined with -delta (find-k probes are serial)")
@@ -117,6 +109,11 @@ func run(out io.Writer, o options) error {
 	}
 
 	res, err := ksjq.Run(ctx, q, ksjq.Options{Algorithm: alg, Workers: o.workers})
+	if errors.Is(err, ksjq.ErrOptionConflict) {
+		// A parallel degree beside -alg naive is a contradiction, not a
+		// preference: an error rather than a silent override.
+		return fmt.Errorf("-workers %d: %w", o.workers, err)
+	}
 	if err != nil {
 		return err
 	}
@@ -140,14 +137,14 @@ func run(out io.Writer, o options) error {
 }
 
 // armLabel renders the arm that ran the way the summary line reports it:
-// the paper's one-letter labels for serial runs, the parallel marker only
-// when grouping verification actually shards (workers > 1 — a single
-// worker runs the serial path).
+// the paper's one-letter labels for serial runs, the parallel marker
+// whenever verification actually shards (workers > 1 — a single worker
+// runs the serial path — on any arm but naive, which has no cells).
 func armLabel(res *ksjq.Result, workers int) string {
-	if label := res.Algorithm.String(); label != "G" || workers <= 1 {
+	if label := res.Algorithm.String(); label == ksjq.Naive.Label() || workers <= 1 {
 		return label
 	}
-	return fmt.Sprintf("parallel-grouping(workers=%s)", ksjq.Workers(workers))
+	return fmt.Sprintf("parallel-%s(workers=%s)", res.Algorithm.Token(), ksjq.Workers(workers))
 }
 
 func runFindK(ctx context.Context, out io.Writer, q ksjq.Query, o options) error {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -169,39 +168,38 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestRunConflictingFlags(t *testing.T) {
-	// -workers silently overriding an explicit -alg was a bug; it must now
-	// be an error.
-	for _, alg := range []string{"naive", "dominator"} {
+	// -workers silently overriding an explicit -alg was a bug; beside
+	// naive, the one arm without cells to verify in parallel, it must be
+	// an error.
+	o := baseOptions(t)
+	o.algName = "naive"
+	o.workers = 3
+	err := run(&bytes.Buffer{}, o)
+	if err == nil {
+		t.Fatal("-workers with -alg naive accepted")
+	}
+	if !strings.Contains(err.Error(), "-workers") {
+		t.Errorf("-alg naive conflict error does not name the flag: %v", err)
+	}
+	// Every other arm takes -workers, and the summary marks the parallel
+	// run whichever cell arm it is; auto keeps its serial pick (naive for
+	// this small join, which then runs serially).
+	for alg, want := range map[string]string{
+		"dominator": "parallel-dominator(workers=3)",
+		"auto":      "auto→N",
+	} {
 		o := baseOptions(t)
 		o.algName = alg
 		o.workers = 3
 		var buf bytes.Buffer
-		err := run(&buf, o)
-		if err == nil {
-			t.Fatalf("-workers with -alg %s accepted", alg)
-		}
-		if !strings.Contains(err.Error(), "-workers") {
-			t.Errorf("-alg %s conflict error does not name the flag: %v", alg, err)
-		}
-	}
-	// -alg auto with -workers is not a contradiction: on more than one CPU
-	// auto runs grouping, on one it keeps the serial pick (naive for this
-	// small join), and the summary reports the arm that ran.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for procs, want := range map[int]string{2: "auto→parallel-grouping(workers=3)", 1: "auto→N"} {
-		runtime.GOMAXPROCS(procs)
-		o := baseOptions(t)
-		o.algName = "auto"
-		o.workers = 3
-		var buf bytes.Buffer
 		if err := run(&buf, o); err != nil {
-			t.Fatalf("-workers with -alg auto rejected: %v", err)
+			t.Fatalf("-workers with -alg %s rejected: %v", alg, err)
 		}
 		if !strings.Contains(buf.String(), "algorithm="+want+" ") {
-			t.Errorf("GOMAXPROCS=%d: auto+workers summary does not report %s:\n%s", procs, want, buf.String())
+			t.Errorf("-alg %s with -workers: summary does not report %s:\n%s", alg, want, buf.String())
 		}
 	}
-	o := baseOptions(t)
+	o = baseOptions(t)
 	o.workers = 2
 	o.delta = 1
 	if err := run(&bytes.Buffer{}, o); err == nil {

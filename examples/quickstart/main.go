@@ -74,8 +74,10 @@ func main() {
 		fmt.Printf("k=%d → %d combinations survive\n", k, len(res.Skyline))
 	}
 
-	// Streams pull results one at a time; breaking out of the loop stops
-	// the engine early instead of computing the rest of the answer.
+	// Streams pull results one at a time; on a large join breaking out of
+	// the loop stops the engine early instead of computing the rest of the
+	// answer. A join this small runs naive, which yields its finished
+	// answer in (Left, Right) order.
 	fmt.Println("first two results, streamed:")
 	n := 0
 	for p, err := range prepared.Stream(context.Background(), ksjq.Options{}) {

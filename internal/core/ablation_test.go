@@ -51,9 +51,9 @@ func unprunedDominates(c *checker, cand []float64) bool {
 	return false
 }
 
-// runGroupingWithPruning mirrors runGrouping but lets the benchmark toggle
-// the checker's target-set skip; it reports the skyline size and the
-// domination tests spent.
+// runGroupingWithPruning mirrors runCells' grouping arm but lets the
+// benchmark toggle the checker's target-set skip; it reports the skyline
+// size and the domination tests spent.
 func runGroupingWithPruning(q Query, prune bool) (count int, tests int64) {
 	st := Stats{}
 	e := newEngine(q, &st)

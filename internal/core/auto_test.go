@@ -10,8 +10,9 @@ import (
 	"repro/internal/join"
 )
 
-// TestResolveAuto pins the rule's four steps in order, the cap boundary,
-// the GOMAXPROCS clamp, and that Exec reports the arm it ran.
+// TestResolveAuto pins the rule's three steps in order, the cap boundary,
+// that Workers and Emit leave the pick alone, and that Exec reports the
+// arm it ran.
 func TestResolveAuto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rel := func(name string, n, agg int) *dataset.Relation {
@@ -35,9 +36,7 @@ func TestResolveAuto(t *testing.T) {
 	}{
 		{"explicit passes through", cross(10, 0, join.Sum), ExecOptions{Algorithm: Grouping}, 2, Grouping, -1},
 		{"non-strict runs naive", cross(3000, 1, join.Max), ExecOptions{Algorithm: Auto, Workers: 4, Emit: emit}, 2, Naive, -1},
-		{"workers run grouping", cross(10, 0, join.Sum), ExecOptions{Algorithm: Auto, Workers: 2}, 2, Grouping, -1},
-		{"workers clamp to one CPU", cross(10, 0, join.Sum), ExecOptions{Algorithm: Auto, Workers: 2}, 1, Naive, 10},
-		{"emit runs grouping", cross(3000, 0, join.Sum), ExecOptions{Algorithm: Auto, Emit: emit}, 1, Grouping, -1},
+		{"workers keep the serial pick", cross(10, 0, join.Sum), ExecOptions{Algorithm: Auto, Workers: 2}, 2, Naive, 10},
 		{"empty join runs naive", Query{R1: rel("a", 1, 0), R2: dataset.MustNew("b", 2, 0, []dataset.Tuple{{Key: "x", Attrs: []float64{1, 2}}}), Spec: join.Spec{Cond: join.Equality}, K: 3}, ExecOptions{Algorithm: Auto}, 2, Naive, 0},
 		{"join at the cap runs naive", cross(AutoNaiveCap, 0, join.Sum), ExecOptions{Algorithm: Auto}, 2, Naive, AutoNaiveCap},
 		{"join over the cap runs dominator", cross(AutoNaiveCap+1, 1, join.Sum), ExecOptions{Algorithm: Auto}, 2, DominatorBased, AutoNaiveCap + 1},

@@ -184,12 +184,14 @@ func (e *engine) forEachPair(left, right []int, fn func(i, j int) bool) bool {
 //
 // The list lives in the engine's scratch, so repeated checkers allocate
 // nothing; a checker stays valid until its engine builds or resets the
-// next one. It is read-only until then, so parallel workers share it
-// through bind.
+// next one. Parallel workers each reset their own checker on their
+// private engine's scratch.
 type checker struct {
 	e        *engine
-	lefts    []int32 // R1 tuples with at least one partner, in probe order
-	partners [][]int // partners[n]: lefts[n]'s join partners in R2
+	left     []int       // the probe-ordered list the partner list was resolved from
+	ix       *join.Index // the index it was resolved through
+	lefts    []int32     // R1 tuples with at least one partner, in probe order
+	partners [][]int     // partners[n]: lefts[n]'s join partners in R2
 }
 
 // allLeftOrder returns all of R1 sorted by ascending attribute sum,
@@ -239,9 +241,18 @@ func (e *engine) newChecker(left, right []int) *checker {
 	return c
 }
 
+// use points the checker at left × ix, re-resolving the partner list only
+// when the lists differ by identity from the ones it holds: the cell loop
+// passes grouping's one fixed pair per cell, so it resolves once per
+// cell, and the dominator arm's τ(u) × τ(v) once per candidate.
+func (c *checker) use(left []int, ix *join.Index) {
+	if ix != c.ix || !sameIDs(left, c.left) {
+		c.reset(left, ix)
+	}
+}
+
 // reset points the checker at left (already in probe order) × ix,
-// resolving the partner list into the engine scratch. The dominator arm
-// resets one checker per candidate rather than allocating one.
+// resolving the partner list into the engine scratch.
 func (c *checker) reset(left []int, ix *join.Index) {
 	e := c.e
 	if e.scratch.lefts == nil {
@@ -257,14 +268,7 @@ func (c *checker) reset(left []int, ix *join.Index) {
 		}
 	}
 	e.scratch.lefts, e.scratch.partners = lefts, partners
-	c.lefts, c.partners = lefts, partners
-}
-
-// bind returns a view of the checker that charges domination-test counts
-// to we's stats. The partner list is shared read-only, so parallel
-// workers bind one prebuilt checker instead of rebuilding it per worker.
-func (c *checker) bind(we *engine) *checker {
-	return &checker{e: we, lefts: c.lefts, partners: c.partners}
+	c.left, c.ix, c.lefts, c.partners = left, ix, lefts, partners
 }
 
 // dominates reports whether some join-compatible pair from the checker's

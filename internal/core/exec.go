@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/join"
@@ -16,22 +15,22 @@ type ExecOptions struct {
 	// Algorithm selects the evaluation strategy; Auto lets ResolveAuto
 	// pick it.
 	Algorithm Algorithm
-	// Workers > 1 verifies candidates in parallel on the grouping
-	// algorithm's execution path; any other value runs serially. Under
-	// Auto the degree is read clamped to GOMAXPROCS, and it is ignored
-	// when the rule picks another arm.
+	// Workers > 1 verifies candidates in parallel on the cell loop the
+	// grouping and dominator-based algorithms share; any other value runs
+	// serially. It conflicts with an explicit Naive (CheckWorkers). Under
+	// Auto it is ignored when the rule picks naive.
 	Workers int
 	// Emit, when non-nil, streams each confirmed skyline tuple instead of
-	// collecting the answer in Result.Skyline. Under Auto with a non-strict
-	// aggregator the naive answer is emitted once computed, in (Left,
-	// Right) order. Returning false stops the
+	// collecting the answer in Result.Skyline. Returning false stops the
 	// query early (not an error). Emitted pairs are detached from internal
-	// arenas, so callers may retain them. Tuples arrive cell by cell (yes,
-	// SS⋈SN, SN⋈SS, SN⋈SN), not in (Left, Right) order. Each tuple is
-	// emitted the moment it is verified, except in a cell the worker pool
-	// verifies (Workers > 1 and more candidates than one pool chunk): its
-	// survivors are emitted in candidate order once the whole cell is
-	// verified, and a false return stops before the next cell.
+	// arenas, so callers may retain them. The grouping and dominator-based
+	// algorithms emit cell by cell (yes, SS⋈SN, SN⋈SS, SN⋈SN), not in
+	// (Left, Right) order: each tuple the moment it is verified, except in
+	// a cell the worker pool verifies (Workers > 1 and more candidates
+	// than one pool chunk), whose survivors are emitted in candidate order
+	// once the whole cell is verified, so a false return stops before the
+	// next cell. The naive algorithm has no cells: its answer is emitted
+	// once computed, in (Left, Right) order.
 	Emit Emit
 	// Resident, when non-nil, supplies prebuilt per-(R1, R2, condition)
 	// structures (full-R2 join index, probe orders) so
@@ -41,13 +40,13 @@ type ExecOptions struct {
 	// otherwise Exec returns ErrStaleResident. The naive algorithm
 	// materializes the full join instead of probing and ignores it.
 	Resident *Resident
-	// Limit > 0 caps the answer at that many tuples. The grouping
-	// algorithm stops the run the moment the cap is reached (strictly
-	// less verification work; after the cell, in a cell the pool verifies,
-	// as with Emit); the other algorithms compute the full answer and
-	// truncate it after the canonical sort. Which members survive a
-	// grouping-path cap is unspecified beyond "a subset of the skyline" —
-	// tuples are confirmed in cell order, not (Left, Right) order.
+	// Limit > 0 caps the answer at that many tuples. The grouping and
+	// dominator-based algorithms stop the run the moment the cap is
+	// reached (strictly less verification work; after the cell, in a cell
+	// the pool verifies, as with Emit); which members survive is
+	// unspecified beyond "a subset of the skyline" — tuples are confirmed
+	// in cell order, not (Left, Right) order. The naive algorithm computes
+	// the full answer and truncates it after the canonical sort.
 	Limit int
 }
 
@@ -55,15 +54,25 @@ type ExecOptions struct {
 // query; the run then returns with whatever work was done. Streaming
 // addresses the naive algorithm's weakness the paper calls out in Sec. 6.1:
 // with join-then-compute the user waits for the whole join before seeing
-// the first result, while the grouping algorithm can stream the entire
-// SS1 ⋈ SS2 cell right after categorization and each "likely"/"may be"
-// candidate as soon as its target-set check passes.
+// the first result, while the grouping and dominator-based algorithms can
+// stream the entire SS1 ⋈ SS2 cell right after categorization and each
+// "likely"/"may be" candidate as soon as its check passes.
 type Emit func(p join.Pair) bool
 
-// ErrOptionConflict is returned when exec options are combined with an
-// explicit algorithm that cannot honor them (Workers/Emit require
-// Grouping). Auto never conflicts.
-var ErrOptionConflict = errors.New("core: workers and emit require the grouping algorithm")
+// ErrOptionConflict is returned when a parallel degree is combined with an
+// explicit naive run (see CheckWorkers). Auto never conflicts.
+var ErrOptionConflict = errors.New("core: workers require the grouping or dominator-based algorithm")
+
+// CheckWorkers is the one option rule: Workers > 1 beside an explicit
+// Naive is ErrOptionConflict — the naive algorithm has no cells to verify
+// in parallel. Exec applies it, and the query service applies it before
+// any cache lookup, so accept/reject never depends on cache state.
+func CheckWorkers(alg Algorithm, workers int) error {
+	if workers > 1 && alg == Naive {
+		return fmt.Errorf("%w (got %v)", ErrOptionConflict, alg.Token())
+	}
+	return nil
+}
 
 // AutoNaiveCap is the joined size at or below which Auto runs the naive
 // algorithm: materializing a join this small is cheaper than categorizing
@@ -75,14 +84,14 @@ const AutoNaiveCap = 2048
 //
 //  1. a non-strict aggregator over aggregate attributes runs naive, the
 //     one exact arm (Query.Strict);
-//  2. a parallel degree over 1 after the GOMAXPROCS clamp, or a non-nil
-//     Emit, runs grouping, the one arm that can honor them;
-//  3. a join of at most AutoNaiveCap pairs runs naive;
-//  4. every larger join runs the dominator-based algorithm, which checks
+//  2. a join of at most AutoNaiveCap pairs runs naive;
+//  3. every larger join runs the dominator-based algorithm, which checks
 //     each candidate u ⋈ v against τ(u) ⋈ τ(v) only, where grouping scans
 //     a whole cell join per candidate.
 //
-// joined is the exact |R1 ⋈ R2| when step 3 counted it, otherwise -1. The
+// Workers, Emit and Limit do not enter the rule: every arm honours Emit
+// and Limit, and an Auto run that picks naive ignores Workers.
+// joined is the exact |R1 ⋈ R2| when step 2 counted it, otherwise -1. The
 // count probes o.Resident's join index when one is set, building nothing;
 // without one it builds one full-R2 index. q must be valid, and
 // o.Resident, if set, must match it.
@@ -92,8 +101,6 @@ func ResolveAuto(q Query, o ExecOptions) (alg Algorithm, joined int) {
 		return o.Algorithm, -1
 	case !q.Strict():
 		return Naive, -1
-	case o.Emit != nil || min(o.Workers, runtime.GOMAXPROCS(0)) > 1:
-		return Grouping, -1
 	}
 	var ix *join.Index
 	if o.Resident != nil {
@@ -120,10 +127,13 @@ const cancelEvery = 16
 // Exec evaluates the query on the single engine execution path shared by
 // every public entry point: Run is Exec with defaults, a parallel run
 // (the paper's Sec. 8 future-work item) is Workers > 1, a progressive one
-// is a non-nil Emit, and Auto resolves through ResolveAuto. The context is
-// checked between phases and periodically inside candidate verification
-// (the dominant cost); on cancellation Exec returns ctx.Err() promptly
-// with no goroutines left behind.
+// is a non-nil Emit, and Auto resolves through ResolveAuto. The grouping
+// and dominator-based algorithms run one cell loop (runCells). The context
+// is checked between phases and periodically inside candidate
+// verification (the dominant cost); on cancellation Exec returns
+// ctx.Err() promptly with no goroutines left behind. Every arm collects
+// its answer into a non-nil slice, even an empty one; with Emit,
+// Result.Skyline is nil.
 func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	if err := q.Validate(o.Algorithm); err != nil {
 		return nil, err
@@ -136,52 +146,56 @@ func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if o.Algorithm == Auto {
-		o.Algorithm, _ = ResolveAuto(q, o)
-	} else if o.Algorithm != Grouping && (o.Workers > 1 || o.Emit != nil) {
-		return nil, fmt.Errorf("%w (got %v)", ErrOptionConflict, o.Algorithm)
+	if err := CheckWorkers(o.Algorithm, o.Workers); err != nil {
+		return nil, err
 	}
+	start := time.Now()
+	o.Algorithm, _ = ResolveAuto(q, o)
 	var res *Result
 	var err error
-	switch o.Algorithm {
-	case Naive:
+	if o.Algorithm == Naive {
 		res, err = runNaive(ctx, q)
-	case Grouping:
-		res, err = runGrouping(ctx, q, o)
-	case DominatorBased:
-		res, err = runDominator(ctx, q, o.Resident)
+	} else {
+		res, err = runCells(ctx, q, o)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if o.Emit == nil || o.Algorithm != Grouping {
+	if o.Emit == nil || o.Algorithm == Naive {
 		join.SortPairs(res.Skyline)
 		if o.Limit > 0 && len(res.Skyline) > o.Limit {
 			res.Skyline = res.Skyline[:o.Limit]
 		}
 		compactAttrs(res.Skyline)
 	}
-	// Auto under a non-strict aggregator pairs Emit with the naive arm:
-	// stream its finished answer.
-	if o.Emit != nil && o.Algorithm != Grouping {
+	if o.Emit != nil {
+		// The cell arms emitted as they went and collected nothing; the
+		// naive algorithm has no cells, so its finished answer streams
+		// here.
 		for _, p := range res.Skyline {
 			if !o.Emit(p) {
 				break
 			}
 		}
 		res.Skyline = nil
+	} else if res.Skyline == nil {
+		res.Skyline = []join.Pair{}
 	}
 	res.Algorithm = o.Algorithm
 	res.Stats.Total = time.Since(start)
 	return res, nil
 }
 
-// sink receives confirmed skyline tuples inside the grouping loop;
-// returning false stops the query.
+// sink receives confirmed skyline tuples inside the cell loop; returning
+// false stops the query.
 type sink func(p join.Pair) bool
 
-// verifyCell filters candidates through a checker over chkLeft × chkRight,
+// targetsFn returns the lists a candidate is checked against: an R1 list in
+// probe order and a checker index over R2. Grouping returns one fixed pair
+// per cell, the dominator-based arm τ(u) and τ(v) per candidate u ⋈ v.
+type targetsFn func(p join.Pair) (left []int, ix *join.Index)
+
+// verifyCell filters candidates, each through a checker over its targets,
 // feeding the survivors to emit in candidate order. It returns false when
 // emit stopped the run, and ctx.Err() when the context was cancelled
 // mid-verification. Serially, each candidate is emitted the moment
@@ -190,26 +204,29 @@ type sink func(p join.Pair) bool
 // chunks the persistent workers pull from a shared cursor into the
 // engine's keep bitset, and its survivors are emitted once the whole cell
 // is verified; smaller cells stay on the coordinator — a broadcast costs
-// more than poolChunk candidates. Both paths poll the context every
+// more than poolChunk candidates. Before a cell goes to the pool, targets
+// is called for every candidate on the coordinator, so every lazily built
+// list exists and the workers only read. Both paths poll the context every
 // cancelEvery candidates, so verifyCell never leaves work running.
-func verifyCell(ctx context.Context, e *engine, candidates []join.Pair, chkLeft, chkRight []int, emit sink) (bool, error) {
-	if len(candidates) == 0 {
-		return true, nil
-	}
-	chk := e.newChecker(chkLeft, chkRight)
+func verifyCell(ctx context.Context, e *engine, candidates []join.Pair, targets targetsFn, emit sink) (bool, error) {
 	if e.pool == nil || len(candidates) <= poolChunk {
-		for i := range candidates {
+		chk := &checker{e: e}
+		for i, p := range candidates {
 			if i%cancelEvery == 0 && ctx.Err() != nil {
 				return false, ctx.Err()
 			}
-			if !chk.dominates(candidates[i].Attrs) && !emit(candidates[i]) {
+			chk.use(targets(p))
+			if !chk.dominates(p.Attrs) && !emit(p) {
 				return false, nil
 			}
 		}
 		return true, nil
 	}
+	for _, p := range candidates {
+		targets(p)
+	}
 	keep := e.keepBits(len(candidates))
-	if err := e.pool.verify(ctx, chk, candidates, keep); err != nil {
+	if err := e.pool.verify(ctx, targets, candidates, keep); err != nil {
 		return false, err
 	}
 	for i := range candidates {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -140,30 +141,23 @@ func TestExecCancelProgressive(t *testing.T) {
 	}
 }
 
-// TestExecOptionConflicts pins the exec-option validation: Workers and
-// Emit are grouping-only capabilities.
+// TestExecOptionConflicts pins the exec-option validation: a parallel
+// degree conflicts with an explicit naive run, the one arm without cells.
 func TestExecOptionConflicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
 	r1 := randRelation(rng, "r1", 10, 3, 0, 2, 5)
 	r2 := randRelation(rng, "r2", 10, 3, 0, 2, 5)
 	q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 4}
-	emit := Emit(func(join.Pair) bool { return true })
-	for _, o := range []ExecOptions{
-		{Algorithm: Naive, Workers: 2},
-		{Algorithm: DominatorBased, Workers: 2},
-		{Algorithm: Naive, Emit: emit},
-		{Algorithm: DominatorBased, Emit: emit},
-	} {
-		if _, err := Exec(context.Background(), q, o); !errors.Is(err, ErrOptionConflict) {
-			t.Errorf("opts %+v: err = %v, want ErrOptionConflict", o, err)
-		}
+	o := ExecOptions{Algorithm: Naive, Workers: 2}
+	if _, err := Exec(context.Background(), q, o); !errors.Is(err, ErrOptionConflict) {
+		t.Errorf("opts %+v: err = %v, want ErrOptionConflict", o, err)
 	}
 }
 
 // TestExecModesAgree is the unified-path property test: serial, parallel,
-// and streaming runs of the same instance must produce identical answers,
-// and combining Workers with Emit must too (parallel verification with an
-// ordered stream).
+// and streaming runs of the same instance must produce identical answers
+// on both cell arms, and combining Workers with Emit must too (parallel
+// verification with an ordered stream).
 func TestExecModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(411))
 	conds := []join.Condition{join.Equality, join.Cross, join.BandLessEq}
@@ -173,26 +167,28 @@ func TestExecModesAgree(t *testing.T) {
 		r2 := randRelation(rng, "r2", 5+rng.Intn(40), 1+rng.Intn(3), agg, 1+rng.Intn(4), 5)
 		q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: conds[rng.Intn(len(conds))], Agg: join.Sum}}
 		q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
-		serial, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 3, 8} {
-			var streamed []join.Pair
-			res, err := Exec(context.Background(), q, ExecOptions{
-				Algorithm: Grouping,
-				Workers:   workers,
-				Emit:      func(p join.Pair) bool { streamed = append(streamed, p); return true },
-			})
+		for _, alg := range []Algorithm{Grouping, DominatorBased} {
+			serial, err := Exec(context.Background(), q, ExecOptions{Algorithm: alg})
 			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+				t.Fatal(err)
 			}
-			if len(res.Skyline) != 0 {
-				t.Fatalf("trial %d: streaming run also collected %d tuples", trial, len(res.Skyline))
+			for _, workers := range []int{1, 3, 8} {
+				var streamed []join.Pair
+				res, err := Exec(context.Background(), q, ExecOptions{
+					Algorithm: alg,
+					Workers:   workers,
+					Emit:      func(p join.Pair) bool { streamed = append(streamed, p); return true },
+				})
+				if err != nil {
+					t.Fatalf("trial %d %v workers %d: %v", trial, alg, workers, err)
+				}
+				if len(res.Skyline) != 0 {
+					t.Fatalf("trial %d %v: streaming run also collected %d tuples", trial, alg, len(res.Skyline))
+				}
+				join.SortPairs(streamed)
+				got := Result{Skyline: streamed}
+				assertSameSkyline(t, fmt.Sprintf("%v stream vs serial", alg), &got, serial)
 			}
-			join.SortPairs(streamed)
-			got := Result{Skyline: streamed}
-			assertSameSkyline(t, "stream vs serial", &got, serial)
 		}
 	}
 }

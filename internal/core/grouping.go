@@ -8,28 +8,38 @@ import (
 	"repro/internal/join"
 )
 
-// runGrouping implements Algorithm 2 on the unified execution path. Both
-// base relations are categorized into SS/SN/NN; Table 5 then decides each
-// joined cell's fate:
+// runCells implements Algorithms 2 and 3 on the unified execution path:
+// one loop over Table 5's cells, the two arms differing only in what each
+// candidate is checked against. Both base relations are categorized into
+// SS/SN/NN; Table 5 then decides each joined cell's fate:
 //
-//   - SS1 ⋈ SS2 ("yes") is emitted without checks (verified against the
-//     augmented target sets when a ≥ 2; see the package comment),
+//   - SS1 ⋈ SS2 ("yes") is emitted without checks (verified like the
+//     other cells when a ≥ 2; see the package comment),
 //   - any cell containing NN ("no") is pruned without even joining,
-//   - SS1 ⋈ SN2 and SN1 ⋈ SS2 ("likely") are checked against A1 ⋈ R2 and
-//     R1 ⋈ A2 respectively, where A is the augmented SS target union,
-//   - SN1 ⋈ SN2 ("may be") is checked against the full join R1 ⋈ R2.
+//   - SS1 ⋈ SN2, SN1 ⋈ SS2 ("likely") and SN1 ⋈ SN2 ("may be") are
+//     verified candidate by candidate.
 //
-// For Cartesian products (Sec 6.5) the SN sets are empty, so the algorithm
-// degenerates to emitting SS1 × SS2 — exactly the paper's fast path.
+// Grouping (Algorithm 2) checks every candidate of a cell against one
+// fixed join: A1 ⋈ R2 for SS1 ⋈ SN2, R1 ⋈ A2 for SN1 ⋈ SS2, the full
+// R1 ⋈ R2 for SN1 ⋈ SN2 and A1 ⋈ A2 for the verified yes cell, where A is
+// the augmented SS target union. The dominator-based algorithm
+// (Algorithm 3) skips the augmentation and checks each candidate u ⋈ v
+// against τ(u) ⋈ τ(v) only (see targetSets), which is usually far
+// smaller.
+//
+// For Cartesian products (Sec 6.5) the SN sets are empty, so both arms
+// degenerate to emitting SS1 × SS2 — exactly the paper's fast path.
 //
 // The one loop serves every execution mode: workers > 1 categorizes the
 // relations concurrently and runs one persistent work-stealing pool that
 // every large cell's verification is chunked onto; a non-nil emit streams
 // each tuple the moment its cell confirms it (the "yes" cell right after
 // categorization — the progressiveness argument of Sec. 6.1) instead of
-// collecting the answer.
-func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
+// collecting the answer; a limit stops the run once that many tuples are
+// confirmed.
+func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	workers, emitFn, limit := o.Workers, o.Emit, o.Limit
+	augment := o.Algorithm == Grouping
 	st := Stats{}
 	e := newEngineResident(q, &st, o.Resident)
 	if workers > 1 {
@@ -37,32 +47,37 @@ func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 		defer e.pool.close()
 	}
 
-	// Phase 1: categorization and target-set augmentation. The two
-	// relations are independent, so the parallel mode runs them
-	// concurrently.
+	// Phase 1: categorization, and for grouping the target-set
+	// augmentation. The two relations are independent, so the parallel
+	// mode runs them concurrently.
 	t0 := time.Now()
 	k1p, k2p := q.KPrimes()
 	var c1, c2 Categorization
 	var a1, a2 []int
+	side1 := func() {
+		c1 = Categorize(q.R1, k1p, e.cond, Left)
+		if augment {
+			a1 = targetUnion(q.R1, c1.SS, e.l1, e.k1pp)
+		}
+	}
+	side2 := func() {
+		c2 = Categorize(q.R2, k2p, e.cond, Right)
+		if augment {
+			a2 = targetUnion(q.R2, c2.SS, e.l2, e.k2pp)
+		}
+	}
 	if workers > 1 {
 		var wg sync.WaitGroup
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c1 = Categorize(q.R1, k1p, e.cond, Left)
-			a1 = targetUnion(q.R1, c1.SS, e.l1, e.k1pp)
+			side1()
 		}()
-		go func() {
-			defer wg.Done()
-			c2 = Categorize(q.R2, k2p, e.cond, Right)
-			a2 = targetUnion(q.R2, c2.SS, e.l2, e.k2pp)
-		}()
+		side2()
 		wg.Wait()
 	} else {
-		c1 = Categorize(q.R1, k1p, e.cond, Left)
-		c2 = Categorize(q.R2, k2p, e.cond, Right)
-		a1 = targetUnion(q.R1, c1.SS, e.l1, e.k1pp)
-		a2 = targetUnion(q.R2, c2.SS, e.l2, e.k2pp)
+		side1()
+		side2()
 	}
 	st.GroupingTime = time.Since(t0)
 	recordSizes(&st, c1, c2)
@@ -92,12 +107,16 @@ func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	// Phases 2+3: materialize and verify the surviving cells in streaming
 	// order. The "yes" cell is unchecked when a ≤ 1; with a ≥ 2 the
 	// paper's theorem fails (see the package comment) and it is verified
-	// against the augmented target join like any other cell.
+	// like any other cell.
+	var ts *targetSets
+	if !augment {
+		ts = newTargetSets(e)
+	}
 	all1 := allIndices(q.R1.Len())
 	all2 := allIndices(q.R2.Len())
 	cells := []struct {
 		left, right       []int // candidate cell
-		chkLeft, chkRight []int // verification target lists
+		chkLeft, chkRight []int // grouping's verification target lists
 		yes               bool
 	}{
 		{c1.SS, c2.SS, a1, a2, true},
@@ -112,7 +131,8 @@ func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 		if cell.yes && e.a < 2 {
 			// Unchecked emission is still the whole answer for Cartesian
 			// products (no SN cells), so it polls the context like the
-			// verification loops do.
+			// verification loops do. The yes cell comes first, so a stop
+			// here leaves no verification or target-set time to account.
 			st.YesEmitted = len(candidates)
 			for n, p := range candidates {
 				if n%cancelEvery == 0 && ctx.Err() != nil {
@@ -124,13 +144,24 @@ func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 			}
 			continue
 		}
+		if len(candidates) == 0 {
+			continue
+		}
 		if !cell.yes {
 			st.Candidates += len(candidates)
 		}
 		t0 = time.Now()
-		// A limit stops verification the moment the cap is reached: mid-cell
-		// serially, after the cell for a cell the pool verified (like Emit).
-		more, err := verifyCell(ctx, e, candidates, cell.chkLeft, cell.chkRight, out)
+		var targets targetsFn
+		if ts != nil {
+			targets = ts.of
+		} else {
+			left, ix := e.leftProbeOrder(cell.chkLeft), e.checkerRightIndex(cell.chkRight)
+			targets = func(join.Pair) ([]int, *join.Index) { return left, ix }
+		}
+		// A limit stops verification the moment the cap is reached:
+		// mid-cell serially, after the cell for a cell the pool verified
+		// (like Emit).
+		more, err := verifyCell(ctx, e, candidates, targets, out)
 		st.RemainingTime += time.Since(t0)
 		if err != nil {
 			return nil, err
@@ -138,6 +169,12 @@ func runGrouping(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 		if !more {
 			break
 		}
+	}
+	if ts != nil {
+		// Building the target sets is charged to DominatorTime, the
+		// checks to RemainingTime.
+		st.DominatorTime = ts.built
+		st.RemainingTime -= ts.built
 	}
 	return &Result{Skyline: skyline, Stats: st}, nil
 }

@@ -10,12 +10,12 @@ import (
 	"repro/internal/join"
 )
 
-// execGrouping runs the grouping algorithm with explicit worker, Emit and
-// Limit settings, returning the canonical-order skyline and the stats.
-func execGrouping(t testing.TB, q Query, workers int, emitMode bool, limit int) ([]join.Pair, Stats) {
+// execArm runs one cell arm with explicit worker, Emit and Limit settings,
+// returning the canonical-order skyline and the stats.
+func execArm(t testing.TB, q Query, alg Algorithm, workers int, emitMode bool, limit int) ([]join.Pair, Stats) {
 	t.Helper()
-	o := ExecOptions{Algorithm: Grouping, Workers: workers, Limit: limit}
-	var streamed []join.Pair
+	o := ExecOptions{Algorithm: alg, Workers: workers, Limit: limit}
+	streamed := []join.Pair{} // compares like a collected empty answer
 	if emitMode {
 		o.Emit = func(p join.Pair) bool { streamed = append(streamed, p); return true }
 	}
@@ -30,15 +30,23 @@ func execGrouping(t testing.TB, q Query, workers int, emitMode bool, limit int) 
 	return res.Skyline, res.Stats
 }
 
-// TestKernelEquivalenceOracle pins every grouping execution path to one
-// answer: serial and pooled runs, each collected and streamed through
-// Emit, must across all six join conditions produce Run(q, Naive)'s
-// skyline byte for byte (indices and attribute vectors) and spend equal
-// DominationTests — the determinism documented on Stats.DominationTests.
-// Only cells over poolChunk candidates go to the pool, so the test also
-// checks that some did. A capped run confirms tuples in cell order, so it
-// is pinned as a full-size subset of the skyline.
+// TestKernelEquivalenceOracle pins every execution path of both cell arms,
+// grouping and dominator-based, to one answer: serial and pooled runs,
+// each collected and streamed through Emit, must across all six join
+// conditions produce Run(q, Naive)'s skyline byte for byte (indices and
+// attribute vectors; a collected empty answer is empty alike) and spend
+// equal DominationTests — the determinism documented on
+// Stats.DominationTests. Only cells over poolChunk candidates go to the
+// pool, so the test also checks that some did, per arm. A capped run
+// confirms tuples in cell order, so it is pinned as a full-size subset of
+// the skyline.
 func TestKernelEquivalenceOracle(t *testing.T) {
+	for _, alg := range []Algorithm{Grouping, DominatorBased} {
+		t.Run(alg.Token(), func(t *testing.T) { kernelEquivalence(t, alg) })
+	}
+}
+
+func kernelEquivalence(t *testing.T, alg Algorithm) {
 	rng := rand.New(rand.NewSource(611))
 	conds := []join.Condition{
 		join.Equality, join.Cross,
@@ -81,11 +89,11 @@ func TestKernelEquivalenceOracle(t *testing.T) {
 			for _, p := range oracle {
 				member[[2]int{p.Left, p.Right}] = true
 			}
-			_, serial := execGrouping(t, q, 1, false, 0)
+			_, serial := execArm(t, q, alg, 1, false, 0)
 			for _, workers := range []int{1, 4} {
 				for _, emitMode := range []bool{false, true} {
-					got, st := execGrouping(t, q, workers, emitMode, 0)
-					if len(got) != len(oracle) || len(got) > 0 && !reflect.DeepEqual(got, oracle) {
+					got, st := execArm(t, q, alg, workers, emitMode, 0)
+					if !reflect.DeepEqual(got, oracle) {
 						t.Fatalf("%s workers=%d emit=%v: skyline differs from Run(q, Naive)", label, workers, emitMode)
 					}
 					if st.DominationTests != serial.DominationTests {
@@ -94,7 +102,7 @@ func TestKernelEquivalenceOracle(t *testing.T) {
 					}
 				}
 
-				limited, _ := execGrouping(t, q, workers, false, 3)
+				limited, _ := execArm(t, q, alg, workers, false, 3)
 				if len(limited) != min(3, len(oracle)) {
 					t.Fatalf("%s workers=%d limit: %d tuples, want %d", label, workers, len(limited), min(3, len(oracle)))
 				}

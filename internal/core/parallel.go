@@ -29,7 +29,7 @@ const poolChunk = 256
 // flush into the engine stats.
 type poolJob struct {
 	ctx        context.Context
-	chk        *checker
+	targets    targetsFn
 	candidates []join.Pair
 	keep       []uint64
 	cursor     atomic.Int64
@@ -40,7 +40,7 @@ type poolJob struct {
 // workerPool is the persistent verification pool: one per Exec run with
 // Workers > 1, spawned before the first cell and shut down when the run
 // returns. Workers are long-lived goroutines, each owning a private engine
-// (its own Stats, scratch, and checker binds) reused across every cell of
+// (its own Stats, scratch, and checker) reused across every cell of
 // the run — the per-cell goroutine spawn and its per-worker allocations
 // are gone. Cells are split by chunk, not by cell: all workers pull from
 // the active cell's cursor, so a single skewed cell is shared instead of
@@ -75,18 +75,18 @@ func newWorkerPool(e *engine, workers int) *workerPool {
 	return p
 }
 
-// run is one worker's loop: bind the job's checker to the private engine,
-// drain chunks from the shared cursor, report the job's test count, next
-// job. Each chunk is verified candidate by candidate, clearing the keep
-// bit of every dominated one; a cancelled context is noticed within
-// cancelEvery candidates.
+// run is one worker's loop: drain chunks from the shared cursor, report
+// the job's test count, next job. Each chunk is verified candidate by
+// candidate, the worker's own checker pointed at the candidate's targets
+// (which the coordinator built before publishing the job, so reading them
+// writes nothing shared), clearing the keep bit of every dominated one; a
+// cancelled context is noticed within cancelEvery candidates.
 func (p *workerPool) run(w int) {
 	defer p.wg.Done()
 	local := Stats{}
-	we := newEngine(p.e.q, &local)
+	chk := &checker{e: newEngine(p.e.q, &local)}
 	for job := range p.jobs {
 		start := local.DominationTests
-		chk := job.chk.bind(we)
 		n := len(job.candidates)
 		for job.ctx.Err() == nil {
 			lo := int(job.cursor.Add(poolChunk) - poolChunk)
@@ -98,6 +98,7 @@ func (p *workerPool) run(w int) {
 				if i%cancelEvery == 0 && job.ctx.Err() != nil {
 					break
 				}
+				chk.use(job.targets(job.candidates[i]))
 				if chk.dominates(job.candidates[i].Attrs) {
 					job.keep[i>>6] &^= uint64(1) << uint(i&63)
 				}
@@ -113,9 +114,9 @@ func (p *workerPool) run(w int) {
 // into the coordinating engine's stats before returning, so Stats stay
 // deterministic: each candidate's tests depend only on the candidate,
 // never on which worker claimed it.
-func (p *workerPool) verify(ctx context.Context, chk *checker, candidates []join.Pair, keep []uint64) error {
+func (p *workerPool) verify(ctx context.Context, targets targetsFn, candidates []join.Pair, keep []uint64) error {
 	job := &p.job
-	job.ctx, job.chk, job.candidates, job.keep = ctx, chk, candidates, keep
+	job.ctx, job.targets, job.candidates, job.keep = ctx, targets, candidates, keep
 	job.cursor.Store(0)
 	job.tests.Store(0)
 	job.wg.Add(p.workers)
@@ -128,8 +129,7 @@ func (p *workerPool) verify(ctx context.Context, chk *checker, candidates []join
 }
 
 // close shuts the pool down: workers drain the channel close and exit.
-// Idempotent via the nil check at the call sites (runGrouping defers it
-// exactly once per run).
+// runCells defers it exactly once per run.
 func (p *workerPool) close() {
 	close(p.jobs)
 	p.wg.Wait()

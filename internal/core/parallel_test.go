@@ -136,28 +136,38 @@ func TestProgressiveEmitsYesCellFirst(t *testing.T) {
 	}
 }
 
+// TestProgressiveEarlyStop stops both cell arms from the emit callback
+// after two tuples: exactly two arrive, and the run skips the rest of the
+// verification a full run does.
 func TestProgressiveEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(215))
-	r1 := randRelation(rng, "r1", 50, 3, 0, 3, 6)
-	r2 := randRelation(rng, "r2", 50, 3, 0, 3, 6)
-	q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 4}
-	full, err := Run(q, Grouping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Skyline) < 3 {
-		t.Skip("instance too small for an early-stop test")
-	}
-	want := 2
-	count := 0
-	if _, err := Exec(context.Background(), q, ExecOptions{Algorithm: Grouping, Emit: func(join.Pair) bool {
-		count++
-		return count < want
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if count != want {
-		t.Errorf("emitted %d tuples after cancellation, want %d", count, want)
+	r1 := randRelation(rng, "r1", 50, 3, 2, 3, 6)
+	r2 := randRelation(rng, "r2", 50, 3, 2, 3, 6)
+	q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality, Agg: join.Sum}, K: 7}
+	for _, alg := range []Algorithm{Grouping, DominatorBased} {
+		full, err := Run(q, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Skyline) < 3 {
+			t.Fatalf("%v: skyline of %d tuples, want at least 3 for an early-stop test", alg, len(full.Skyline))
+		}
+		want := 2
+		count := 0
+		res, err := Exec(context.Background(), q, ExecOptions{Algorithm: alg, Emit: func(join.Pair) bool {
+			count++
+			return count < want
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != want {
+			t.Errorf("%v: emitted %d tuples after cancellation, want %d", alg, count, want)
+		}
+		if res.Stats.DominationTests >= full.Stats.DominationTests {
+			t.Errorf("%v: stopped run did %d domination tests, full run %d — want fewer",
+				alg, res.Stats.DominationTests, full.Stats.DominationTests)
+		}
 	}
 }
 

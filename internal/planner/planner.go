@@ -159,10 +159,10 @@ type Plan struct {
 	Reason    string
 }
 
-// Choose reports the algorithm "auto" runs for a serial, collected query
-// (core.ResolveAuto) with the reason: naive under a non-strict aggregator
-// or for a join of at most core.AutoNaiveCap pairs (an empty join
-// included), the dominator-based algorithm otherwise. It samples nothing;
+// Choose reports the algorithm "auto" runs (core.ResolveAuto, whatever
+// the execution options) with the reason: naive under a non-strict
+// aggregator or for a join of at most core.AutoNaiveCap pairs (an empty
+// join included), the dominator-based algorithm otherwise. It samples nothing;
 // the plan's Estimate carries only the exact join size, and is nil when
 // the rule did not count the join. opts is unused.
 func Choose(ctx context.Context, q core.Query, _ Options) (*Plan, error) {

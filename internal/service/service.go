@@ -169,9 +169,9 @@ type QueryRequest struct {
 	// Workers > 1 parallelizes candidate verification; the execution
 	// degree is clamped to GOMAXPROCS (requests arrive over the wire; an
 	// oversized degree must not spawn goroutines beyond the machine).
-	// Combined with an explicit algorithm other than grouping the request
-	// is rejected (same contradiction the CLI rejects); "auto" reads the
-	// clamped degree, so on one CPU it keeps the serial arm.
+	// Combined with an explicit "naive" the request is rejected
+	// (core.CheckWorkers, the rule every surface reads); it never changes
+	// the arm "auto" picks.
 	Workers int
 	// Timeout bounds this request (queue wait + execution); 0 defers to
 	// Config.DefaultTimeout, negative means no deadline.
@@ -517,7 +517,7 @@ type Parsed struct {
 }
 
 // ParseRequest resolves the request's spellings and rejects a parallel
-// degree beside an explicit algorithm other than grouping. Together with
+// degree beside an explicit naive run (core.CheckWorkers). Together with
 // CheckRequest it is the whole request check, run by the service and by
 // the sharded gateway alike before any cache lookup — so accept/reject
 // never depends on cache state or on which of the two answered.
@@ -533,8 +533,8 @@ func ParseRequest(req QueryRequest) (Parsed, error) {
 	if p.Alg, err = core.ParseAlgorithm(req.Algorithm); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if req.Workers > 1 && p.Alg != core.Grouping && p.Alg != core.Auto {
-		return p, fmt.Errorf("%w: workers require the grouping algorithm (got %q)", ErrBadRequest, req.Algorithm)
+	if err = core.CheckWorkers(p.Alg, req.Workers); err != nil {
+		return p, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return p, nil
 }

@@ -430,10 +430,10 @@ func TestInvalidRequestRejectedEvenWhenCached(t *testing.T) {
 	}
 }
 
-// TestWorkersAutoImpliesGrouping pins that auto reads the parallel degree
-// after the GOMAXPROCS clamp: on one CPU a requested degree leaves the
-// serial arm in place.
-func TestWorkersAutoImpliesGrouping(t *testing.T) {
+// TestWorkersKeepAutoArm pins that a parallel degree never changes the arm
+// auto picks: on two CPUs and on one, auto+workers runs the dominator arm
+// serial auto would run on this large join.
+func TestWorkersKeepAutoArm(t *testing.T) {
 	s := newTestService(t, Config{})
 	q := registerPair(t, s, 120)
 	if n, err := join.CountPairs(q.R1, q.R2, q.Spec); err != nil || n <= core.AutoNaiveCap {
@@ -443,7 +443,7 @@ func TestWorkersAutoImpliesGrouping(t *testing.T) {
 	for _, c := range []struct {
 		procs int
 		want  string
-	}{{2, "grouping"}, {1, "dominator"}} {
+	}{{2, "dominator"}, {1, "dominator"}} {
 		runtime.GOMAXPROCS(c.procs)
 		resp, err := s.Query(context.Background(), QueryRequest{R1: "r1", R2: "r2", K: 5, Workers: 4, NoCache: true})
 		if err != nil {

@@ -330,7 +330,7 @@ func (g *Gateway) scatter(ctx context.Context, req service.QueryRequest, rp1, rp
 func emptyJoinArm(req service.QueryRequest, rp1, rp2 *relPlace) string {
 	p, _ := service.ParseRequest(req)
 	q := core.Query{R1: rp1.schema, R2: rp2.schema, Spec: join.Spec{Cond: p.Cond, Agg: p.Agg}, K: req.K}
-	alg, _ := core.ResolveAuto(q, core.ExecOptions{Algorithm: p.Alg, Workers: req.Workers})
+	alg, _ := core.ResolveAuto(q, core.ExecOptions{Algorithm: p.Alg})
 	return alg.Token()
 }
 

@@ -109,8 +109,6 @@ func TestAutoSurfaceParity(t *testing.T) {
 				want := core.Naive
 				switch {
 				case aggName == "max":
-				case workers > 1:
-					want = core.Grouping
 				case jn.overCap:
 					want = core.DominatorBased
 				}

@@ -186,7 +186,7 @@ func ExamplePrepare() {
 	// Output:
 	// k=3: 1 itinerary
 	// k=4: 3 itineraries
-	// first streamed: JAI ⋈ JAI
+	// first streamed: HYD ⋈ HYD
 }
 
 // ExampleService_Watch subscribes to a query's answer: the first event is

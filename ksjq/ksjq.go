@@ -18,7 +18,6 @@ package ksjq
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -32,15 +31,14 @@ type Algorithm int
 
 const (
 	// Auto lets the engine choose (core.ResolveAuto): naive under a
-	// non-strict aggregator; grouping for Workers > 1 (clamped to
-	// GOMAXPROCS), Emit or a Stream; naive for a join of at most 2 048
-	// pairs; the dominator-based algorithm otherwise.
+	// non-strict aggregator or for a join of at most 2 048 pairs, the
+	// dominator-based algorithm otherwise. Workers, Emit, Limit and Stream
+	// never change the pick.
 	Auto Algorithm = iota
 	// Naive joins first, then computes the k-dominant skyline (Algo 1).
 	Naive
 	// Grouping categorizes base tuples into SS/SN/NN and prunes or emits
-	// whole cells of the fate table before joining (Algo 2). Only this
-	// strategy supports Workers and Emit.
+	// whole cells of the fate table before joining (Algo 2).
 	Grouping
 	// DominatorBased additionally materializes explicit dominator sets so
 	// "may be" tuples are verified against small joins (Algo 3).
@@ -128,29 +126,26 @@ type Options struct {
 	// through the engine's one rule (see Auto), which never conflicts
 	// with the other options.
 	Algorithm Algorithm
-	// Workers > 1 verifies candidates in parallel. Requires Grouping or
-	// Auto, which runs grouping for it unless GOMAXPROCS is 1 or the
-	// aggregator is non-strict.
+	// Workers > 1 verifies the grouping and dominator-based algorithms'
+	// candidates in parallel. It conflicts with an explicit Naive
+	// (ErrOptionConflict); Auto ignores it when it picks naive.
 	Workers int
 	// Emit, when non-nil, streams each confirmed tuple instead of
 	// collecting Result.Skyline; returning false stops the query early.
 	// Emit is a thin adapter over Stream — new code should range over
-	// Stream directly. Emitted pairs are detached from internal arenas
-	// and arrive cell by cell, not in (Left, Right) order. Tuples stream
-	// the moment they are verified, except in a cell verified in parallel
-	// (Workers > 1, and a cell larger than one pool chunk): its survivors
-	// are emitted in candidate order once the whole cell is verified.
+	// Stream directly. Emitted pairs are detached from internal arenas and
+	// arrive in the order Stream documents.
 	Emit Emit
 	// K, when > 0, overrides the query's K for this run — the knob that
 	// lets one Prepared snapshot (which is k-independent) serve queries
 	// across dominance levels without rebuilding.
 	K int
-	// Limit > 0 caps the answer at that many tuples. The grouping
-	// algorithm stops the run the moment the cap is reached (strictly
-	// less verification work; after the cell, in a cell verified in
-	// parallel, as with Emit); the other algorithms compute the full
-	// answer and truncate after the canonical sort. Which members survive
-	// a grouping-path cap is unspecified beyond "a subset of the skyline".
+	// Limit > 0 caps the answer at that many tuples. The grouping and
+	// dominator-based algorithms stop the run the moment the cap is
+	// reached (strictly less verification work; after the cell, in a cell
+	// verified in parallel, as with Emit); which members survive is
+	// unspecified beyond "a subset of the skyline". The naive algorithm
+	// computes the full answer and truncates after the canonical sort.
 	Limit int
 	// Stats, when non-nil, receives the run's phase timings and work
 	// counters once a Stream ends (normally, by early break, or by
@@ -163,9 +158,10 @@ type Options struct {
 	NoCache bool
 }
 
-// ErrOptionConflict is returned when Workers or Emit are combined with an
-// explicit algorithm other than Grouping. Auto never conflicts.
-var ErrOptionConflict = errors.New("ksjq: workers and emit require Algorithm == Grouping")
+// ErrOptionConflict is returned when Workers > 1 is combined with an
+// explicit Naive, the one algorithm without cells to verify in parallel.
+// Auto never conflicts.
+var ErrOptionConflict = core.ErrOptionConflict
 
 // ErrStaleResident is returned by Prepared methods (and by the engine
 // underneath the query service) when the prepared snapshot no longer
@@ -190,13 +186,6 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 		q.K = opts.K
 	}
 	if opts.Emit != nil {
-		// The legacy push surface keeps the explicit-algorithm conflict:
-		// only Grouping (or Auto, which streams) can stream. The pull
-		// iterator is the one surface that serves every algorithm, falling
-		// back to compute-then-yield.
-		if opts.Algorithm != Auto && opts.Algorithm != Grouping {
-			return nil, fmt.Errorf("%w (got %v)", ErrOptionConflict, opts.Algorithm)
-		}
 		emit := opts.Emit
 		sopts := opts
 		sopts.Emit = nil
@@ -216,13 +205,9 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.Exec(ctx, q, core.ExecOptions{
+	return core.Exec(ctx, q, core.ExecOptions{
 		Algorithm: calg, Workers: opts.Workers, Limit: opts.Limit, Resident: res,
 	})
-	if err != nil && errors.Is(err, core.ErrOptionConflict) {
-		return nil, fmt.Errorf("%w (got %v)", ErrOptionConflict, opts.Algorithm)
-	}
-	return out, err
 }
 
 // RunAuto runs Auto and returns the planner's account of the pick
@@ -231,8 +216,8 @@ func RunAuto(ctx context.Context, q Query, opts PlannerOptions) (*Result, *Plan,
 	return planner.Run(ctx, q, opts)
 }
 
-// Choose reports which algorithm Auto would pick for a serial Run, and
-// why, without executing the query. It samples nothing: the plan's
+// Choose reports which algorithm Auto would pick for any Run or Stream,
+// and why, without executing the query. It samples nothing: the plan's
 // Estimate carries only the exact join size.
 func Choose(ctx context.Context, q Query, opts PlannerOptions) (*Plan, error) {
 	return planner.Choose(ctx, q, opts)

@@ -2,8 +2,6 @@ package ksjq
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"iter"
 
 	"repro/internal/core"
@@ -23,15 +21,15 @@ import (
 //
 // Semantics:
 //
-//   - With the grouping algorithm (explicit, or Auto, which streams with
-//     it under a strict aggregator) tuples are yielded the moment
-//     their cell confirms them, in cell order, each detached from internal
-//     arenas; an early break reaches the engine as the existing early-stop
-//     and skips the remaining verification (observable in Options.Stats).
-//   - With a non-streaming algorithm (Naive, DominatorBased, or Auto's
-//     naive under a non-strict aggregator) the full answer is computed
-//     first and then yielded in canonical (Left, Right) order; an early
-//     break saves only the yielding.
+//   - With the grouping or dominator-based algorithm (explicit, or the
+//     one Auto picks) tuples are yielded the moment their cell confirms
+//     them, in cell order, each detached from internal arenas; an early
+//     break reaches the engine as the existing early-stop and skips the
+//     remaining verification (observable in Options.Stats).
+//   - With the naive algorithm (explicit, or the one Auto picks) the full
+//     answer is computed first and then yielded in canonical (Left,
+//     Right) order; an early break saves only the yielding.
+//   - Auto picks the arm a Run would: streaming never changes it.
 //   - Options.Limit caps the stream; Options.Workers shards verification
 //     (a cell verified in parallel yields after the cell, as with Emit).
 //   - A failed run yields exactly one final (zero Pair, non-nil error)
@@ -57,33 +55,9 @@ func streamSeq(ctx context.Context, q Query, opts Options, res *core.Resident) i
 			yield(Pair{}, err)
 			return
 		}
-		if calg == core.Naive || calg == core.DominatorBased {
-			// Naive and dominator-based runs cannot stream: compute the
-			// full answer, then yield it in canonical order.
-			out, err := core.Exec(ctx, q, core.ExecOptions{
-				Algorithm: calg, Workers: opts.Workers, Limit: opts.Limit, Resident: res,
-			})
-			if err != nil {
-				if errors.Is(err, core.ErrOptionConflict) {
-					err = fmt.Errorf("%w (got %v)", ErrOptionConflict, opts.Algorithm)
-				}
-				yield(Pair{}, err)
-				return
-			}
-			if opts.Stats != nil {
-				*opts.Stats = out.Stats
-			}
-			for _, p := range out.Skyline {
-				if !yield(p, nil) {
-					return
-				}
-			}
-			return
-		}
-
-		// Grouping or Auto: run the engine in a producer goroutine and hand
-		// tuples over a rendezvous channel, so the engine advances exactly
-		// as fast as the consumer pulls (pull-based backpressure). Closing
+		// Run the engine in a producer goroutine and hand tuples over a
+		// rendezvous channel, so the engine advances exactly as fast as
+		// the consumer pulls (pull-based backpressure). Closing
 		// stop makes the engine's next emit return false — the existing
 		// early-stop — so a consumer break cancels the remaining work and
 		// the producer always exits before the iterator returns.
