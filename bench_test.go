@@ -513,7 +513,7 @@ func BenchmarkColumnarChecker(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AnyDominators(q, vectors); err != nil {
+		if _, err := core.AnyDominatorsContext(context.Background(), q, vectors); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -163,7 +164,7 @@ func BenchmarkMembershipProbe(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IsSkylineMember(q, pair[0], pair[1]); err != nil {
+		if _, err := MembershipContext(context.Background(), q, [][2]int{pair}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,8 +28,10 @@ func eagerTargetSet(r *dataset.Relation, u, local, kpp int) []int {
 // target sets against the eager row-order sets sorted and indexed per
 // component: equal τ(u) lists, right indexes with equal partner lists for
 // every R1 row, and per candidate the same verdict after the same number
-// of domination tests. It returns the number of candidates compared.
-func assertLazyTargetsMatchEager(t *testing.T, label string, q Query, res *Resident) int {
+// of domination tests. Sets are keyed by local sub-vector, so rows with
+// equal locals must share one map entry. It returns the number of
+// candidates compared and of rows that shared an entry with an earlier row.
+func assertLazyTargetsMatchEager(t *testing.T, label string, q Query, res *Resident) (compared, shared int) {
 	t.Helper()
 	var lst, est Stats
 	lazy := newEngineResident(q, &lst, res)
@@ -38,36 +40,51 @@ func assertLazyTargetsMatchEager(t *testing.T, label string, q Query, res *Resid
 	c1 := Categorize(q.R1, k1p, lazy.cond, Left)
 	c2 := Categorize(q.R2, k2p, lazy.cond, Right)
 	ts := newTargetSets(lazy)
+	local1 := func(u int) []float64 { return q.R1.Attrs(u)[:lazy.l1] }
+	local2 := func(v int) []float64 { return q.R2.Attrs(v)[:lazy.l2] }
 
 	eagerLeft := map[int][]int{}
-	for _, u := range append(slices.Clone(c1.SS), c1.SN...) {
+	rows1 := append(slices.Clone(c1.SS), c1.SN...)
+	for _, u := range rows1 {
 		want := eager.leftProbeOrder(eagerTargetSet(q.R1, u, eager.l1, eager.k1pp))
 		eagerLeft[u] = want
-		if got := ts.left(u); !slices.Equal(got, want) {
+		if got := ts.left(local1(u)); !slices.Equal(got, want) {
 			t.Fatalf("%s: τ(%d) over R1 = %v, eager %v", label, u, got, want)
 		}
 	}
 	eagerRight := map[int]*join.Index{}
-	for _, v := range append(slices.Clone(c2.SS), c2.SN...) {
+	rows2 := append(slices.Clone(c2.SS), c2.SN...)
+	for _, v := range rows2 {
 		want := eager.checkerRightIndex(eagerTargetSet(q.R2, v, eager.l2, eager.k2pp))
 		eagerRight[v] = want
-		got := ts.right(v)
+		got := ts.right(local2(v))
 		for i := 0; i < q.R1.Len(); i++ {
 			if g, w := got.Partners(q.R1, i), want.Partners(q.R1, i); !slices.Equal(g, w) {
 				t.Fatalf("%s: τ(%d) partners of R1 row %d = %v, eager %v", label, v, i, g, w)
 			}
 		}
 	}
+	distinct := func(rows []int, local func(int) []float64) int {
+		seen := map[string]bool{}
+		for _, u := range rows {
+			seen[fmt.Sprint(local(u))] = true
+		}
+		return len(seen)
+	}
+	if d1, d2 := distinct(rows1, local1), distinct(rows2, local2); len(ts.lefts) != d1 || len(ts.rights) != d2 {
+		t.Fatalf("%s: %d left and %d right sets built, want one per distinct local sub-vector (%d, %d)",
+			label, len(ts.lefts), len(ts.rights), d1, d2)
+	}
+	shared = len(rows1) + len(rows2) - len(ts.lefts) - len(ts.rights)
 
 	lchk, echk := &checker{e: lazy}, &checker{e: eager}
-	n := 0
 	for _, cell := range [][]join.Pair{
 		lazy.pairs(c1.SS, c2.SS), lazy.pairs(c1.SS, c2.SN), lazy.pairs(c1.SN, c2.SS), lazy.pairs(c1.SN, c2.SN),
 	} {
-		n += len(cell)
+		compared += len(cell)
 		for _, p := range cell {
 			l0, e0 := lst.DominationTests, est.DominationTests
-			lchk.reset(ts.left(p.Left), ts.right(p.Right))
+			lchk.reset(ts.of(p.Attrs))
 			echk.reset(eagerLeft[p.Left], eagerRight[p.Right])
 			gd, wd := lchk.dominates(p.Attrs), echk.dominates(p.Attrs)
 			gt, wt := lst.DominationTests-l0, est.DominationTests-e0
@@ -77,26 +94,32 @@ func assertLazyTargetsMatchEager(t *testing.T, label string, q Query, res *Resid
 			}
 		}
 	}
-	return n
+	return compared, shared
 }
 
 // TestLazyTargetSetsMatchEagerOracle pins the dominator arm's probe order:
 // target sets built lazily by scanning each relation in probe order equal
 // the eager sets sorted per component, under all six join conditions, on
-// small integer attributes (many tied sums), with no resident, a fresh one,
+// small integer attributes (many tied sums, and many rows with equal local
+// sub-vectors, which must share one set), with no resident, a fresh one,
 // and one carried through Absorb and Retract on both sides.
 func TestLazyTargetSetsMatchEagerOracle(t *testing.T) {
 	conds := []join.Condition{join.Equality, join.Cross, join.BandLess, join.BandLessEq, join.BandGreater, join.BandGreaterEq}
 	for _, cond := range conds {
 		t.Run(cond.Token(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(cond)*31 + 7))
-			compared := 0
+			compared, shared := 0, 0
+			check := func(label string, q Query, res *Resident) {
+				c, s := assertLazyTargetsMatchEager(t, label, q, res)
+				compared, shared = compared+c, shared+s
+			}
 			for trial := 0; trial < 8; trial++ {
 				local, agg, groups, domain := 2+rng.Intn(2), trial%3, 1+rng.Intn(3), 4
 				d := local + agg
 				// Every fourth trial pins R2's locals to the domain maximum, so
-				// each τ(v) is all of R2 and the arm checks against the full
-				// index — the resident's own once Absorb has grown it.
+				// all of R2 shares one key, its τ(v) is all of R2 and the arm
+				// checks against the full index — the resident's own once
+				// Absorb has grown it.
 				flat := trial%4 == 3
 				gen2 := func(n int) []dataset.Tuple {
 					ts := make([]dataset.Tuple, n)
@@ -113,7 +136,7 @@ func TestLazyTargetSetsMatchEagerOracle(t *testing.T) {
 				q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: cond, Agg: join.Sum}}
 				for k := q.KMin(); k <= q.Width(); k++ {
 					q.K = k
-					compared += assertLazyTargetsMatchEager(t, fmt.Sprintf("trial %d k=%d no resident", trial, k), q, nil)
+					check(fmt.Sprintf("trial %d k=%d no resident", trial, k), q, nil)
 				}
 
 				res, err := NewResident(q)
@@ -121,7 +144,7 @@ func TestLazyTargetSetsMatchEagerOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
-				compared += assertLazyTargetsMatchEager(t, fmt.Sprintf("trial %d k=%d fresh resident", trial, q.K), q, res)
+				check(fmt.Sprintf("trial %d k=%d fresh resident", trial, q.K), q, res)
 
 				if err := res.Absorb(Left, appendTail(t, r1, rng, 6, d, groups, domain)); err != nil {
 					t.Fatal(err)
@@ -137,7 +160,7 @@ func TestLazyTargetSetsMatchEagerOracle(t *testing.T) {
 				if err := res.Absorb(Right, ids2); err != nil {
 					t.Fatal(err)
 				}
-				compared += assertLazyTargetsMatchEager(t, fmt.Sprintf("trial %d k=%d absorbed resident", trial, q.K), q, res)
+				check(fmt.Sprintf("trial %d k=%d absorbed resident", trial, q.K), q, res)
 
 				for _, side := range []Side{Left, Right} {
 					rel := r1
@@ -152,12 +175,12 @@ func TestLazyTargetSetsMatchEagerOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				compared += assertLazyTargetsMatchEager(t, fmt.Sprintf("trial %d k=%d retracted resident", trial, q.K), q, res)
+				check(fmt.Sprintf("trial %d k=%d retracted resident", trial, q.K), q, res)
 			}
-			if compared < 100 {
-				t.Fatalf("only %d candidates compared", compared)
+			if compared < 100 || shared == 0 {
+				t.Fatalf("only %d candidates compared, %d rows sharing a set", compared, shared)
 			}
-			t.Logf("%d candidates compared", compared)
+			t.Logf("%d candidates compared, %d rows sharing a set", compared, shared)
 		})
 	}
 }

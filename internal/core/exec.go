@@ -190,10 +190,11 @@ func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 // false stops the query.
 type sink func(p join.Pair) bool
 
-// targetsFn returns the lists a candidate is checked against: an R1 list in
-// probe order and a checker index over R2. Grouping returns one fixed pair
-// per cell, the dominator-based arm τ(u) and τ(v) per candidate u ⋈ v.
-type targetsFn func(p join.Pair) (left []int, ix *join.Index)
+// targetsFn returns the lists a joined vector is checked against: an R1
+// list in probe order and a checker index over R2. Grouping returns one
+// fixed pair per cell; every other check returns τ(u) and τ(v), keyed by
+// the vector's local sub-vectors (targetSets.of).
+type targetsFn func(cand []float64) (left []int, ix *join.Index)
 
 // verifyCell filters candidates, each through a checker over its targets,
 // feeding the survivors to emit in candidate order. It returns false when
@@ -215,7 +216,7 @@ func verifyCell(ctx context.Context, e *engine, candidates []join.Pair, targets 
 			if i%cancelEvery == 0 && ctx.Err() != nil {
 				return false, ctx.Err()
 			}
-			chk.use(targets(p))
+			chk.use(targets(p.Attrs))
 			if !chk.dominates(p.Attrs) && !emit(p) {
 				return false, nil
 			}
@@ -223,7 +224,7 @@ func verifyCell(ctx context.Context, e *engine, candidates []join.Pair, targets 
 		return true, nil
 	}
 	for _, p := range candidates {
-		targets(p)
+		targets(p.Attrs)
 	}
 	keep := e.keepBits(len(candidates))
 	if err := e.pool.verify(ctx, targets, candidates, keep); err != nil {

@@ -156,7 +156,7 @@ func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 			targets = ts.of
 		} else {
 			left, ix := e.leftProbeOrder(cell.chkLeft), e.checkerRightIndex(cell.chkRight)
-			targets = func(join.Pair) ([]int, *join.Index) { return left, ix }
+			targets = func([]float64) ([]int, *join.Index) { return left, ix }
 		}
 		// A limit stops verification the moment the cap is reached:
 		// mid-cell serially, after the cell for a cell the pool verified

@@ -8,70 +8,47 @@ import (
 	"repro/internal/join"
 )
 
-// IsSkylineMember answers a point query: is the joined tuple
+// MembershipContext answers point queries: is each joined tuple
 // R1[i] ⋈ R2[j] in the k-dominant skyline of q's join? It avoids computing
-// the full answer — the pair is checked against its target sets only — so
-// a single membership probe costs far less than Run. The pair must be
-// join-compatible under q.Spec.
-func IsSkylineMember(q Query, i, j int) (bool, error) {
-	members, err := Membership(q, [][2]int{{i, j}})
-	if err != nil {
-		return false, err
-	}
-	return members[0], nil
-}
-
-// Membership tests many joined pairs without a deadline; see
-// MembershipContext.
-func Membership(q Query, pairs [][2]int) ([]bool, error) {
-	return MembershipContext(context.Background(), q, pairs)
-}
-
-// MembershipContext tests many joined pairs at once, sharing one checker
-// across probes. Each entry of pairs is a (R1 index, R2 index) pair; the
-// result slice is parallel to it. The context is checked between probe
-// batches, so a cancelled deadline aborts the scan with ctx.Err().
+// the full answer — each pair is checked against its target sets only — so
+// a membership probe costs far less than Run. Each entry of pairs is a
+// (R1 index, R2 index) pair that must be join-compatible under q.Spec; the
+// result slice is parallel to it. A membership is the negated vote of the
+// pair's joined vector (AnyDominatorsContext), so it accepts what the vote
+// accepts, a non-strict aggregator included. The context is polled between
+// probes, so a cancelled deadline aborts them with ctx.Err().
 func MembershipContext(ctx context.Context, q Query, pairs [][2]int) ([]bool, error) {
 	return membershipContext(ctx, q, pairs, nil)
 }
 
 // membershipContext is the shared implementation behind MembershipContext
-// and Resident.Membership: res, when non-nil, seeds the probing engine
-// with the prebuilt join index and probe order.
+// and Resident.Membership: it combines each pair's joined vector and
+// negates the vote on it.
 func membershipContext(ctx context.Context, q Query, pairs [][2]int, res *Resident) ([]bool, error) {
-	if err := q.Validate(Grouping); err != nil {
+	if err := q.Validate(Auto); err != nil {
 		return nil, err
 	}
-	st := Stats{}
-	e := newEngineResident(q, &st, res)
-	for _, pr := range pairs {
+	w, agg := q.Width(), q.aggregator()
+	flat := make([]float64, len(pairs)*w)
+	vectors := make([][]float64, len(pairs))
+	for n, pr := range pairs {
 		i, j := pr[0], pr[1]
 		if i < 0 || i >= q.R1.Len() || j < 0 || j >= q.R2.Len() {
 			return nil, fmt.Errorf("core: pair (%d,%d) out of range", i, j)
 		}
-		if e.cond != join.Cross && !e.cond.MatchesAt(q.R1, i, q.R2, j) {
-			return nil, fmt.Errorf("core: pair (%d,%d) is not join-compatible under %v", i, j, e.cond)
+		if cond := q.Spec.Cond; cond != join.Cross && !cond.MatchesAt(q.R1, i, q.R2, j) {
+			return nil, fmt.Errorf("core: pair (%d,%d) is not join-compatible under %v", i, j, cond)
 		}
+		vectors[n] = join.CombineAt(q.R1, q.R2, i, j, agg, flat[n*w:n*w:(n+1)*w])
 	}
-	chk := e.newChecker(allIndices(q.R1.Len()), allIndices(q.R2.Len()))
-	agg := q.aggregator()
-	buf := make([]float64, 0, q.Width())
-	out := make([]bool, len(pairs))
-	for n, pr := range pairs {
-		if n%cancelEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		buf = join.CombineAt(q.R1, q.R2, pr[0], pr[1], agg, buf)
-		out[n] = !chk.dominates(buf)
+	members, err := anyDominatorsContext(ctx, q, vectors, res)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// AnyDominators reports, for each joined attribute vector, whether some
-// joined tuple of q's join k-dominates it, without a deadline; see
-// AnyDominatorsContext.
-func AnyDominators(q Query, vectors [][]float64) ([]bool, error) {
-	return anyDominatorsContext(context.Background(), q, vectors, nil)
+	for n := range members {
+		members[n] = !members[n]
+	}
+	return members, nil
 }
 
 // AnyDominatorsContext reports, for each joined attribute vector, whether
@@ -86,11 +63,12 @@ func AnyDominatorsContext(ctx context.Context, q Query, vectors [][]float64) ([]
 }
 
 // anyDominatorsContext is the shared implementation behind
-// AnyDominatorsContext and Resident.AnyDominators: res, when non-nil,
-// seeds the checking engine with the prebuilt join index and probe
-// order. A strictly monotonic aggregator gets the target-set checker;
-// a non-strict one falls back to scanning the materialized join, where
-// every joined vector is a potential dominator.
+// AnyDominatorsContext, MembershipContext and their Resident forms: res,
+// when non-nil, supplies the sum-sorted R1 order the target sets scan.
+// A strictly monotonic aggregator checks each vector against its target
+// sets τ(u) ⋈ τ(v) (see votes); a non-strict one falls back to scanning
+// the materialized join, where every joined vector is a potential
+// dominator.
 func anyDominatorsContext(ctx context.Context, q Query, vectors [][]float64, res *Resident) ([]bool, error) {
 	if err := q.Validate(Auto); err != nil {
 		return nil, err
@@ -103,17 +81,24 @@ func anyDominatorsContext(ctx context.Context, q Query, vectors [][]float64, res
 	if !q.Strict() {
 		return anyDominatorsScan(ctx, q, vectors)
 	}
-	st := Stats{}
-	e := newEngineResident(q, &st, res)
-	chk := e.newChecker(allIndices(q.R1.Len()), allIndices(q.R2.Len()))
-	out := make([]bool, len(vectors))
+	return newEngineResident(q, &Stats{}, res).votes(ctx, vectors)
+}
+
+// votes is the strict arm: each vector is one candidate of the cell loop's
+// verification (verifyCell) against its target sets, carrying its position
+// in Left, and reads dominated unless the loop emits it.
+func (e *engine) votes(ctx context.Context, vectors [][]float64) ([]bool, error) {
+	candidates := make([]join.Pair, len(vectors))
+	dominated := make([]bool, len(vectors))
 	for i, v := range vectors {
-		if i%cancelEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		out[i] = chk.dominates(v)
+		candidates[i] = join.Pair{Left: i, Attrs: v}
+		dominated[i] = true
 	}
-	return out, nil
+	free := func(p join.Pair) bool { dominated[p.Left] = false; return true }
+	if _, err := verifyCell(ctx, e, candidates, newTargetSets(e).of, free); err != nil {
+		return nil, err
+	}
+	return dominated, nil
 }
 
 // anyDominatorsScan is the non-strict arm: target-set pruning relies on

@@ -98,7 +98,7 @@ func (p *workerPool) run(w int) {
 				if i%cancelEvery == 0 && job.ctx.Err() != nil {
 					break
 				}
-				chk.use(job.targets(job.candidates[i]))
+				chk.use(job.targets(job.candidates[i].Attrs))
 				if chk.dominates(job.candidates[i].Attrs) {
 					job.keep[i>>6] &^= uint64(1) << uint(i&63)
 				}

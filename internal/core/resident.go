@@ -305,9 +305,9 @@ func (r *Resident) Membership(ctx context.Context, q Query, pairs [][2]int) ([]b
 }
 
 // AnyDominators checks foreign candidate vectors against the resident
-// snapshot's partition, reusing r's join index and probe order; see
-// AnyDominatorsContext. This is the verification-round primitive a shard
-// serves on behalf of its peers.
+// snapshot's partition, each against its target sets, which scan r's
+// sum-sorted R1 order; see AnyDominatorsContext. This is the
+// verification-round primitive a shard serves on behalf of its peers.
 func (r *Resident) AnyDominators(ctx context.Context, q Query, vectors [][]float64) ([]bool, error) {
 	if err := r.check(q); err != nil {
 		return nil, err

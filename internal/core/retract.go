@@ -278,9 +278,10 @@ func (m *Maintainer) evict(left, right bool, ids []int) (evicted int) {
 	return evicted
 }
 
-// resurrect is RetractBatch's incremental arm: it mirrors the grouping
+// resurrect is RetractBatch's incremental arm: it enumerates the
 // recompute's cells, but only verifies non-members the removed pairs
-// dominated — everything else keeps its pre-delete verdict.
+// dominated — everything else keeps its pre-delete verdict — each against
+// its target sets τ(u) ⋈ τ(v), built only for the vectors that need one.
 func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int) {
 	st := Stats{}
 	e := newEngineResident(m.q, &st, res)
@@ -288,25 +289,19 @@ func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int) 
 	k1p, k2p := q.KPrimes()
 	c1 := Categorize(q.R1, k1p, e.cond, Left)
 	c2 := Categorize(q.R2, k2p, e.cond, Right)
-	a1 := targetUnion(q.R1, c1.SS, e.l1, e.k1pp)
-	a2 := targetUnion(q.R2, c2.SS, e.l2, e.k2pp)
-	all1 := allIndices(q.R1.Len())
-	all2 := allIndices(q.R2.Len())
+	ts := newTargetSets(e)
+	chk := &checker{e: e}
 	cells := []struct {
-		left, right       []int
-		chkLeft, chkRight []int
-		yes               bool
+		left, right []int
+		yes         bool
 	}{
-		{c1.SS, c2.SS, a1, a2, true},
-		{c1.SS, c2.SN, a1, all2, false},
-		{c1.SN, c2.SS, all1, a2, false},
-		{c1.SN, c2.SN, all1, all2, false},
+		{c1.SS, c2.SS, true},
+		{c1.SS, c2.SN, false},
+		{c1.SN, c2.SS, false},
+		{c1.SN, c2.SN, false},
 	}
 	for _, cell := range cells {
 		candidates := e.pairs(cell.left, cell.right)
-		if len(candidates) == 0 {
-			continue
-		}
 		if cell.yes && e.a < 2 {
 			// Unchecked cell: every pair is a member by the paper's
 			// theorem, so any non-member here resurrects outright.
@@ -319,9 +314,6 @@ func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int) 
 			}
 			continue
 		}
-		// The cell's checker is built on its first filtered candidate, so a
-		// cell the removed pairs never dominated pays nothing.
-		var chk *checker
 		for _, p := range candidates {
 			key := [2]int{p.Left, p.Right}
 			if _, ok := m.sky[key]; ok {
@@ -330,9 +322,7 @@ func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int) 
 			if !rs.Dominated(p.Attrs) {
 				continue
 			}
-			if chk == nil {
-				chk = e.newChecker(cell.chkLeft, cell.chkRight)
-			}
+			chk.use(ts.of(p.Attrs))
 			if !chk.dominates(p.Attrs) {
 				m.sky[key] = detach(p)
 				resurrected++

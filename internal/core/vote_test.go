@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dom"
@@ -12,12 +13,15 @@ import (
 )
 
 // TestVotePrimitivesMatchScanOracle pins the probe and vote primitives —
-// AnyDominators, AnyDominatorsContext, Membership, IsSkylineMember and the
-// Resident forms of them and of FindK/FindKAtMost — to a brute-force scan
-// over join.Pairs, across the six join conditions. Sum exercises the
-// strict (checker) arm and Max the non-strict (scan) arm of
-// AnyDominators; each runs with and without a resident, on foreign
-// vectors and on the join's own (member and non-member) vectors.
+// AnyDominatorsContext, MembershipContext and the Resident forms of them
+// and of FindK/FindKAtMost — to a brute-force scan over join.Pairs, across
+// the six join conditions. Sum exercises the strict (target-set) arm and
+// Max the non-strict (scan) arm of the votes and of membership; each runs
+// with and without a resident, on foreign vectors, on foreign vectors that
+// reuse a row's local sub-vector (so they share its target-set key) and
+// on the join's own (member and non-member) vectors. Every strict vote
+// must also spend no more domination tests than a checker over all of
+// R1 × R2 spends on the same vector.
 func TestVotePrimitivesMatchScanOracle(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(73))
@@ -42,13 +46,23 @@ func TestVotePrimitivesMatchScanOracle(t *testing.T) {
 					}
 					return false
 				}
-				vectors := make([][]float64, 0, 8+len(pairs))
+				vectors := make([][]float64, 0, 16+len(pairs))
 				for i := 0; i < 8; i++ {
 					v := make([]float64, q.Width())
 					for j := range v {
 						v[j] = float64(rng.Intn(6)) - 0.5
 					}
 					vectors = append(vectors, v)
+				}
+				// Tied keys: foreign floats around a real row's l1 or l2
+				// local sub-vector.
+				l1, l2 := r1.Local, r2.Local
+				for i := 0; i < 4; i++ {
+					v := slices.Clone(vectors[i])
+					copy(v[:l1], r1.Attrs(i % r1.Len())[:l1])
+					w := slices.Clone(vectors[4+i])
+					copy(w[l1:l1+l2], r2.Attrs(i % r2.Len())[:l2])
+					vectors = append(vectors, v, w)
 				}
 				for _, p := range pairs {
 					vectors = append(vectors, p.Attrs)
@@ -63,7 +77,6 @@ func TestVotePrimitivesMatchScanOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for name, vote := range map[string]func() ([]bool, error){
-					"AnyDominators":          func() ([]bool, error) { return AnyDominators(q, vectors) },
 					"AnyDominatorsContext":   func() ([]bool, error) { return AnyDominatorsContext(ctx, q, vectors) },
 					"Resident.AnyDominators": func() ([]bool, error) { return res.AnyDominators(ctx, q, vectors) },
 				} {
@@ -75,8 +88,15 @@ func TestVotePrimitivesMatchScanOracle(t *testing.T) {
 						t.Fatalf("%s: %s = %v, scan oracle %v", label, name, got, want)
 					}
 				}
-				if !agg.Strict {
-					continue // membership and find-k run the checker, which needs strictness
+				if agg.Strict {
+					for i, v := range vectors {
+						for _, r := range []*Resident{nil, res} {
+							if tau, full := voteTests(t, q, r, v); tau > full {
+								t.Fatalf("%s: vector %d (resident %v): target-set vote spent %d domination tests, full checker %d",
+									label, i, r != nil, tau, full)
+							}
+						}
+					}
 				}
 
 				ids := make([][2]int, len(pairs))
@@ -85,7 +105,7 @@ func TestVotePrimitivesMatchScanOracle(t *testing.T) {
 					ids[n] = [2]int{p.Left, p.Right}
 					members[n] = !dominatedAt(p.Attrs, q.K)
 				}
-				got, err := Membership(q, ids)
+				got, err := MembershipContext(ctx, q, ids)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,9 +117,12 @@ func TestVotePrimitivesMatchScanOracle(t *testing.T) {
 					t.Fatalf("%s: Membership = %v, Resident.Membership = %v, scan oracle %v", label, got, gotRes, members)
 				}
 				for n, id := range ids {
-					if in, err := IsSkylineMember(q, id[0], id[1]); err != nil || in != members[n] {
-						t.Fatalf("%s: IsSkylineMember(%d,%d) = %v, %v; scan oracle %v", label, id[0], id[1], in, err, members[n])
+					if in, err := MembershipContext(ctx, q, [][2]int{id}); err != nil || in[0] != members[n] {
+						t.Fatalf("%s: MembershipContext(%d,%d) = %v, %v; scan oracle %v", label, id[0], id[1], in, err, members[n])
 					}
+				}
+				if !agg.Strict {
+					continue // find-k runs the optimized algorithms, which need strictness
 				}
 
 				sizes := make(map[int]int)
@@ -143,4 +166,18 @@ func TestVotePrimitivesMatchScanOracle(t *testing.T) {
 	if verdicts[true] == 0 || verdicts[false] == 0 {
 		t.Fatalf("vacuous instances: verdicts %v, want both dominated and free vectors", verdicts)
 	}
+}
+
+// voteTests returns the domination tests the strict vote on v spends
+// against its target sets and the tests a checker over all of R1 × R2
+// spends on v, each on a fresh engine seeded from res (which may be nil).
+func voteTests(t *testing.T, q Query, res *Resident, v []float64) (tau, full int64) {
+	t.Helper()
+	var vst, fst Stats
+	if _, err := newEngineResident(q, &vst, res).votes(context.Background(), [][]float64{v}); err != nil {
+		t.Fatal(err)
+	}
+	e := newEngineResident(q, &fst, res)
+	e.newChecker(allIndices(q.R1.Len()), allIndices(q.R2.Len())).dominates(v)
+	return vst.DominationTests, fst.DominationTests
 }

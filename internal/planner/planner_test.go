@@ -42,7 +42,7 @@ func TestMembershipMatchesRun(t *testing.T) {
 				pairs = append(pairs, [2]int{i, j})
 			}
 		}
-		members, err := core.Membership(q, pairs)
+		members, err := core.MembershipContext(context.Background(), q, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,13 +58,13 @@ func TestMembershipErrors(t *testing.T) {
 	r1 := synthetic(10, 3, 2, datagen.Independent, 1)
 	r2 := synthetic(10, 3, 2, datagen.Independent, 2)
 	q := core.Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality}, K: 4}
-	if _, err := core.Membership(q, [][2]int{{-1, 0}}); err == nil {
+	if _, err := core.MembershipContext(context.Background(), q, [][2]int{{-1, 0}}); err == nil {
 		t.Error("out-of-range pair accepted")
 	}
 	// Find a non-compatible pair (different keys).
 	for j := 0; j < r2.Len(); j++ {
 		if r2.Key(j) != r1.Key(0) {
-			if _, err := core.Membership(q, [][2]int{{0, j}}); err == nil {
+			if _, err := core.MembershipContext(context.Background(), q, [][2]int{{0, j}}); err == nil {
 				t.Error("join-incompatible pair accepted")
 			}
 			break

@@ -40,9 +40,9 @@ type VerifyResponse struct {
 // Verify answers one verification-round request. It runs through the same
 // admission scheduler as Query and holds the read lock for the duration,
 // so votes are always consistent with one registry state. Strict
-// aggregators vote through the resident index's target-set checker;
-// non-strict ones scan the materialized join (the same split
-// core.AnyDominatorsContext makes).
+// aggregators check each vector against its target sets τ(u) ⋈ τ(v),
+// which scan the resident's sum-sorted R1 order; non-strict ones scan the
+// materialized join (the same split core.AnyDominatorsContext makes).
 func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyResponse, error) {
 	start := time.Now()
 	if s.closed.Load() {

@@ -50,7 +50,7 @@ func TestVerifyMatchesCore(t *testing.T) {
 		}
 		q := oracle
 		q.Spec.Agg = agg
-		want, err := core.AnyDominators(q, vectors)
+		want, err := core.AnyDominatorsContext(ctx, q, vectors)
 		if err != nil {
 			t.Fatal(err)
 		}
