@@ -13,6 +13,10 @@
 //     the parallel speedup a multi-core deployment would realize.
 //   - gateway/warm: the repeated query, answered from the shards'
 //     answer caches — two fan-out round trips, no recompute.
+//   - gateway-cold-large: a cold query over a 2-shard cluster whose answer
+//     has thousands of candidates (12 attributes, k=11), so the wire —
+//     round 1's candidates and round 2's verify batches — shows in the
+//     time, B/op and allocs/op.
 package repro_test
 
 import (
@@ -68,26 +72,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 		}
 	})
 
-	var urls []string
-	for i := 0; i < shards; i++ {
-		svc := service.New(service.Config{SweepInterval: -1})
-		defer svc.Close()
-		srv := httptest.NewServer(httpapi.NewHandler(svc, 0))
-		defer srv.Close()
-		urls = append(urls, srv.URL)
-	}
-	gw, err := shard.New(ctx, urls, shard.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer gw.Close()
-	if _, err := gw.Register(ctx, "r1", local, agg, t1); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := gw.Register(ctx, "r2", local, agg, t2); err != nil {
-		b.Fatal(err)
-	}
-
+	gw := benchCluster(b, shards, local, agg, t1, t2)
 	b.Run("gateway-cold", func(b *testing.B) {
 		imbalance := 0.0
 		for i := 0; i < b.N; i++ {
@@ -126,4 +111,50 @@ func BenchmarkShardedQuery(b *testing.B) {
 			}
 		}
 	})
+
+	const wideLocal, wideAgg, wideGroups, wideN = 5, 2, 16, 2000
+	large := benchCluster(b, 2, wideLocal, wideAgg,
+		shardBenchTuples(rng, wideN, wideLocal, wideAgg, wideGroups),
+		shardBenchTuples(rng, wideN, wideLocal, wideAgg, wideGroups))
+	largeReq := service.QueryRequest{R1: "r1", R2: "r2", K: 11, Agg: "sum", NoCache: true}
+	b.Run("gateway-cold-large", func(b *testing.B) {
+		b.ReportAllocs()
+		candidates := 0
+		for i := 0; i < b.N; i++ {
+			resp, err := large.Query(ctx, largeReq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range resp.Dist.CandidatesPerNode {
+				candidates += c
+			}
+		}
+		b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+	})
+}
+
+// benchCluster starts a gateway over n in-process shard services behind
+// real HTTP servers and registers t1 and t2 through it as r1 and r2.
+func benchCluster(b *testing.B, n, local, agg int, t1, t2 []dataset.Tuple) *shard.Gateway {
+	ctx := context.Background()
+	var urls []string
+	for i := 0; i < n; i++ {
+		svc := service.New(service.Config{SweepInterval: -1})
+		b.Cleanup(func() { svc.Close() })
+		srv := httptest.NewServer(httpapi.NewHandler(svc, 0))
+		b.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	gw, err := shard.New(ctx, urls, shard.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { gw.Close() })
+	if _, err := gw.Register(ctx, "r1", local, agg, t1); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := gw.Register(ctx, "r2", local, agg, t2); err != nil {
+		b.Fatal(err)
+	}
+	return gw
 }

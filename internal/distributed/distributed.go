@@ -11,10 +11,12 @@
 //     partition and produces local skyline candidates. A globally undominated pair
 //     is locally undominated, so the global answer is a subset of the
 //     union of local candidates.
-//  2. Verification round: every node is sent the other nodes' candidates'
-//     attribute vectors; it checks them against its local join (with the
-//     usual target-set pruning) and votes. A candidate survives if no
-//     peer finds a dominator.
+//  2. Verification round: every node is sent the other nodes' candidates
+//     in compact form (join.Components: each distinct row's local
+//     attributes once, plus per candidate two row indexes and its
+//     aggregated values); it recombines the vectors, checks them against
+//     its local join (with the usual target-set pruning) and votes. A
+//     candidate survives if no peer finds a dominator.
 //
 // Rounds is the one coordinator of that scheme, written against a
 // two-method Transport. Run is the in-process simulation: it partitions
@@ -46,7 +48,9 @@ type Stats struct {
 	// MessagesSent counts point-to-point messages (candidate batches and
 	// verdict batches).
 	MessagesSent int
-	// FloatsShipped counts attribute values moved across the network.
+	// FloatsShipped counts the attribute values round 2 moves across the
+	// network: each batch's table rows and aggregated values
+	// (join.Components.Floats).
 	FloatsShipped int
 	// LocalTime is the sum of the round-1 elapsed times the nodes report
 	// (their busy time; the round's wall time is nearer the largest).
@@ -82,14 +86,17 @@ func CheckShardable(cond join.Condition, nodes int) error {
 	return nil
 }
 
-// Transport is how the coordinator reaches the nodes of a cluster.
+// Transport is how the coordinator reaches the nodes of a cluster. Both
+// rounds speak the compact candidate form (join.Components), so each
+// distinct row's local attributes cross the network once per message.
 type Transport interface {
-	// Local runs node n's round 1: its local skyline, pairs in global row
-	// ids, and the elapsed time the node reports for it.
-	Local(ctx context.Context, n int) ([]join.Pair, time.Duration, error)
-	// Verify runs node n's round-2 vote: for each vector, whether some
-	// joined tuple local to n k-dominates it.
-	Verify(ctx context.Context, n int, vectors [][]float64) ([]bool, error)
+	// Local runs node n's round 1: its local skyline in compact form, ids
+	// global and tables checked, and the elapsed time the node reports for
+	// it.
+	Local(ctx context.Context, n int) (*join.Components, time.Duration, error)
+	// Verify runs node n's round-2 vote: for each vector of the batch,
+	// whether some joined tuple local to n k-dominates it.
+	Verify(ctx context.Context, n int, batch *join.Components) ([]bool, error)
 }
 
 // Rounds runs the two-round scheme over the participating nodes of a
@@ -97,12 +104,16 @@ type Transport interface {
 // every participant in parallel. Round 2 runs only when more than one node
 // participates and there are candidates: every participant is sent, in
 // parallel, every candidate another node produced (a candidate's own node
-// vouched for it in round 1), and a candidate survives if no vote says
-// dominated. Each non-empty batch counts two messages, the batch and its
-// votes. The first failing call cancels its siblings and is returned.
+// vouched for it in round 1) as one batch — the other participants'
+// tables concatenated, their pair indexes offset to match — and a
+// candidate survives if no vote says dominated. Each non-empty batch
+// counts two messages, the batch and its votes, and its table and
+// aggregate values as floats shipped. Only the survivors are recombined
+// into joined tuples. The first failing call cancels its siblings and is
+// returned.
 func Rounds(ctx context.Context, t Transport, participants []int, nodes int) ([]join.Pair, Stats, error) {
 	st := Stats{Nodes: nodes, CandidatesPerNode: make([]int, nodes)}
-	locals := make([][]join.Pair, len(participants))
+	locals := make([]*join.Components, len(participants))
 	elapsed := make([]time.Duration, len(participants))
 	err := fanOut(ctx, len(participants), func(ctx context.Context, i int) (err error) {
 		locals[i], elapsed[i], err = t.Local(ctx, participants[i])
@@ -111,39 +122,33 @@ func Rounds(ctx context.Context, t Transport, participants []int, nodes int) ([]
 	if err != nil {
 		return nil, st, err
 	}
-	// Participant i's candidates are cands[off[i]:off[i+1]].
-	var cands []join.Pair
+	// Participant i's candidates are numbers off[i] to off[i+1]-1.
 	off := make([]int, len(participants)+1)
 	for i, n := range participants {
-		st.CandidatesPerNode[n] = len(locals[i])
+		st.CandidatesPerNode[n] = locals[i].Len()
 		st.LocalTime += elapsed[i]
-		cands = append(cands, locals[i]...)
-		off[i+1] = len(cands)
+		off[i+1] = off[i] + locals[i].Len()
 	}
 
-	dominated := make([]bool, len(cands))
-	if len(participants) > 1 && len(cands) > 0 {
+	dominated := make([]bool, off[len(participants)])
+	if len(participants) > 1 && len(dominated) > 0 {
 		t0 := time.Now()
-		batches := make([][][]float64, len(participants))
+		batches := make([]*join.Components, len(participants))
 		for i := range participants {
-			for c, p := range cands {
-				if c < off[i] || c >= off[i+1] {
-					batches[i] = append(batches[i], p.Attrs)
-					st.FloatsShipped += len(p.Attrs)
-				}
-			}
-			if len(batches[i]) > 0 {
+			batches[i] = foreign(locals, i)
+			if batches[i].Len() > 0 {
 				st.MessagesSent += 2
+				st.FloatsShipped += batches[i].Floats()
 			}
 		}
 		votes := make([][]bool, len(participants))
 		err := fanOut(ctx, len(participants), func(ctx context.Context, i int) (err error) {
-			if len(batches[i]) == 0 {
+			if batches[i].Len() == 0 {
 				return nil
 			}
 			votes[i], err = t.Verify(ctx, participants[i], batches[i])
-			if err == nil && len(votes[i]) != len(batches[i]) {
-				err = fmt.Errorf("distributed: node %d returned %d votes for %d vectors", participants[i], len(votes[i]), len(batches[i]))
+			if err == nil && len(votes[i]) != batches[i].Len() {
+				err = fmt.Errorf("distributed: node %d returned %d votes for %d vectors", participants[i], len(votes[i]), batches[i].Len())
 			}
 			return err
 		})
@@ -161,14 +166,54 @@ func Rounds(ctx context.Context, t Transport, participants []int, nodes int) ([]
 		st.VerifyTime = time.Since(t0)
 	}
 
-	skyline := make([]join.Pair, 0, len(cands))
-	for c, p := range cands {
-		if !dominated[c] {
-			skyline = append(skyline, p)
+	// Recombine the survivors into one flat arena.
+	survivors, width := 0, 0
+	for _, dom := range dominated {
+		if !dom {
+			survivors++
+		}
+	}
+	for _, local := range locals {
+		width = max(width, local.Width())
+	}
+	skyline := make([]join.Pair, 0, survivors)
+	arena := make([]float64, 0, survivors*width)
+	for i, local := range locals {
+		for n := range local.Len() {
+			if dominated[off[i]+n] {
+				continue
+			}
+			p := local.Pairs[n]
+			arena = local.AppendVector(arena, n)
+			skyline = append(skyline, join.Pair{
+				Left: local.LeftIDs[p[0]], Right: local.RightIDs[p[1]],
+				Attrs: arena[len(arena)-width : len(arena) : len(arena)],
+			})
 		}
 	}
 	join.SortPairs(skyline)
 	return skyline, st, nil
+}
+
+// foreign is verifier i's round-2 batch: every other participant's
+// candidates, their tables concatenated in participant order and their
+// pair indexes offset past the tables before them. Rows are shared, not
+// copied, and no ids go along: a vote needs only the vectors.
+func foreign(locals []*join.Components, i int) *join.Components {
+	b := &join.Components{}
+	for j, c := range locals {
+		if j == i {
+			continue
+		}
+		dl, dr := len(b.Lefts), len(b.Rights)
+		b.Lefts = append(b.Lefts, c.Lefts...)
+		b.Rights = append(b.Rights, c.Rights...)
+		for _, p := range c.Pairs {
+			b.Pairs = append(b.Pairs, [2]int{p[0] + dl, p[1] + dr})
+		}
+		b.Aggs = append(b.Aggs, c.Aggs...)
+	}
+	return b
 }
 
 // fanOut runs call(ctx, i) for every i in [0, n) concurrently and returns
@@ -262,22 +307,27 @@ type partition struct {
 	leftOrigin, rightOrigin []int
 }
 
-func (c *cluster) Local(ctx context.Context, n int) ([]join.Pair, time.Duration, error) {
+func (c *cluster) Local(ctx context.Context, n int) (*join.Components, time.Duration, error) {
 	start := time.Now()
 	p := &c.parts[n]
 	res, err := core.Exec(ctx, p.q, core.ExecOptions{Algorithm: core.Auto})
 	if err != nil {
 		return nil, 0, err
 	}
-	for i := range res.Skyline {
-		pr := &res.Skyline[i]
-		pr.Left, pr.Right = p.leftOrigin[pr.Left], p.rightOrigin[pr.Right]
+	local := join.Split(res.Skyline, p.q.R1.Local, p.q.R2.Local)
+	for i, id := range local.LeftIDs {
+		local.LeftIDs[i] = p.leftOrigin[id]
 	}
-	return res.Skyline, time.Since(start), nil
+	for i, id := range local.RightIDs {
+		local.RightIDs[i] = p.rightOrigin[id]
+	}
+	return &local, time.Since(start), nil
 }
 
-func (c *cluster) Verify(ctx context.Context, n int, vectors [][]float64) ([]bool, error) {
-	return core.AnyDominatorsContext(ctx, c.parts[n].q, vectors)
+// Verify recombines the batch and votes through the engine, as a shard's
+// service votes through its resident.
+func (c *cluster) Verify(ctx context.Context, n int, batch *join.Components) ([]bool, error) {
+	return core.AnyDominatorsContext(ctx, c.parts[n].q, batch.Vectors())
 }
 
 // NodeOf places a join-key symbol on a node: FNV-32a of the key modulo

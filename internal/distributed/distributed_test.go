@@ -58,16 +58,78 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	}
 }
 
+// localCandidates is round 1 computed apart from Rounds: each node's
+// local skyline over its key partition, in partition-local ids.
+func localCandidates(t *testing.T, q core.Query, nodes int) [][]join.Pair {
+	t.Helper()
+	out := make([][]join.Pair, nodes)
+	for n := range out {
+		part := func(r *dataset.Relation) []dataset.Tuple {
+			var ts []dataset.Tuple
+			for i := 0; i < r.Len(); i++ {
+				if NodeOf(r.Key(i), nodes) == n {
+					ts = append(ts, r.Tuple(i))
+				}
+			}
+			return ts
+		}
+		t1, t2 := part(q.R1), part(q.R2)
+		if len(t1) == 0 || len(t2) == 0 {
+			continue
+		}
+		pq := q
+		pq.R1 = dataset.MustNew(q.R1.Name, q.R1.Local, q.R1.Agg, t1)
+		pq.R2 = dataset.MustNew(q.R2.Name, q.R2.Local, q.R2.Agg, t2)
+		res, err := core.Run(pq, core.Grouping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[n] = res.Skyline
+	}
+	return out
+}
+
+// shippedFloats is what round 2 ships over the given local candidates,
+// every verifier being sent every other node's: joined is the count when
+// each candidate goes as its whole vector, compact when each node's
+// distinct left and right rows go once plus each candidate's aggregates.
+func shippedFloats(q core.Query, locals [][]join.Pair) (joined, compact int) {
+	participants := 0
+	for _, c := range locals {
+		if c != nil {
+			participants++
+		}
+	}
+	if participants < 2 {
+		return 0, 0
+	}
+	for _, c := range locals {
+		lefts, rights := map[int]bool{}, map[int]bool{}
+		for _, p := range c {
+			lefts[p.Left], rights[p.Right] = true, true
+		}
+		// Every other participant verifies node n's candidates.
+		joined += (participants - 1) * len(c) * q.Width()
+		compact += (participants - 1) * (len(lefts)*q.R1.Local + len(rights)*q.R2.Local + len(c)*q.R1.Agg)
+	}
+	return joined, compact
+}
+
+// TestDistributedStats pins the two-round accounting: candidates per node
+// are round 1's local skylines, messages come in request/verdict pairs,
+// and the floats shipped are exactly the compact form's — each node's
+// distinct rows once per verifier plus each candidate's aggregates, not
+// the joined vectors.
 func TestDistributedStats(t *testing.T) {
 	q := core.Query{
 		R1: datagen.MustGenerate(datagen.Config{
-			Name: "r1", N: 100, Local: 3, Groups: 8, Seed: 1,
+			Name: "r1", N: 100, Local: 3, Agg: 1, Groups: 8, Seed: 1,
 		}),
 		R2: datagen.MustGenerate(datagen.Config{
-			Name: "r2", N: 100, Local: 3, Groups: 8, Seed: 2,
+			Name: "r2", N: 100, Local: 3, Agg: 1, Groups: 8, Seed: 2,
 		}),
-		Spec: join.Spec{Cond: join.Equality},
-		K:    4,
+		Spec: join.Spec{Cond: join.Equality, Agg: join.Sum},
+		K:    6,
 	}
 	res, err := Run(q, 4)
 	if err != nil {
@@ -77,8 +139,12 @@ func TestDistributedStats(t *testing.T) {
 	if st.Nodes != 4 || len(st.CandidatesPerNode) != 4 {
 		t.Errorf("stats shape: %+v", st)
 	}
+	locals := localCandidates(t, q, 4)
 	totalCand := 0
-	for _, c := range st.CandidatesPerNode {
+	for n, c := range st.CandidatesPerNode {
+		if c != len(locals[n]) {
+			t.Errorf("node %d: %d candidates, its local skyline has %d", n, c, len(locals[n]))
+		}
 		totalCand += c
 	}
 	if totalCand < len(res.Skyline) {
@@ -90,9 +156,48 @@ func TestDistributedStats(t *testing.T) {
 	if st.MessagesSent%2 != 0 {
 		t.Errorf("messages come in request/verdict pairs, got %d", st.MessagesSent)
 	}
-	if st.FloatsShipped == 0 && st.MessagesSent > 0 {
-		t.Error("messages sent but no payload recorded")
+	joined, compact := shippedFloats(q, locals)
+	if compact == 0 || st.FloatsShipped != compact {
+		t.Errorf("floats shipped = %d, want the compact form's %d (joined vectors would be %d)", st.FloatsShipped, compact, joined)
 	}
+}
+
+// TestCompactWireTraffic is the traffic pin: on a 2-node equality instance
+// whose candidates outnumber their distinct rows many times over, round 2
+// ships at most a third of the floats the joined vectors would take, and
+// the answer is still core.Run's.
+func TestCompactWireTraffic(t *testing.T) {
+	mk := func(name string, seed int64) *dataset.Relation {
+		return datagen.MustGenerate(datagen.Config{
+			Name: name, N: 120, Local: 3, Agg: 1, Groups: 4, Dist: datagen.AntiCorrelated, Seed: seed,
+		})
+	}
+	q := core.Query{R1: mk("r1", 31), R2: mk("r2", 32), Spec: join.Spec{Cond: join.Equality, Agg: join.Sum}}
+	q.K = q.Width()
+	locals := localCandidates(t, q, 2)
+	for n, c := range locals {
+		lefts, rights := map[int]bool{}, map[int]bool{}
+		for _, p := range c {
+			lefts[p.Left], rights[p.Right] = true, true
+		}
+		if rows := len(lefts) + len(rights); len(c) == 0 || len(c) < 5*rows {
+			t.Fatalf("node %d: %d candidates over %d distinct rows; the instance must have at least 5 per row", n, len(c), rows)
+		}
+	}
+	res, err := Run(q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, _ := shippedFloats(q, locals)
+	t.Logf("candidates per node %v; round 2 shipped %d floats, the joined vectors would take %d", res.Stats.CandidatesPerNode, res.Stats.FloatsShipped, joined)
+	if st := res.Stats; 3*st.FloatsShipped > joined {
+		t.Errorf("round 2 shipped %d floats, more than a third of the joined vectors' %d", st.FloatsShipped, joined)
+	}
+	serial, err := core.Run(q, core.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswer(t, "compact wire", res, serial)
 }
 
 func TestDistributedSingleNodeEqualsLocal(t *testing.T) {
@@ -147,7 +252,7 @@ type failFast struct {
 	cancelled chan struct{}
 }
 
-func (f *failFast) Local(ctx context.Context, n int) ([]join.Pair, time.Duration, error) {
+func (f *failFast) Local(ctx context.Context, n int) (*join.Components, time.Duration, error) {
 	if n == 0 {
 		return nil, 0, f.err
 	}
@@ -156,7 +261,7 @@ func (f *failFast) Local(ctx context.Context, n int) ([]join.Pair, time.Duration
 	return nil, 0, ctx.Err()
 }
 
-func (f *failFast) Verify(context.Context, int, [][]float64) ([]bool, error) {
+func (f *failFast) Verify(context.Context, int, *join.Components) ([]bool, error) {
 	panic("round 2 after a failed round 1")
 }
 
@@ -188,11 +293,12 @@ func TestRoundsCancelsSiblingsOnFirstError(t *testing.T) {
 // nothing.
 type mute struct{}
 
-func (mute) Local(_ context.Context, n int) ([]join.Pair, time.Duration, error) {
-	return []join.Pair{{Left: n, Right: n, Attrs: []float64{1, 2}}}, 0, nil
+func (mute) Local(_ context.Context, n int) (*join.Components, time.Duration, error) {
+	c := join.Split([]join.Pair{{Left: n, Right: n, Attrs: []float64{1, 2}}}, 1, 1)
+	return &c, 0, nil
 }
 
-func (mute) Verify(context.Context, int, [][]float64) ([]bool, error) { return nil, nil }
+func (mute) Verify(context.Context, int, *join.Components) ([]bool, error) { return nil, nil }
 
 // TestRoundsRejectsMissingVotes: a node that votes on fewer vectors than
 // it was sent fails the query instead of letting the unvoted candidates

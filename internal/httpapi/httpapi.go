@@ -10,8 +10,10 @@
 //	POST   /v1/relations?format=csv&name=r1&local=3&agg=1[&band=1][&window_ms=60000]   (CSV body)
 //	GET    /v1/relations
 //	DELETE /v1/relations?name=r1
-//	POST   /v1/query      {"r1","r2","k","join","agg","algorithm","workers","timeout_ms","no_cache"}
-//	POST   /v1/verify     {"r1","r2","k","join","agg","vectors":[[...],...],"timeout_ms"}
+//	POST   /v1/query      {"r1","r2","k","join","agg","algorithm","workers","timeout_ms","no_cache","components"}
+//	                      ("components":true answers "candidates", the compact form, instead of "skyline")
+//	POST   /v1/verify     {"r1","r2","k","join","agg","timeout_ms"} plus "vectors":[[...],...]
+//	                      or "candidates":{"lefts","rights","pairs","aggs"} (the compact form)
 //	POST   /v1/watch      same body as /v1/query; responds with NDJSON answer deltas
 //	POST   /v1/insert     {"relation","tuple":{"key","band","attrs"}}
 //	                      or {"relation","tuples":[{...},...]} (one group commit)
@@ -71,7 +73,32 @@ func Pairs(sky []join.Pair) []PairJSON {
 	return out
 }
 
-// QueryJSON is the wire form of a query (and watch) request.
+// CandidatesJSON is the wire form of join.Components, the compact
+// candidate form both rounds of the distributed scheme ship: each
+// distinct left and right row's local attributes once ("lefts", "rights",
+// with their tuple ids in "left_ids", "right_ids"), and per joined vector
+// its ("pairs") [left index, right index] and its aggregated values
+// ("aggs"). Vector n is lefts[pairs[n][0]] ++ rights[pairs[n][1]] ++
+// aggs[n]. A verification batch carries no ids. The two types convert
+// into each other for free.
+type CandidatesJSON struct {
+	LeftIDs  []int       `json:"left_ids,omitzero"`
+	Lefts    [][]float64 `json:"lefts"`
+	RightIDs []int       `json:"right_ids,omitzero"`
+	Rights   [][]float64 `json:"rights"`
+	Pairs    [][2]int    `json:"pairs"`
+	Aggs     [][]float64 `json:"aggs"`
+}
+
+// Candidates converts an answer to its compact wire form, given R1's and
+// R2's local widths; an empty answer encodes as empty lists.
+func Candidates(sky []join.Pair, l1, l2 int) *CandidatesJSON {
+	c := CandidatesJSON(join.Split(sky, l1, l2))
+	return &c
+}
+
+// QueryJSON is the wire form of a query (and watch) request. Components
+// asks a query for its answer in compact form; a watch ignores it.
 type QueryJSON struct {
 	R1        string `json:"r1"`
 	R2        string `json:"r2"`
@@ -82,6 +109,8 @@ type QueryJSON struct {
 	Workers   int    `json:"workers,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	NoCache   bool   `json:"no_cache,omitempty"`
+	// Components is set by the gateway's round-1 legs (DESIGN.md §13).
+	Components bool `json:"components,omitempty"`
 }
 
 // Request converts to the service's request form. Timeout and NoCache are
@@ -95,15 +124,17 @@ func (q QueryJSON) Request() service.QueryRequest {
 	}
 }
 
-// QueryResponseJSON is the wire form of one answer.
+// QueryResponseJSON is the wire form of one answer: Skyline, or
+// Candidates when the query asked for components.
 type QueryResponseJSON struct {
-	Skyline   []PairJSON `json:"skyline"`
-	Count     int        `json:"count"`
-	Source    string     `json:"source"`
-	Algorithm string     `json:"algorithm"`
-	Versions  [2]uint64  `json:"versions"`
-	ElapsedUS int64      `json:"elapsed_us"`
-	Stats     *StatsJSON `json:"stats,omitempty"`
+	Skyline    []PairJSON      `json:"skyline,omitzero"`
+	Candidates *CandidatesJSON `json:"candidates,omitempty"`
+	Count      int             `json:"count"`
+	Source     string          `json:"source"`
+	Algorithm  string          `json:"algorithm"`
+	Versions   [2]uint64       `json:"versions"`
+	ElapsedUS  int64           `json:"elapsed_us"`
+	Stats      *StatsJSON      `json:"stats,omitempty"`
 	// Dist is the two-round breakdown a gateway reports (Backend.Query).
 	Dist any `json:"dist,omitempty"`
 }
@@ -200,15 +231,17 @@ type DeleteResponseJSON struct {
 }
 
 // VerifyJSON is the wire form of a verification-round request: foreign
-// candidate vectors to check against the local join.
+// candidate vectors to check against the local join, as joined Vectors or
+// as compact Candidates — one of the two.
 type VerifyJSON struct {
-	R1        string      `json:"r1"`
-	R2        string      `json:"r2"`
-	K         int         `json:"k"`
-	Join      string      `json:"join,omitempty"`
-	Agg       string      `json:"agg,omitempty"`
-	Vectors   [][]float64 `json:"vectors"`
-	TimeoutMS int64       `json:"timeout_ms,omitempty"`
+	R1         string          `json:"r1"`
+	R2         string          `json:"r2"`
+	K          int             `json:"k"`
+	Join       string          `json:"join,omitempty"`
+	Agg        string          `json:"agg,omitempty"`
+	Vectors    [][]float64     `json:"vectors,omitempty"`
+	Candidates *CandidatesJSON `json:"candidates,omitempty"`
+	TimeoutMS  int64           `json:"timeout_ms,omitempty"`
 }
 
 // VerifyResponseJSON reports the votes, parallel to the request vectors.
@@ -419,13 +452,17 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := QueryResponseJSON{
-		Skyline:   Pairs(resp.Skyline),
 		Count:     len(resp.Skyline),
 		Source:    string(resp.Source),
 		Algorithm: resp.Algorithm,
 		Versions:  resp.Versions,
 		ElapsedUS: resp.Elapsed.Microseconds(),
 		Dist:      dist,
+	}
+	if req.Components {
+		out.Candidates = Candidates(resp.Skyline, resp.Locals[0], resp.Locals[1])
+	} else {
+		out.Skyline = Pairs(resp.Skyline)
 	}
 	if st := resp.Stats; st != nil {
 		out.Stats = &StatsJSON{
@@ -453,8 +490,9 @@ func verifyHandler(svc *service.Service, maxTimeout time.Duration) http.HandlerF
 		resp, err := svc.Verify(r.Context(), service.VerifyRequest{
 			R1: req.R1, R2: req.R2, K: req.K,
 			Join: req.Join, Agg: req.Agg,
-			Vectors: req.Vectors,
-			Timeout: Clamp(req.TimeoutMS, maxTimeout),
+			Vectors:    req.Vectors,
+			Candidates: (*join.Components)(req.Candidates),
+			Timeout:    Clamp(req.TimeoutMS, maxTimeout),
 		})
 		if err != nil {
 			WriteServiceError(w, err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -58,6 +59,7 @@ func (s *stub) Query(_ context.Context, req service.QueryRequest) (*service.Quer
 		Source:    service.SourceComputed,
 		Algorithm: "grouping",
 		Versions:  [2]uint64{1, 1},
+		Locals:    [2]int{1, 1},
 		Stats:     &core.Stats{Candidates: 5},
 	}, map[string]int{"shards": 2}, nil
 }
@@ -196,6 +198,17 @@ var table = []row{
 			}
 			if reply["count"] != 1.0 || reply["source"] != "computed" || reply["dist"] == nil || reply["stats"] == nil {
 				t.Errorf("reply %v", reply)
+			}
+		}},
+	{name: "query: components", method: "POST", target: "/v1/query", body: `{"r1":"a","r2":"b","k":4,"components":true}`, want: 200,
+		check: func(t *testing.T, s *stub, reply map[string]any) {
+			want := map[string]any{
+				"left_ids": []any{1.0}, "lefts": []any{[]any{3.0}},
+				"right_ids": []any{2.0}, "rights": []any{[]any{4.0}},
+				"pairs": []any{[]any{0.0, 0.0}}, "aggs": []any{[]any{}},
+			}
+			if _, ok := reply["skyline"]; ok || reply["count"] != 1.0 || !reflect.DeepEqual(reply["candidates"], want) {
+				t.Errorf("reply %v, want candidates %v and no skyline", reply, want)
 			}
 		}},
 	{name: "query: truncated", method: "POST", target: "/v1/query", body: `{"r1":"a","r2":`, want: 400, check: called(0)},
@@ -369,6 +382,13 @@ func FuzzVerify(f *testing.F) {
 		`{"r1":"r1","r2":"r2","k":4,"join":"nope","vectors":[[1,2,3,4,5]]}`,
 		`{"r1":"r1","r2":"r2","k":4,"vectors":[[1,2,3,4,5]]`,
 		``,
+		// The compact form: valid, an index past its table, a negative
+		// index, a short table row, and both forms at once.
+		`{"r1":"r1","r2":"r2","k":4,"candidates":{"lefts":[[1,2],[0,0]],"rights":[[3,4]],"pairs":[[0,0],[1,0]],"aggs":[[5],[0]]}}`,
+		`{"r1":"r1","r2":"r2","k":4,"candidates":{"lefts":[[1,2]],"rights":[[3,4]],"pairs":[[0,1]],"aggs":[[5]]}}`,
+		`{"r1":"r1","r2":"r2","k":4,"candidates":{"lefts":[[1,2]],"rights":[[3,4]],"pairs":[[-1,0]],"aggs":[[5]]}}`,
+		`{"r1":"r1","r2":"r2","k":4,"candidates":{"lefts":[[1]],"rights":[[3,4]],"pairs":[[0,0]],"aggs":[[5]]}}`,
+		`{"r1":"r1","r2":"r2","k":4,"vectors":[[1,2,3,4,5]],"candidates":{"lefts":[[1,2]],"rights":[[3,4]],"pairs":[[0,0]],"aggs":[[5]]}}`,
 	} {
 		f.Add(body)
 	}
@@ -378,5 +398,82 @@ func FuzzVerify(f *testing.F) {
 		if !statuses[rec.Code] {
 			t.Fatalf("%q: status %d is not in the documented set", body, rec.Code)
 		}
+		// A pair indexing outside its tables over the held relations is a
+		// bad request whatever else the body says.
+		var req VerifyJSON
+		if json.Unmarshal([]byte(body), &req) == nil && req.Candidates != nil && outOfRange(req.Candidates) &&
+			(req.R1 == "r1" || req.R1 == "r2") && (req.R2 == "r1" || req.R2 == "r2") && rec.Code != http.StatusBadRequest {
+			t.Fatalf("%q: out-of-range pair answered %d, want 400", body, rec.Code)
+		}
 	})
+}
+
+// outOfRange reports whether some pair indexes outside its tables.
+func outOfRange(c *CandidatesJSON) bool {
+	for _, p := range c.Pairs {
+		if p[0] < 0 || p[0] >= len(c.Lefts) || p[1] < 0 || p[1] >= len(c.Rights) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCandidatesRoundTrip pins the compact form end to end: an answer
+// split into CandidatesJSON, encoded, decoded and recombined is the
+// answer, bit for bit — negative zero and the extreme finite values
+// included — with one-row tables and with none. An empty answer encodes
+// every list as [].
+func TestCandidatesRoundTrip(t *testing.T) {
+	const l1, l2 = 2, 1
+	big, tiny := math.MaxFloat64, math.SmallestNonzeroFloat64
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		sky  []join.Pair
+	}{
+		{"empty", []join.Pair{}},
+		{"one row each side", []join.Pair{
+			{Left: 4, Right: 9, Attrs: []float64{negZero, big, -big, tiny}},
+		}},
+		{"shared rows", []join.Pair{
+			{Left: 0, Right: 1, Attrs: []float64{negZero, 1e-300, 2.5, -tiny}},
+			{Left: 0, Right: 3, Attrs: []float64{negZero, 1e-300, big, 0}},
+			{Left: 7, Right: 1, Attrs: []float64{-big, 0.1, 2.5, negZero}},
+			{Left: 7, Right: 3, Attrs: []float64{-big, 0.1, big, 1 / 3.0}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(Candidates(tc.sky, l1, l2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tc.sky) == 0 {
+				if want := `{"left_ids":[],"lefts":[],"right_ids":[],"rights":[],"pairs":[],"aggs":[]}`; string(body) != want {
+					t.Fatalf("empty answer encodes as %s, want %s", body, want)
+				}
+			}
+			var wire CandidatesJSON
+			if err := json.Unmarshal(body, &wire); err != nil {
+				t.Fatal(err)
+			}
+			c := join.Components(wire)
+			if err := c.Check(l1, l2, 1); err != nil {
+				t.Fatalf("decoded form fails its check: %v", err)
+			}
+			vectors := c.Vectors()
+			if len(vectors) != len(tc.sky) {
+				t.Fatalf("%d vectors back, want %d", len(vectors), len(tc.sky))
+			}
+			for n, p := range tc.sky {
+				if got := [2]int{c.LeftIDs[c.Pairs[n][0]], c.RightIDs[c.Pairs[n][1]]}; got != [2]int{p.Left, p.Right} {
+					t.Errorf("pair %d ids %v, want (%d,%d)", n, got, p.Left, p.Right)
+				}
+				for j, want := range p.Attrs {
+					if math.Float64bits(vectors[n][j]) != math.Float64bits(want) {
+						t.Errorf("pair %d attr %d = %v, want %v bit for bit", n, j, vectors[n][j], want)
+					}
+				}
+			}
+		})
+	}
 }

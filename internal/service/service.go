@@ -204,6 +204,9 @@ type QueryResponse struct {
 	Algorithm string
 	// Versions are the (R1, R2) registry versions the answer is valid at.
 	Versions [2]uint64
+	// Locals are R1's and R2's local widths (l1, l2), where the answer's
+	// vectors split into the compact form (join.Split).
+	Locals [2]int
 	// Elapsed is the service-side wall time for this request.
 	Elapsed time.Duration
 	// Stats carries the engine's per-phase breakdown; nil unless the
@@ -604,7 +607,7 @@ func CheckRequest(r1, r2 *dataset.Relation, k int, p Parsed) error {
 
 // hitResponse assembles a cache/maintained-hit response and bumps the
 // counters.
-func (s *Service) hitResponse(sky []join.Pair, algo string, maintained bool, versions [2]uint64, start time.Time) *QueryResponse {
+func (s *Service) hitResponse(q core.Query, sky []join.Pair, algo string, maintained bool, versions [2]uint64, start time.Time) *QueryResponse {
 	src := SourceCached
 	if maintained {
 		src = SourceMaintained
@@ -617,6 +620,7 @@ func (s *Service) hitResponse(sky []join.Pair, algo string, maintained bool, ver
 		Source:    src,
 		Algorithm: algo,
 		Versions:  versions,
+		Locals:    [2]int{q.R1.Local, q.R2.Local},
 		Elapsed:   time.Since(start),
 	}
 }
@@ -644,13 +648,13 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// must be rejected if it is malformed, so accept/reject behavior
 	// never depends on cache state. Then the fast path: a warm answer
 	// needs no admission and no engine work.
-	_, key, versions, err := s.resolveAndValidate(req, p)
+	q, key, versions, err := s.resolveAndValidate(req, p)
 	if err != nil {
 		return nil, err
 	}
 	if !req.NoCache {
 		if sky, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
-			return s.hitResponse(sky, algo, maintained, versions, start), nil
+			return s.hitResponse(q, sky, algo, maintained, versions, start), nil
 		}
 	}
 
@@ -674,13 +678,13 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	// Versions may have moved while the request was queued; resolve again
 	// and re-check the cache — an identical query ahead of us in the pool
 	// may already have warmed it.
-	q, key, versions, err := s.resolveLocked(req, p)
+	q, key, versions, err = s.resolveLocked(req, p)
 	if err != nil {
 		return nil, err
 	}
 	if !req.NoCache {
 		if sky, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
-			return s.hitResponse(sky, algo, maintained, versions, start), nil
+			return s.hitResponse(q, sky, algo, maintained, versions, start), nil
 		}
 	}
 
@@ -706,6 +710,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		Source:    SourceComputed,
 		Algorithm: algo,
 		Versions:  versions,
+		Locals:    [2]int{q.R1.Local, q.R2.Local},
 		Elapsed:   time.Since(start),
 		Stats:     &out.Stats,
 	}, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/join"
 	"repro/internal/store"
 )
 
@@ -14,21 +15,26 @@ import (
 // k-dominate it? This is the verification round of the distributed
 // scheme (DESIGN.md §13) served shard-side — the gateway ships surviving
 // round-1 candidates here and keeps only the vectors no peer dominates.
-// Join and Agg use the CLI spellings, exactly like QueryRequest; every
-// vector must have the joined width of (R1, R2).
+// Join and Agg use the CLI spellings, exactly like QueryRequest. The
+// vectors come in one of two forms: Vectors, each of the joined width of
+// (R1, R2), or Candidates, the compact form (join.Components) whose table
+// rows have R1's and R2's local widths and whose aggregate rows have the
+// aggregate width. Giving both is a bad request.
 type VerifyRequest struct {
-	R1, R2  string
-	K       int
-	Join    string
-	Agg     string
-	Vectors [][]float64
+	R1, R2     string
+	K          int
+	Join       string
+	Agg        string
+	Vectors    [][]float64
+	Candidates *join.Components
 	// Timeout bounds this request (queue wait + execution); 0 defers to
 	// Config.DefaultTimeout, negative means no deadline.
 	Timeout time.Duration
 }
 
 // VerifyResponse reports the votes: Dominated is parallel to the request
-// vectors, true where the local join holds a k-dominator.
+// vectors (or candidate pairs), true where the local join holds a
+// k-dominator.
 type VerifyResponse struct {
 	Dominated []bool
 	// Versions are the (R1, R2) registry versions the votes are valid at.
@@ -52,6 +58,9 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	// Check the request like a query before admission, so a malformed one
 	// is rejected for what it is, never as overload. Like an "auto" query
 	// it admits any aggregator: a non-strict one votes through the scan.
+	if req.Vectors != nil && req.Candidates != nil {
+		return nil, fmt.Errorf("%w: give vectors or candidates, not both", ErrBadRequest)
+	}
 	qreq := QueryRequest{R1: req.R1, R2: req.R2, K: req.K, Join: req.Join, Agg: req.Agg}
 	p, err := ParseRequest(qreq)
 	if err != nil {
@@ -60,6 +69,11 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	q, _, _, err := s.resolveAndValidate(qreq, p)
 	if err != nil {
 		return nil, err
+	}
+	if c := req.Candidates; c != nil {
+		if err := c.Check(q.R1.Local, q.R2.Local, q.R1.Agg); err != nil {
+			return nil, fmt.Errorf("%w: candidates: %v", ErrBadRequest, err)
+		}
 	}
 	for i, v := range req.Vectors {
 		if len(v) != q.Width() {
@@ -99,7 +113,11 @@ func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyRespons
 	if err != nil {
 		return nil, err
 	}
-	dominated, err := res.AnyDominators(ctx, q, req.Vectors)
+	vectors := req.Vectors
+	if req.Candidates != nil {
+		vectors = req.Candidates.Vectors()
+	}
+	dominated, err := res.AnyDominators(ctx, q, vectors)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -75,6 +76,50 @@ func TestVerifyMatchesCore(t *testing.T) {
 	}
 }
 
+// TestVerifyCompactMatchesVectors: a batch sent in compact form gets the
+// votes its recombined vectors get, for both aggregator arms.
+func TestVerifyCompactMatchesVectors(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, Config{SweepInterval: -1})
+	oracle := registerPair(t, s, 60)
+	// At full width k-dominance is plain dominance: the join has members.
+	for _, aggName := range []string{"sum", "max"} {
+		q := oracle
+		var err error
+		if q.Spec.Agg, err = join.ParseAggregator(aggName); err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := join.Pairs(q.R1, q.R2, q.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := join.Split(pairs, q.R1.Local, q.R2.Local)
+		if len(c.Lefts)+len(c.Rights) >= len(pairs) {
+			t.Fatalf("degenerate test: %d pairs over %d distinct rows", len(pairs), len(c.Lefts)+len(c.Rights))
+		}
+		vectors := make([][]float64, len(pairs))
+		for i, p := range pairs {
+			vectors[i] = p.Attrs
+		}
+		req := VerifyRequest{R1: "r1", R2: "r2", K: q.Width(), Agg: aggName, Vectors: vectors}
+		want, err := s.Verify(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: vectors: %v", aggName, err)
+		}
+		req.Vectors, req.Candidates = nil, &c
+		got, err := s.Verify(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: candidates: %v", aggName, err)
+		}
+		if !slices.Equal(got.Dominated, want.Dominated) {
+			t.Fatalf("%s: compact votes %v, vector votes %v", aggName, got.Dominated, want.Dominated)
+		}
+		if !slices.Contains(want.Dominated, false) || !slices.Contains(want.Dominated, true) {
+			t.Fatalf("%s: degenerate test — one verdict for all %d vectors", aggName, len(pairs))
+		}
+	}
+}
+
 func TestVerifyErrors(t *testing.T) {
 	ctx := context.Background()
 	s := newTestService(t, Config{SweepInterval: -1})
@@ -133,9 +178,10 @@ func TestUnregister(t *testing.T) {
 
 // TestVerifyValidatesBeforeAdmission: with the only slot held and no
 // queue, a malformed verification request is rejected for what it is —
-// unknown relation, bad k, wrong vector width, bad join spelling — never
-// as overload, and the rejected counter stays 0, exactly like Query. Only
-// the well-formed request is refused with ErrOverloaded.
+// unknown relation, bad k, wrong vector width, bad join spelling, a
+// malformed compact batch, both forms at once — never as overload (nor
+// with a panic), and the rejected counter stays 0, exactly like Query.
+// Only the well-formed requests are refused with ErrOverloaded.
 func TestVerifyValidatesBeforeAdmission(t *testing.T) {
 	ctx := context.Background()
 	s := newTestService(t, Config{SweepInterval: -1})
@@ -148,6 +194,19 @@ func TestVerifyValidatesBeforeAdmission(t *testing.T) {
 	defer release()
 
 	vectors := [][]float64{make([]float64, oracle.Width())}
+	l1, l2, a := oracle.R1.Local, oracle.R2.Local, oracle.R1.Agg
+	// compact is a well-formed one-vector batch, changed by edit.
+	compact := func(edit func(c *join.Components)) *join.Components {
+		c := &join.Components{
+			Lefts: [][]float64{make([]float64, l1)}, Rights: [][]float64{make([]float64, l2)},
+			Pairs: [][2]int{{0, 0}}, Aggs: [][]float64{make([]float64, a)},
+		}
+		edit(c)
+		return c
+	}
+	verify := func(c *join.Components) VerifyRequest {
+		return VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Candidates: c}
+	}
 	for _, tc := range []struct {
 		name string
 		req  VerifyRequest
@@ -157,6 +216,13 @@ func TestVerifyValidatesBeforeAdmission(t *testing.T) {
 		{"bad k", VerifyRequest{R1: "r1", R2: "r2", K: oracle.Width() + 1, Vectors: vectors}, ErrBadRequest},
 		{"wrong width", VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Vectors: [][]float64{{1}}}, ErrBadRequest},
 		{"bad join", VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Join: "nope", Vectors: vectors}, ErrBadRequest},
+		{"index past its table", verify(compact(func(c *join.Components) { c.Pairs[0][1] = 1 })), ErrBadRequest},
+		{"negative index", verify(compact(func(c *join.Components) { c.Pairs[0][0] = -1 })), ErrBadRequest},
+		{"short left row", verify(compact(func(c *join.Components) { c.Lefts[0] = c.Lefts[0][1:] })), ErrBadRequest},
+		{"long right row", verify(compact(func(c *join.Components) { c.Rights[0] = append(c.Rights[0], 0) })), ErrBadRequest},
+		{"short aggregate row", verify(compact(func(c *join.Components) { c.Aggs[0] = nil })), ErrBadRequest},
+		{"pairs without aggregates", verify(compact(func(c *join.Components) { c.Pairs = append(c.Pairs, [2]int{0, 0}) })), ErrBadRequest},
+		{"both forms", VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Vectors: vectors, Candidates: compact(func(*join.Components) {})}, ErrBadRequest},
 	} {
 		if _, err := s.Verify(ctx, tc.req); !errors.Is(err, tc.want) {
 			t.Errorf("%s under saturation: err = %v, want %v", tc.name, err, tc.want)
@@ -165,7 +231,12 @@ func TestVerifyValidatesBeforeAdmission(t *testing.T) {
 	if got := s.Stats().Rejected; got != 0 {
 		t.Errorf("rejected counter = %d after malformed requests, want 0", got)
 	}
-	if _, err := s.Verify(ctx, VerifyRequest{R1: "r1", R2: "r2", K: oracle.K, Vectors: vectors}); !errors.Is(err, ErrOverloaded) {
-		t.Errorf("well-formed request under saturation: err = %v, want ErrOverloaded", err)
+	for _, req := range []VerifyRequest{
+		{R1: "r1", R2: "r2", K: oracle.K, Vectors: vectors},
+		verify(compact(func(*join.Components) {})),
+	} {
+		if _, err := s.Verify(ctx, req); !errors.Is(err, ErrOverloaded) {
+			t.Errorf("well-formed request under saturation: err = %v, want ErrOverloaded", err)
+		}
 	}
 }

@@ -13,12 +13,13 @@
 //  1. Local round: the query goes out to every shard holding both
 //     relations; each shard answers from its own residents and maintained
 //     entries (all of PR 3–8's caching works per-shard), and the local
-//     skylines come back as candidate supersets.
-//  2. Verification round: each shard is sent the foreign candidates'
-//     attribute vectors (POST /v1/verify); shards vote with the target-set
-//     checker over their resident index, and only candidates no peer
-//     dominates survive. Rounds counts the messages and floats; the
-//     gateway accumulates them.
+//     skylines come back as candidate supersets in compact form
+//     (httpapi.CandidatesJSON: each distinct row's local attributes once).
+//  2. Verification round: each shard is sent the foreign candidates
+//     (POST /v1/verify), in the same form; shards recombine the
+//     vectors, vote with the target-set checker over their resident
+//     index, and only candidates no peer dominates survive. Rounds counts
+//     the messages and floats; the gateway accumulates them.
 //
 // A query runs under one deadline, its timeout, however many legs and
 // retries both rounds take; each leg carries what is left of it.
@@ -199,7 +200,9 @@ type QueryResponse struct {
 	Algorithm string
 	// Versions are the gateway's (R1, R2) placement versions.
 	Versions [2]uint64
-	Elapsed  time.Duration
+	// Locals are R1's and R2's local widths, as service.QueryResponse's.
+	Locals  [2]int
+	Elapsed time.Duration
 	// Dist carries the two-round breakdown: candidates per shard and the
 	// verification round's message/float traffic.
 	Dist distributed.Stats
@@ -264,7 +267,7 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest, p s
 			elapsed := time.Since(start)
 			return &QueryResponse{
 				Skyline: sky, Source: service.SourceCached, Algorithm: algo,
-				Versions: versions, Elapsed: elapsed,
+				Versions: versions, Locals: [2]int{rp1.schema.Local, rp2.schema.Local}, Elapsed: elapsed,
 				Dist: distributed.Stats{Nodes: len(g.shards), CandidatesPerNode: make([]int, len(g.shards)), Total: elapsed},
 			}, nil
 		}
@@ -307,7 +310,8 @@ func (g *Gateway) scatter(ctx context.Context, req service.QueryRequest, rp1, rp
 	g.r2Floats.Add(uint64(st.FloatsShipped))
 	resp := &QueryResponse{
 		Skyline: skyline, Source: SourceSharded,
-		Versions: [2]uint64{rp1.version, rp2.version}, Dist: st, R1Elapsed: make([]time.Duration, n),
+		Versions: [2]uint64{rp1.version, rp2.version}, Locals: [2]int{rp1.schema.Local, rp2.schema.Local},
+		Dist: st, R1Elapsed: make([]time.Duration, n),
 	}
 	if len(participants) == 0 {
 		resp.Algorithm = emptyJoinArm(req, rp1, rp2)
@@ -335,9 +339,9 @@ func emptyJoinArm(req service.QueryRequest, rp1, rp2 *relPlace) string {
 }
 
 // shardTransport is the distributed.Transport of one gateway query: node s
-// is shard s over the wire, its pairs mapped to global ids through the
-// placements. r1[s] keeps what shard s's round 1 reported beside its
-// answer.
+// is shard s over the wire, both rounds in the compact candidate form, its
+// row ids mapped to global ids through the placements. r1[s] keeps what
+// shard s's round 1 reported beside its answer.
 type shardTransport struct {
 	g        *Gateway
 	req      service.QueryRequest
@@ -345,31 +349,61 @@ type shardTransport struct {
 	r1       []httpapi.QueryResponseJSON
 }
 
-func (t *shardTransport) Local(ctx context.Context, s int) ([]join.Pair, time.Duration, error) {
+func (t *shardTransport) Local(ctx context.Context, s int) (*join.Components, time.Duration, error) {
 	req := t.req
 	res, err := t.g.shards[s].query(ctx, httpapi.QueryJSON{
 		R1: req.R1, R2: req.R2, K: req.K,
 		Join: req.Join, Agg: req.Agg, Algorithm: req.Algorithm,
 		Workers: req.Workers, NoCache: req.NoCache,
-		TimeoutMS: legTimeoutMS(ctx),
+		TimeoutMS:  legTimeoutMS(ctx),
+		Components: true,
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	pairs := make([]join.Pair, len(res.Skyline))
-	for i, p := range res.Skyline {
-		pairs[i] = join.Pair{Left: t.rp1.toGlobal(s, p.Left), Right: t.rp2.toGlobal(s, p.Right), Attrs: p.Attrs}
+	c := (*join.Components)(res.Candidates)
+	if err := t.checkLocal(s, c); err != nil {
+		return nil, 0, fmt.Errorf("shard %s: round-1 reply: %w", t.g.shards[s].addr, err)
 	}
-	res.Skyline, t.r1[s] = nil, res
-	return pairs, time.Duration(res.ElapsedUS) * time.Microsecond, nil
+	for i, id := range c.LeftIDs {
+		c.LeftIDs[i] = t.rp1.toGlobal(s, id)
+	}
+	for i, id := range c.RightIDs {
+		c.RightIDs[i] = t.rp2.toGlobal(s, id)
+	}
+	res.Candidates, t.r1[s] = nil, res
+	return c, time.Duration(res.ElapsedUS) * time.Microsecond, nil
 }
 
-func (t *shardTransport) Verify(ctx context.Context, s int, vectors [][]float64) ([]bool, error) {
+// checkLocal refuses a round-1 reply the coordinator could not index
+// safely: no candidates, a malformed table, or ids missing or outside
+// shard s's partitions.
+func (t *shardTransport) checkLocal(s int, c *join.Components) error {
+	if c == nil || c.LeftIDs == nil || c.RightIDs == nil {
+		return errors.New("no candidates with ids")
+	}
+	if err := c.Check(t.rp1.schema.Local, t.rp2.schema.Local, t.rp1.schema.Agg); err != nil {
+		return err
+	}
+	for _, side := range []struct {
+		ids []int
+		rp  *relPlace
+	}{{c.LeftIDs, t.rp1}, {c.RightIDs, t.rp2}} {
+		for _, id := range side.ids {
+			if id < 0 || id >= side.rp.rows(s) {
+				return fmt.Errorf("row id %d outside the shard's %d rows", id, side.rp.rows(s))
+			}
+		}
+	}
+	return nil
+}
+
+func (t *shardTransport) Verify(ctx context.Context, s int, batch *join.Components) ([]bool, error) {
 	res, err := t.g.shards[s].verify(ctx, httpapi.VerifyJSON{
 		R1: t.req.R1, R2: t.req.R2, K: t.req.K,
 		Join: t.req.Join, Agg: t.req.Agg,
-		Vectors:   vectors,
-		TimeoutMS: legTimeoutMS(ctx),
+		Candidates: (*httpapi.CandidatesJSON)(batch),
+		TimeoutMS:  legTimeoutMS(ctx),
 	})
 	return res.Dominated, err
 }

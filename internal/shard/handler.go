@@ -73,7 +73,7 @@ func (b backend) Query(ctx context.Context, req service.QueryRequest) (*service.
 	}
 	return &service.QueryResponse{
 			Skyline: resp.Skyline, Source: resp.Source, Algorithm: resp.Algorithm,
-			Versions: resp.Versions, Elapsed: resp.Elapsed,
+			Versions: resp.Versions, Locals: resp.Locals, Elapsed: resp.Elapsed,
 		}, distStatsJSON{
 			Nodes:             resp.Dist.Nodes,
 			CandidatesPerNode: resp.Dist.CandidatesPerNode,

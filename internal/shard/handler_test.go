@@ -119,6 +119,7 @@ func TestHandlerRejectsLikeSingleNode(t *testing.T) {
 		{"cold: naive with workers", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"algorithm":"naive","workers":2}`, bad},
 		{"query", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4}`, ok},
 		{"query again", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4}`, ok},
+		{"query, compact form", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"components":true}`, ok},
 		{"warm: unknown algorithm", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"algorithm":"nope"}`, bad},
 		{"warm: naive with workers", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"algorithm":"naive","workers":2}`, bad},
 		{"warm: grouping with workers", post, "/v1/query", `{"r1":"r1","r2":"r2","k":4,"algorithm":"grouping","workers":2}`, ok},
