@@ -11,11 +11,11 @@
 //
 // With -delta the tool solves Problem 3 instead: it reports the smallest k
 // whose skyline has at least delta tuples (or, with -atmost, the largest k
-// with at most delta tuples). -alg auto lets the engine choose the
-// algorithm (naive for a small join or a max/min aggregator, dominator
-// otherwise), and the summary line reports the pick; -workers parallelizes
-// the grouping and dominator algorithms' verification (it conflicts with
-// an explicit -alg naive); -timeout bounds the whole query.
+// with at most delta tuples). -alg defaults to auto, which lets the engine
+// choose the algorithm (naive for a small join or a max/min aggregator,
+// dominator otherwise), and the summary line reports the pick; -workers
+// parallelizes the grouping and dominator algorithms' verification (it
+// conflicts with an explicit -alg naive); -timeout bounds the whole query.
 package main
 
 import (
@@ -56,7 +56,7 @@ func main() {
 	flag.IntVar(&o.agg, "agg", 0, "number of trailing aggregate attributes in each relation")
 	flag.StringVar(&o.aggFn, "aggfn", "sum", "aggregation function: sum, max or min (max/min only with -alg naive or auto)")
 	flag.IntVar(&o.k, "k", 0, "k-dominance parameter (required unless -delta is set)")
-	flag.StringVar(&o.algName, "alg", "grouping", "algorithm: naive, grouping, dominator or auto (the engine picks; the summary reports it)")
+	flag.StringVar(&o.algName, "alg", "auto", "algorithm: auto (the engine picks; the summary reports it), naive, grouping or dominator")
 	flag.StringVar(&o.cond, "join", "eq", "join condition: eq, cross, lt, le, gt, ge (band conditions need -band)")
 	flag.BoolVar(&o.band, "band", false, "CSV files carry a band column after the key")
 	flag.IntVar(&o.delta, "delta", 0, "find k: smallest k with at least delta skylines (Problem 3)")
@@ -141,10 +141,10 @@ func run(out io.Writer, o options) error {
 // whenever verification actually shards (workers > 1 — a single worker
 // runs the serial path — on any arm but naive, which has no cells).
 func armLabel(res *ksjq.Result, workers int) string {
-	if label := res.Algorithm.String(); label == ksjq.Naive.Label() || workers <= 1 {
-		return label
+	if res.Algorithm == ksjq.Naive || workers <= 1 {
+		return res.Algorithm.String()
 	}
-	return fmt.Sprintf("parallel-%s(workers=%s)", res.Algorithm.Token(), ksjq.Workers(workers))
+	return fmt.Sprintf("parallel-%s(workers=%d)", res.Algorithm.Token(), workers)
 }
 
 func runFindK(ctx context.Context, out io.Writer, q ksjq.Query, o options) error {

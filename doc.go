@@ -7,7 +7,7 @@
 // execution path that serves serial, parallel, and progressive modes.
 // Repeated evaluation goes through prepared queries (ksjq.Prepare owns
 // the reusable join structures plus a per-k answer memo), results can
-// be consumed as pull-based iterator streams (ksjq.Stream,
+// be consumed as range-over-func iterator streams (ksjq.Stream,
 // Prepared.Stream), and ksjq.NewService is the embedded form of the
 // ksjqd query server — resident relations, an answer cache, incremental
 // maintenance under inserts, and watchable answers (Service.Watch

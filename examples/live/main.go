@@ -9,7 +9,8 @@
 // then every insert is published as an Added/Removed delta, driven by the
 // service's incremental maintainer — no recomputation, no client-side
 // re-polling. Finally the same query is prepared once and re-evaluated as
-// a pull-based iterator, stopping after the first five results. Run with:
+// a range-over-func stream, stopping after the first five results. Run
+// with:
 //
 //	go run ./examples/live
 package main
@@ -95,7 +96,7 @@ func main() {
 	}
 	fmt.Printf("\nfresh recompute agrees: %d combinations\n", len(fresh.Skyline))
 
-	// Progressive evaluation as a pull-based iterator: prepare the query
+	// Progressive evaluation as a range-over-func stream: prepare the query
 	// once (the join structures are built a single time), then range over
 	// the stream and break after five results — the break reaches the
 	// engine as an early stop, skipping the remaining verification. The
@@ -110,7 +111,7 @@ func main() {
 		log.Fatal(err)
 	}
 	q := ksjq.Query{R1: rel1, R2: rel2, Spec: ksjq.Spec{Cond: ksjq.Cross, Agg: ksjq.Sum}, K: 6}
-	prepared, err := ksjq.Prepare(ctx, q, ksjq.PrepareOptions{})
+	prepared, err := ksjq.Prepare(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func main() {
 	// Prepared queries amortize the expensive per-pair state (join index,
 	// probe orders): build it once, then evaluate at any k — repeating an
 	// identical query is answered from the prepared memo.
-	prepared, err := ksjq.Prepare(context.Background(), q, ksjq.PrepareOptions{})
+	prepared, err := ksjq.Prepare(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func main() {
 		fmt.Printf("k=%d → %d combinations survive\n", k, len(res.Skyline))
 	}
 
-	// Streams pull results one at a time; on a large join breaking out of
+	// Streams yield results one at a time; on a large join breaking out of
 	// the loop stops the engine early instead of computing the rest of the
 	// answer. A join this small runs naive, which yields its finished
 	// answer in (Left, Right) order.

@@ -38,21 +38,21 @@ import (
 	"repro/internal/join"
 )
 
-// Algorithm selects the KSJQ evaluation strategy.
+// Algorithm selects the KSJQ evaluation strategy. The zero value is Auto.
 type Algorithm int
 
 const (
+	// Auto lets ResolveAuto pick one of the three per run; Result.Algorithm
+	// reports the arm that ran.
+	Auto Algorithm = iota
 	// Naive joins first, then computes the k-dominant skyline (Algo 1).
-	Naive Algorithm = iota
+	Naive
 	// Grouping categorizes base tuples into SS/SN/NN and prunes or emits
 	// whole cells of the fate table before joining (Algo 2).
 	Grouping
 	// DominatorBased additionally materializes explicit dominator sets so
 	// "may be" tuples are verified against small joins (Algo 3).
 	DominatorBased
-	// Auto lets ResolveAuto pick one of the three per run; Result.Algorithm
-	// reports the arm that ran.
-	Auto
 )
 
 // Algorithms lists all strategies in the order the paper's figures use.

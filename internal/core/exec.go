@@ -10,7 +10,7 @@ import (
 )
 
 // ExecOptions configures the unified execution path. The zero value runs
-// the naive algorithm serially; callers normally set Algorithm.
+// Auto serially.
 type ExecOptions struct {
 	// Algorithm selects the evaluation strategy; Auto lets ResolveAuto
 	// pick it.
@@ -22,15 +22,17 @@ type ExecOptions struct {
 	Workers int
 	// Emit, when non-nil, streams each confirmed skyline tuple instead of
 	// collecting the answer in Result.Skyline. Returning false stops the
-	// query early (not an error). Emitted pairs are detached from internal
-	// arenas, so callers may retain them. The grouping and dominator-based
-	// algorithms emit cell by cell (yes, SS⋈SN, SN⋈SS, SN⋈SN), not in
-	// (Left, Right) order: each tuple the moment it is verified, except in
-	// a cell the worker pool verifies (Workers > 1 and more candidates
-	// than one pool chunk), whose survivors are emitted in candidate order
-	// once the whole cell is verified, so a false return stops before the
-	// next cell. The naive algorithm has no cells: its answer is emitted
-	// once computed, in (Left, Right) order.
+	// query early (not an error), and Emit is not called again. It is
+	// always called on the goroutine that called Exec, never concurrently:
+	// the pool's workers only mark survivors. Emitted pairs are detached
+	// from internal arenas, so callers may retain them. The grouping and
+	// dominator-based algorithms emit cell by cell (yes, SS⋈SN, SN⋈SS,
+	// SN⋈SN), not in (Left, Right) order: each tuple the moment it is
+	// verified, except in a cell the worker pool verifies (Workers > 1 and
+	// more candidates than one pool chunk), whose survivors are emitted in
+	// candidate order once the whole cell is verified, so a false return
+	// stops before the next cell. The naive algorithm has no cells: its
+	// answer is emitted once computed, in (Left, Right) order.
 	Emit Emit
 	// Resident, when non-nil, supplies prebuilt per-(R1, R2, condition)
 	// structures (full-R2 join index, probe orders) so

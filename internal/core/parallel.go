@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -136,13 +134,4 @@ func (p *workerPool) close() {
 	if poolStatsHook != nil {
 		poolStatsHook(p.chunks)
 	}
-}
-
-// Workers returns a human-readable description of the parallel degree, for
-// CLI output.
-func Workers(workers int) string {
-	if workers <= 0 {
-		return fmt.Sprintf("auto (%d)", runtime.GOMAXPROCS(0))
-	}
-	return fmt.Sprintf("%d", workers)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/join"
@@ -65,15 +64,6 @@ func TestParallelStats(t *testing.T) {
 		// candidate early-exits at the same first dominator no matter
 		// which worker or kernel visits it (see Stats.DominationTests).
 		t.Errorf("parallel tests=%d serial=%d, want equal", res.Stats.DominationTests, serial.Stats.DominationTests)
-	}
-}
-
-func TestWorkersLabel(t *testing.T) {
-	if Workers(4) != "4" {
-		t.Errorf("Workers(4) = %q", Workers(4))
-	}
-	if !strings.HasPrefix(Workers(0), "auto") {
-		t.Errorf("Workers(0) = %q, want auto prefix", Workers(0))
 	}
 }
 

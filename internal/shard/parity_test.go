@@ -144,7 +144,7 @@ func TestAutoSurfaceParity(t *testing.T) {
 				join.SortPairs(streamed)
 				check("ksjq.Stream", err, func() []join.Pair { return streamed }, nil)
 
-				prep, err := ksjq.Prepare(ctx, q, ksjq.PrepareOptions{})
+				prep, err := ksjq.Prepare(ctx, q)
 				if err != nil {
 					t.Fatalf("%s: Prepare: %v", label, err)
 				}

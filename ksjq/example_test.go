@@ -158,7 +158,7 @@ func ExamplePrepare() {
 	q := ksjq.Query{R1: leg1, R2: leg2, K: 3}
 	ctx := context.Background()
 
-	p, err := ksjq.Prepare(ctx, q, ksjq.PrepareOptions{})
+	p, err := ksjq.Prepare(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func ExamplePrepare() {
 	}
 	fmt.Printf("k=4: %d itineraries\n", len(res.Skyline))
 
-	// Pull-based stream: break stops the engine early.
+	// Range-over-func stream: break stops the engine early.
 	for pair, err := range p.Stream(ctx, ksjq.Options{K: 4}) {
 		if err != nil {
 			log.Fatal(err)

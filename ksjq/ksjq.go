@@ -7,7 +7,7 @@
 //
 //	res, err := ksjq.Run(ctx, q, ksjq.Options{})                       // auto picks the algorithm
 //	res, err := ksjq.Run(ctx, q, ksjq.Options{Algorithm: ksjq.Grouping, Workers: 8})
-//	res, err := ksjq.Run(ctx, q, ksjq.Options{Algorithm: ksjq.Grouping, Emit: stream})
+//	for p, err := range ksjq.Stream(ctx, q, ksjq.Options{Limit: 10}) { ... }
 //
 // The context carries the query's deadline: cancellation is noticed
 // between phases and periodically inside candidate verification (the
@@ -25,70 +25,33 @@ import (
 	"repro/internal/planner"
 )
 
-// Algorithm selects the evaluation strategy. The zero value, Auto, lets
-// the engine's one rule choose; Result.Algorithm reports its pick.
-type Algorithm int
+// Algorithm selects the evaluation strategy: the engine's own type, whose
+// String is the paper's figure letter ("N", "G", "D", "A") and whose Token
+// is the CLI word. The zero value, Auto, lets the engine's one rule
+// choose; Result.Algorithm reports its pick.
+type Algorithm = core.Algorithm
 
 const (
 	// Auto lets the engine choose (core.ResolveAuto): naive under a
 	// non-strict aggregator or for a join of at most 2 048 pairs, the
-	// dominator-based algorithm otherwise. Workers, Emit, Limit and Stream
-	// never change the pick.
-	Auto Algorithm = iota
+	// dominator-based algorithm otherwise. Workers, Limit and Stream never
+	// change the pick.
+	Auto = core.Auto
 	// Naive joins first, then computes the k-dominant skyline (Algo 1).
-	Naive
+	Naive = core.Naive
 	// Grouping categorizes base tuples into SS/SN/NN and prunes or emits
 	// whole cells of the fate table before joining (Algo 2).
-	Grouping
+	Grouping = core.Grouping
 	// DominatorBased additionally materializes explicit dominator sets so
 	// "may be" tuples are verified against small joins (Algo 3).
-	DominatorBased
+	DominatorBased = core.DominatorBased
 )
 
-// String names the strategy the way the CLI flags spell it.
-func (a Algorithm) String() string {
-	switch a {
-	case Auto:
-		return "auto"
-	case Naive:
-		return "naive"
-	case Grouping:
-		return "grouping"
-	case DominatorBased:
-		return "dominator"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // ParseAlgorithm maps CLI spellings (and the paper's one-letter labels) to
-// an Algorithm. It delegates to the engine's one spelling table, shared
-// with the query service's request parser.
+// an Algorithm; the empty string means Auto. It is the engine's one
+// spelling table, shared with the query service's request parser.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	calg, err := core.ParseAlgorithm(s)
-	if err != nil {
-		return 0, fmt.Errorf("ksjq: unknown algorithm %q (want auto, naive, grouping or dominator)", s)
-	}
-	switch calg {
-	case core.Naive:
-		return Naive, nil
-	case core.Grouping:
-		return Grouping, nil
-	case core.DominatorBased:
-		return DominatorBased, nil
-	default:
-		return Auto, nil
-	}
-}
-
-// Label returns the paper's one-letter figure label for a concrete
-// strategy ("N", "G", "D") and "auto" for Auto.
-func (a Algorithm) Label() string {
-	calg, err := a.coreAlgorithm()
-	if err != nil || calg == core.Auto {
-		return a.String()
-	}
-	return calg.String()
+	return core.ParseAlgorithm(s)
 }
 
 // ParseFindKAlgorithm maps CLI spellings to a find-k strategy.
@@ -105,21 +68,6 @@ func ParseFindKAlgorithm(s string) (FindKAlgorithm, error) {
 	}
 }
 
-func (a Algorithm) coreAlgorithm() (core.Algorithm, error) {
-	switch a {
-	case Auto:
-		return core.Auto, nil
-	case Naive:
-		return core.Naive, nil
-	case Grouping:
-		return core.Grouping, nil
-	case DominatorBased:
-		return core.DominatorBased, nil
-	default:
-		return 0, fmt.Errorf("ksjq: %v has no core algorithm", a)
-	}
-}
-
 // Options configures one Run or Stream on the unified execution path.
 type Options struct {
 	// Algorithm selects the strategy; Auto (the zero value) resolves
@@ -130,12 +78,6 @@ type Options struct {
 	// candidates in parallel. It conflicts with an explicit Naive
 	// (ErrOptionConflict); Auto ignores it when it picks naive.
 	Workers int
-	// Emit, when non-nil, streams each confirmed tuple instead of
-	// collecting Result.Skyline; returning false stops the query early.
-	// Emit is a thin adapter over Stream — new code should range over
-	// Stream directly. Emitted pairs are detached from internal arenas and
-	// arrive in the order Stream documents.
-	Emit Emit
 	// K, when > 0, overrides the query's K for this run — the knob that
 	// lets one Prepared snapshot (which is k-independent) serve queries
 	// across dominance levels without rebuilding.
@@ -143,14 +85,15 @@ type Options struct {
 	// Limit > 0 caps the answer at that many tuples. The grouping and
 	// dominator-based algorithms stop the run the moment the cap is
 	// reached (strictly less verification work; after the cell, in a cell
-	// verified in parallel, as with Emit); which members survive is
-	// unspecified beyond "a subset of the skyline". The naive algorithm
-	// computes the full answer and truncates after the canonical sort.
+	// verified in parallel); which members survive is unspecified beyond
+	// "a subset of the skyline". The naive algorithm computes the full
+	// answer and truncates after the canonical sort.
 	Limit int
 	// Stats, when non-nil, receives the run's phase timings and work
-	// counters once a Stream ends (normally, by early break, or by
-	// cancellation mid-run). Run ignores it — the Result already carries
-	// Stats — it exists because an iterator has no other result channel.
+	// counters once a Stream ends, normally or by early break; a run that
+	// fails (cancellation included) leaves it untouched. Run ignores it —
+	// the Result already carries Stats — it exists because an iterator has
+	// no other result channel.
 	Stats *Stats
 	// NoCache makes Prepared.Run skip the prepared answer memo (the
 	// result still refreshes it) — for callers that need a recompute, not
@@ -177,36 +120,14 @@ func Run(ctx context.Context, q Query, opts Options) (*Result, error) {
 	return run(ctx, q, opts, nil)
 }
 
-// run is the shared execution path behind Run and Prepared.Run: drive the
-// engine — over the resident snapshot when one is supplied.
-// A non-nil Emit is routed through the stream implementation, making the
-// push callback a thin adapter over the pull iterator.
+// run is the shared execution path behind Run and Prepared.Run: one
+// engine call, over the resident snapshot when one is supplied.
 func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Result, error) {
 	if opts.K > 0 {
 		q.K = opts.K
 	}
-	if opts.Emit != nil {
-		emit := opts.Emit
-		sopts := opts
-		sopts.Emit = nil
-		var st Stats
-		sopts.Stats = &st
-		for p, err := range streamSeq(ctx, q, sopts, res) {
-			if err != nil {
-				return nil, err
-			}
-			if !emit(p) {
-				break
-			}
-		}
-		return &Result{Stats: st}, nil
-	}
-	calg, err := opts.Algorithm.coreAlgorithm()
-	if err != nil {
-		return nil, err
-	}
 	return core.Exec(ctx, q, core.ExecOptions{
-		Algorithm: calg, Workers: opts.Workers, Limit: opts.Limit, Resident: res,
+		Algorithm: opts.Algorithm, Workers: opts.Workers, Limit: opts.Limit, Resident: res,
 	})
 }
 
@@ -268,9 +189,4 @@ func NewMaintainer(q Query) (*Maintainer, error) {
 // chain steps and periodically inside join folding and verification.
 func RunCascade(ctx context.Context, q CascadeQuery, strategy CascadeStrategy) (*CascadeResult, error) {
 	return runCascade(ctx, q, strategy)
-}
-
-// Workers renders a parallel degree for CLI output ("auto (8)" for <= 0).
-func Workers(workers int) string {
-	return core.Workers(workers)
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/join"
 )
 
 // randRelation builds a random relation with small integer attributes (to
@@ -36,11 +35,6 @@ func randRelation(rng *rand.Rand, name string, n, local, agg, groups, domain int
 func TestRunMatchesCoreAcrossConditions(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	conds := []Condition{Equality, Cross, BandLess, BandLessEq, BandGreater, BandGreaterEq}
-	algs := map[Algorithm]core.Algorithm{
-		Naive:          core.Naive,
-		Grouping:       core.Grouping,
-		DominatorBased: core.DominatorBased,
-	}
 	for _, cond := range conds {
 		for trial := 0; trial < 12; trial++ {
 			agg := rng.Intn(3)
@@ -48,8 +42,8 @@ func TestRunMatchesCoreAcrossConditions(t *testing.T) {
 			r2 := randRelation(rng, "r2", 5+rng.Intn(30), 1+rng.Intn(3), agg, 1+rng.Intn(4), 5)
 			q := Query{R1: r1, R2: r2, Spec: Spec{Cond: cond, Agg: Sum}}
 			q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
-			for alg, calg := range algs {
-				want, err := core.Run(q, calg)
+			for _, alg := range []Algorithm{Naive, Grouping, DominatorBased} {
+				want, err := core.Run(q, alg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +105,7 @@ func TestAutoEmptyJoin(t *testing.T) {
 	if err != nil || len(res.Skyline) != 0 || plan.Estimate.JoinedSize != 0 {
 		t.Errorf("RunAuto: %v, %v, %v; want the empty skyline over a join of 0", res, plan, err)
 	}
-	p, err := Prepare(ctx, q, PrepareOptions{})
+	p, err := Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +133,7 @@ func TestRunWorkersAndEmitMatchSerial(t *testing.T) {
 	if !reflect.DeepEqual(par.Skyline, serial.Skyline) {
 		t.Error("workers=4 diverged from serial run")
 	}
-	var streamed []Pair
-	if _, err := Run(context.Background(), q, Options{Algorithm: Grouping, Emit: func(p Pair) bool {
-		streamed = append(streamed, p)
-		return true
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	streamed := collectStream(t, Stream(context.Background(), q, Options{Algorithm: Grouping}))
 	if len(streamed) != len(serial.Skyline) {
 		t.Errorf("streamed %d tuples, want %d", len(streamed), len(serial.Skyline))
 	}
@@ -183,16 +171,9 @@ func TestOptionConflicts(t *testing.T) {
 		}
 	}
 	for _, alg := range []Algorithm{Auto, Naive, DominatorBased} {
-		var streamed []Pair
-		if _, err := Run(context.Background(), q, Options{Algorithm: alg, Emit: func(p Pair) bool {
-			streamed = append(streamed, p)
-			return true
-		}}); err != nil {
-			t.Fatalf("%v with emit rejected: %v", alg, err)
-		}
-		join.SortPairs(streamed)
+		streamed := collectStream(t, Stream(context.Background(), q, Options{Algorithm: alg}))
 		if !reflect.DeepEqual(streamed, want.Skyline) {
-			t.Errorf("%v emit streamed %d tuples, diverged from the naive answer", alg, len(streamed))
+			t.Errorf("%v stream yielded %d tuples, diverged from the naive answer", alg, len(streamed))
 		}
 	}
 }

@@ -8,11 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// PrepareOptions tunes Prepare. There are currently no knobs — the zero
-// value is the only configuration — but the parameter keeps the signature
-// stable as prepared state grows new tuning surface.
-type PrepareOptions struct{}
-
 // Prepared is a query with its expensive, reusable state built once and
 // owned by the caller: the full-R2 join index and the probe orders (the
 // engine's resident snapshot — k- and
@@ -23,7 +18,7 @@ type PrepareOptions struct{}
 // resident and answer caches: Run pays the build on every call, Prepared
 // pays it once.
 //
-//	p, err := ksjq.Prepare(ctx, q, ksjq.PrepareOptions{})
+//	p, err := ksjq.Prepare(ctx, q)
 //	res, err := p.Run(ctx, ksjq.Options{})            // builds nothing
 //	res, err = p.Run(ctx, ksjq.Options{K: q.K - 1})   // same snapshot, new k
 //	for pair, err := range p.Stream(ctx, ksjq.Options{}) { ... }
@@ -46,7 +41,7 @@ type Prepared struct {
 // default for Run/Stream (overridable per call via Options.K) and is not
 // validated here — the snapshot itself is k-independent, and Prepare
 // accepts a query whose K is still unset.
-func Prepare(ctx context.Context, q Query, _ PrepareOptions) (*Prepared, error) {
+func Prepare(ctx context.Context, q Query) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -96,7 +91,7 @@ func (p *Prepared) resident() *core.Resident {
 // Run evaluates the prepared query over the resident snapshot, reusing
 // the join index and probe orders a cold Run rebuilds every call.
 // Options work as in Run, plus: Options.K (> 0) overrides the prepared
-// query's K, and repeated full runs (no Emit, no Limit) at the same k are
+// query's K, and repeated full runs (no Limit) at the same k are
 // answered from a per-k memo — byte-identical to the original Result,
 // which callers must treat as read-only; Options.NoCache skips the memo
 // lookup (the recompute still refreshes it). Algorithm and Workers are
@@ -111,7 +106,7 @@ func (p *Prepared) Run(ctx context.Context, opts Options) (*Result, error) {
 	if err := res.Check(q); err != nil {
 		return nil, err
 	}
-	memoable := opts.Emit == nil && opts.Limit == 0
+	memoable := opts.Limit == 0
 	if memoable && !opts.NoCache {
 		p.mu.Lock()
 		hit, ok := p.memo[q.K]
@@ -138,9 +133,9 @@ func (p *Prepared) Run(ctx context.Context, opts Options) (*Result, error) {
 	return out, nil
 }
 
-// Stream evaluates the prepared query as a pull-based iterator over the
-// resident snapshot; see Stream for the iterator contract. Every Stream
-// runs the engine — the answer memo serves only full Runs.
+// Stream evaluates the prepared query as a range-over-func iterator over
+// the resident snapshot; see Stream for the iterator contract. Every
+// Stream runs the engine — the answer memo serves only full Runs.
 func (p *Prepared) Stream(ctx context.Context, opts Options) iter.Seq2[Pair, error] {
 	q := p.q
 	if opts.K > 0 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestPreparedEquivalenceOracle(t *testing.T) {
 			q := Query{R1: r1, R2: r2, Spec: Spec{Cond: cond, Agg: Sum}}
 			q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
 
-			prepared, err := Prepare(ctx, q, PrepareOptions{})
+			prepared, err := Prepare(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +121,7 @@ func TestPreparedVaryingK(t *testing.T) {
 	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality, Agg: Sum}}
 	q.K = q.KMin()
 	ctx := context.Background()
-	prepared, err := Prepare(ctx, q, PrepareOptions{})
+	prepared, err := Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +143,14 @@ func TestPreparedVaryingK(t *testing.T) {
 }
 
 // TestPreparedMemo pins the answer memo: identical repeated runs return
-// the identical Result, NoCache recomputes, and Limit/Emit bypass it.
+// the identical Result, NoCache recomputes, and Limit bypasses it.
 func TestPreparedMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	r1 := randRelation(rng, "r1", 40, 3, 0, 4, 5)
 	r2 := randRelation(rng, "r2", 40, 3, 0, 4, 5)
 	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 5}
 	ctx := context.Background()
-	p, err := Prepare(ctx, q, PrepareOptions{})
+	p, err := Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestPreparedMemoHitAllocs(t *testing.T) {
 	r1 := randRelation(rng, "r1", 40, 3, 0, 4, 5)
 	r2 := randRelation(rng, "r2", 40, 3, 0, 4, 5)
 	ctx := context.Background()
-	p, err := Prepare(ctx, Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 5}, PrepareOptions{})
+	p, err := Prepare(ctx, Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestPreparedStaleAndRebind(t *testing.T) {
 	r2 := randRelation(rng, "r2", 30, 3, 0, 4, 5)
 	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 5}
 	ctx := context.Background()
-	p, err := Prepare(ctx, q, PrepareOptions{})
+	p, err := Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,47 +365,76 @@ func TestStreamLimit(t *testing.T) {
 	}
 }
 
-// TestEmitIsStreamAdapter pins the compatibility contract: Options.Emit
-// observes the same tuples as ranging the stream, and a false return
-// stops the run.
-func TestEmitIsStreamAdapter(t *testing.T) {
+// TestStreamRunsOnCallersGoroutine pins the push iterator: a serial
+// stream runs the engine inside the range loop, so the loop body sees no
+// goroutine that was not there before the range began.
+func TestStreamRunsOnCallersGoroutine(t *testing.T) {
 	rng := rand.New(rand.NewSource(507))
 	r1 := randRelation(rng, "r1", 60, 3, 0, 3, 40)
 	r2 := randRelation(rng, "r2", 60, 3, 0, 3, 40)
 	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 6}
-	ctx := context.Background()
+	before := runtime.NumGoroutine()
+	n := 0
+	for _, err := range Stream(context.Background(), q, Options{Algorithm: Grouping}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("tuple %d: %d goroutines inside the loop, %d before the range", n, got, before)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatal("stream yielded nothing: the goroutine count was never observed")
+	}
+}
 
-	var viaEmit []Pair
-	res, err := Run(ctx, q, Options{Algorithm: Grouping, Emit: func(p Pair) bool {
-		viaEmit = append(viaEmit, p)
-		return true
-	}})
+// TestStreamBreakAfterFirst pins the iterator contract on every arm, serial
+// and on the pool: breaking after the first element never makes the engine
+// call yield again (Go panics on a continued iteration), Options.Stats is
+// filled, and a rejected run yields its error exactly once.
+func TestStreamBreakAfterFirst(t *testing.T) {
+	// A Cartesian product with two aggregate attributes has one cell, the
+	// verified SS1 ⋈ SS2 cell; at over 256 candidates (one pool chunk) the
+	// pool verifies it when Workers = 2.
+	rng := rand.New(rand.NewSource(510))
+	r1 := randRelation(rng, "r1", 80, 3, 2, 1, 40)
+	r2 := randRelation(rng, "r2", 80, 3, 2, 1, 40)
+	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Cross, Agg: Sum}, K: 8}
+	ctx := context.Background()
+	full, err := Run(ctx, q, Options{Algorithm: Grouping})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Skyline != nil {
-		t.Fatal("emit run also collected a skyline")
+	if cell := full.Stats.SS1 * full.Stats.SS2; cell <= 256 || len(full.Skyline) < 2 {
+		t.Fatalf("instance too small: %d-candidate cell, %d-tuple answer", cell, len(full.Skyline))
 	}
-	viaStream := collectStream(t, Stream(ctx, q, Options{Algorithm: Grouping}))
-	sort.Slice(viaEmit, func(i, j int) bool {
-		if viaEmit[i].Left != viaEmit[j].Left {
-			return viaEmit[i].Left < viaEmit[j].Left
+	for _, alg := range []Algorithm{Naive, Grouping, DominatorBased} {
+		for _, workers := range []int{1, 2} {
+			var st Stats
+			n := 0
+			var errs []error
+			for _, err := range Stream(ctx, q, Options{Algorithm: alg, Workers: workers, Stats: &st}) {
+				n++
+				if err != nil {
+					errs = append(errs, err)
+					continue
+				}
+				break
+			}
+			if alg == Naive && workers > 1 {
+				if n != 1 || len(errs) != 1 || !errors.Is(errs[0], ErrOptionConflict) {
+					t.Errorf("%v workers=%d: %d elements, errors %v; want ErrOptionConflict once", alg, workers, n, errs)
+				}
+				continue
+			}
+			if n != 1 || len(errs) != 0 {
+				t.Errorf("%v workers=%d: %d elements, errors %v; want one tuple", alg, workers, n, errs)
+			}
+			if st == (Stats{}) {
+				t.Errorf("%v workers=%d: Options.Stats not filled after the break", alg, workers)
+			}
 		}
-		return viaEmit[i].Right < viaEmit[j].Right
-	})
-	if !samePairs(viaEmit, viaStream) {
-		t.Fatal("emit and stream observed different answers")
-	}
-
-	stopped := 0
-	if _, err := Run(ctx, q, Options{Algorithm: Grouping, Emit: func(p Pair) bool {
-		stopped++
-		return false
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if stopped != 1 {
-		t.Fatalf("emit called %d times after returning false", stopped)
 	}
 }
 
@@ -436,7 +466,7 @@ func TestPreparedFindKMatchesCold(t *testing.T) {
 	r2 := randRelation(rng, "r2", 50, 3, 0, 4, 6)
 	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}}
 	ctx := context.Background()
-	p, err := Prepare(ctx, q, PrepareOptions{})
+	p, err := Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +500,7 @@ func TestPreparedFindKMatchesCold(t *testing.T) {
 
 	qk := q
 	qk.K = qk.KMin() + 1
-	pk, err := Prepare(ctx, qk, PrepareOptions{})
+	pk, err := Prepare(ctx, qk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,6 @@ type (
 	Stats = core.Stats
 	// Pair is one joined tuple: base indices plus the joined attributes.
 	Pair = join.Pair
-	// Emit receives streamed tuples; returning false stops the query.
-	Emit = core.Emit
 	// Relation is a named set of tuples with a skyline schema.
 	Relation = dataset.Relation
 	// Tuple is one base tuple: join key, optional band, attributes.
