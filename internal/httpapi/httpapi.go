@@ -1,6 +1,8 @@
 // Package httpapi is the HTTP JSON codec over the KSJQ query service:
 // every endpoint decodes a request, calls the same method an embedder
-// would, and encodes the response. No query logic lives here. The
+// would, and encodes the response. No query logic lives here. Pair lists
+// — skylines and watch deltas — go out through one encoder (encode.go),
+// and a hit writes the encoding its standing answer's snapshot keeps. The
 // handler is written once against Backend, which both ksjqd modes stand
 // behind: the local service (NewHandler) and the sharded gateway
 // (internal/shard) — which also speaks this surface as a client against
@@ -56,21 +58,12 @@ func FromTuple(t dataset.Tuple) TupleJSON {
 	return TupleJSON{Key: t.Key, Key2: t.Key2, Band: t.Band, Attrs: t.Attrs}
 }
 
-// PairJSON is the wire form of one skyline tuple.
+// PairJSON is the wire form of one skyline tuple, as clients decode it;
+// the server writes it with appendPairs (encode.go).
 type PairJSON struct {
 	Left  int       `json:"left"`
 	Right int       `json:"right"`
 	Attrs []float64 `json:"attrs"`
-}
-
-// Pairs converts an answer (or a watch delta) to its wire form; never nil,
-// so an empty answer encodes as [].
-func Pairs(sky []join.Pair) []PairJSON {
-	out := make([]PairJSON, len(sky))
-	for i, p := range sky {
-		out[i] = PairJSON{Left: p.Left, Right: p.Right, Attrs: p.Attrs}
-	}
-	return out
 }
 
 // CandidatesJSON is the wire form of join.Components, the compact
@@ -125,7 +118,9 @@ func (q QueryJSON) Request() service.QueryRequest {
 }
 
 // QueryResponseJSON is the wire form of one answer: Skyline, or
-// Candidates when the query asked for components.
+// Candidates when the query asked for components. The server writes the
+// skyline itself (writeQueryReply) and this type for the rest, so
+// "skyline" always comes first.
 type QueryResponseJSON struct {
 	Skyline    []PairJSON      `json:"skyline,omitzero"`
 	Candidates *CandidatesJSON `json:"candidates,omitempty"`
@@ -249,16 +244,6 @@ type VerifyResponseJSON struct {
 	Dominated []bool    `json:"dominated"`
 	Versions  [2]uint64 `json:"versions"`
 	ElapsedUS int64     `json:"elapsed_us"`
-}
-
-// WatchEventJSON is the wire form of one answer delta on the NDJSON
-// stream: the initial snapshot (seq 0, all added), then one line per
-// mutation batch that touched the watched relations.
-type WatchEventJSON struct {
-	Seq      uint64     `json:"seq"`
-	Added    []PairJSON `json:"added,omitempty"`
-	Removed  []PairJSON `json:"removed,omitempty"`
-	Versions [2]uint64  `json:"versions"`
 }
 
 // Backend is what the wire surface serves: the local service or the
@@ -459,11 +444,6 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedUS: resp.Elapsed.Microseconds(),
 		Dist:      dist,
 	}
-	if req.Components {
-		out.Candidates = Candidates(resp.Skyline, resp.Locals[0], resp.Locals[1])
-	} else {
-		out.Skyline = Pairs(resp.Skyline)
-	}
 	if st := resp.Stats; st != nil {
 		out.Stats = &StatsJSON{
 			GroupingUS:  st.GroupingTime.Microseconds(),
@@ -476,7 +456,12 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			DomTests:    st.DominationTests,
 		}
 	}
-	WriteJSON(w, http.StatusOK, out)
+	if req.Components {
+		out.Candidates = Candidates(resp.Skyline, resp.Locals[0], resp.Locals[1])
+		WriteJSON(w, http.StatusOK, out)
+		return
+	}
+	writeQueryReply(w, resp, &out)
 }
 
 // verifyHandler serves the verification round, which only a process
@@ -512,7 +497,9 @@ func verifyHandler(svc *service.Service, maxTimeout time.Duration) http.HandlerF
 
 // handleWatch upgrades a query into a standing subscription: the response
 // is an unbounded application/x-ndjson stream of answer deltas, one JSON
-// object per line, flushed as they happen. The stream ends when the
+// object per line (appendEvent), flushed as they happen: the initial
+// snapshot (seq 0, all added), then one line per mutation batch that
+// touched the watched relations. The stream ends when the
 // client disconnects (the request context cancels the watch) or the
 // backend shuts down. The timeout clamp is deliberately not applied —
 // a watch is long-lived by design; its lifetime is the connection's.
@@ -530,10 +517,10 @@ func (h *handler) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte
 	for ev := range watch.Events() {
-		out := WatchEventJSON{Seq: ev.Seq, Added: Pairs(ev.Added), Removed: Pairs(ev.Removed), Versions: ev.Versions}
-		if err := enc.Encode(out); err != nil {
+		line = appendEvent(line[:0], ev)
+		if _, err := w.Write(line); err != nil {
 			return // client went away; the deferred Close tears down
 		}
 		if flusher != nil {

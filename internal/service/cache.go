@@ -38,8 +38,8 @@ var errSuperseded = errors.New("service: standing answer superseded")
 // in place and publishes the result: the service (commit.go) through the
 // answer's maintainer, which the first such commit creates from the
 // served skyline for free, the sharded gateway by re-running its two
-// rounds. skyline is always the served snapshot, so lookups never pay the
-// maintainer's copy-and-sort.
+// rounds. snap is always the served snapshot, so lookups never pay the
+// maintainer's copy-and-sort; Publish replaces it rather than editing it.
 //
 // An answer is in the LRU list unless subscribers pin it (Attach); pinned
 // answers sit outside the capacity budget.
@@ -52,8 +52,8 @@ type Answer struct {
 	key      AnswerKey
 	q        core.Query // normalized query; relation pointers are stable
 	versions [2]uint64
-	skyline  []join.Pair // sorted by (Left, Right)
-	algo     string      // strategy that originally computed the answer
+	snap     *Snapshot
+	algo     string // strategy that originally computed the answer
 	m        *core.Maintainer
 	subs     map[*Watch]struct{}
 	elem     *list.Element // nil while pinned
@@ -61,6 +61,27 @@ type Answer struct {
 
 // Key is the answer's identity; it never changes.
 func (a *Answer) Key() AnswerKey { return a.key }
+
+// Snapshot is one published state of a standing answer: its skyline and,
+// once a reader has asked for it, the skyline's wire encoding. Nothing in
+// it changes after the encoding is filled, and a commit that moves the
+// answer publishes a new snapshot instead of editing this one — so the
+// encoding is dropped together with the skyline it encodes, and a fill
+// racing with that commit can only land in the snapshot it read.
+type Snapshot struct {
+	// Skyline is sorted by (Left, Right) and read-only.
+	Skyline []join.Pair
+	once    sync.Once
+	encoded []byte
+}
+
+// Encoded returns the snapshot's encoding: encode(Skyline) on the first
+// call, the same bytes on every later one; concurrent first callers wait
+// for the one fill. The bytes are read-only.
+func (s *Snapshot) Encoded(encode func([]join.Pair) []byte) []byte {
+	s.once.Do(func() { s.encoded = encode(s.Skyline) })
+	return s.encoded
+}
 
 // AnswerStore holds the standing answers: a map by key plus a bounded LRU
 // over the unpinned ones. Its mutex covers only bookkeeping — never query
@@ -85,13 +106,13 @@ func NewAnswerStore(capacity int) *AnswerStore {
 	}
 }
 
-// Lookup returns the answer for key if it is valid at versions: the
-// skyline (read-only), the algorithm that computed it, and whether it is
+// Lookup returns the answer for key if it is valid at versions: its
+// snapshot, the algorithm that computed it, and whether it is
 // live-maintained. It is the one entry point readers call without the
-// committer's lock: skyline and versions move together under the store
+// committer's lock: snapshot and versions move together under the store
 // mutex (Publish), so a reader holding pre-commit versions is served the
-// pre-commit answer.
-func (c *AnswerStore) Lookup(key AnswerKey, versions [2]uint64) (sky []join.Pair, algo string, maintained, ok bool) {
+// pre-commit snapshot.
+func (c *AnswerStore) Lookup(key AnswerKey, versions [2]uint64) (snap *Snapshot, algo string, maintained, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
@@ -101,7 +122,7 @@ func (c *AnswerStore) Lookup(key AnswerKey, versions [2]uint64) (sky []join.Pair
 	if a.elem != nil {
 		c.lru.MoveToFront(a.elem)
 	}
-	return a.skyline, a.algo, a.m != nil, true
+	return a.snap, a.algo, a.m != nil, true
 }
 
 // Store records a freshly computed answer, evicting least-recently-used
@@ -116,7 +137,7 @@ func (c *AnswerStore) Store(key AnswerKey, versions [2]uint64, q core.Query, sky
 		}
 		c.remove(a, errSuperseded)
 	}
-	a := &Answer{key: key, q: q, versions: versions, skyline: sky, algo: algo}
+	a := &Answer{key: key, q: q, versions: versions, snap: &Snapshot{Skyline: sky}, algo: algo}
 	c.entries[key] = a
 	a.elem = c.lru.PushFront(a)
 	for c.lru.Len() > c.cap {
@@ -176,7 +197,7 @@ func (c *AnswerStore) promote(name string, pre func(AnswerKey) [2]uint64) (live 
 		if a.versions != pre(key) {
 			err = errSuperseded
 		} else if a.m == nil {
-			a.m, err = core.NewMaintainerFrom(a.q, a.skyline)
+			a.m, err = core.NewMaintainerFrom(a.q, a.snap.Skyline)
 		}
 		if err != nil {
 			c.remove(a, err)
@@ -205,12 +226,14 @@ func (c *AnswerStore) Watched(name string) (live []*Answer) {
 	return live
 }
 
-// Publish moves one answer across a commit: serve the post-commit skyline
-// at the post-commit versions and send subscribers the one coalesced
-// delta. A non-nil err says the answer could not follow the commit (the
-// maintainer failed — unreachable for registry-owned relations — or a
-// shard went down under the gateway's recompute); it is removed and every
-// subscriber ends with the error rather than silently drifting.
+// Publish moves one answer across a commit: serve a new snapshot of the
+// post-commit skyline at the post-commit versions — the old snapshot, and
+// any encoding filled on it, stays with the readers already holding it —
+// and send subscribers the one coalesced delta. A non-nil err says the
+// answer could not follow the commit (the maintainer failed — unreachable
+// for registry-owned relations — or a shard went down under the gateway's
+// recompute); it is removed and every subscriber ends with the error
+// rather than silently drifting.
 func (c *AnswerStore) Publish(a *Answer, cur []join.Pair, versions [2]uint64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -219,12 +242,12 @@ func (c *AnswerStore) Publish(a *Answer, cur []join.Pair, versions [2]uint64, er
 		return
 	}
 	if len(a.subs) > 0 {
-		added, removed := DiffPairs(a.skyline, cur)
+		added, removed := DiffPairs(a.snap.Skyline, cur)
 		for w := range a.subs {
 			w.publish(WatchEvent{Added: added, Removed: removed, Versions: versions})
 		}
 	}
-	a.skyline, a.versions = cur, versions
+	a.snap, a.versions = &Snapshot{Skyline: cur}, versions
 }
 
 // Standing returns the answer for key a new subscriber can attach to: the
@@ -255,7 +278,7 @@ func (c *AnswerStore) Attach(ctx context.Context, a *Answer) *Watch {
 	}
 	a.subs[w] = struct{}{}
 	c.pin(a)
-	w.publish(WatchEvent{Added: a.skyline, Versions: a.versions})
+	w.publish(WatchEvent{Added: a.snap.Skyline, Versions: a.versions})
 	return w
 }
 

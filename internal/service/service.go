@@ -51,7 +51,7 @@
 // section, under a dedicated ingest mutex that serializes commits (single
 // writer, linear version history) and orders them against checkpoints,
 // Unregister and Close. The answer cache has its own mutex for O(1) hit
-// bookkeeping; skyline and versions move together under it, so a hit never
+// bookkeeping; snapshot and versions move together under it, so a hit never
 // observes a half-published answer.
 package service
 
@@ -198,7 +198,11 @@ const (
 // and must be treated as read-only.
 type QueryResponse struct {
 	Skyline []join.Pair
-	Source  Source
+	// Snapshot is the standing answer's published state a hit was served
+	// from (its Skyline is Skyline), where a transport keeps the answer's
+	// encoding; nil when this request computed the answer.
+	Snapshot *Snapshot
+	Source   Source
 	// Algorithm is the strategy that computed the answer — for cache and
 	// maintained hits, the one that computed it originally.
 	Algorithm string
@@ -607,7 +611,7 @@ func CheckRequest(r1, r2 *dataset.Relation, k int, p Parsed) error {
 
 // hitResponse assembles a cache/maintained-hit response and bumps the
 // counters.
-func (s *Service) hitResponse(q core.Query, sky []join.Pair, algo string, maintained bool, versions [2]uint64, start time.Time) *QueryResponse {
+func (s *Service) hitResponse(q core.Query, snap *Snapshot, algo string, maintained bool, versions [2]uint64, start time.Time) *QueryResponse {
 	src := SourceCached
 	if maintained {
 		src = SourceMaintained
@@ -616,7 +620,8 @@ func (s *Service) hitResponse(q core.Query, sky []join.Pair, algo string, mainta
 		s.cacheHits.Add(1)
 	}
 	return &QueryResponse{
-		Skyline:   sky,
+		Skyline:   snap.Skyline,
+		Snapshot:  snap,
 		Source:    src,
 		Algorithm: algo,
 		Versions:  versions,
@@ -653,8 +658,8 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	if !req.NoCache {
-		if sky, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
-			return s.hitResponse(q, sky, algo, maintained, versions, start), nil
+		if snap, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
+			return s.hitResponse(q, snap, algo, maintained, versions, start), nil
 		}
 	}
 
@@ -683,8 +688,8 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	if !req.NoCache {
-		if sky, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
-			return s.hitResponse(q, sky, algo, maintained, versions, start), nil
+		if snap, algo, maintained, ok := s.cache.Lookup(key, versions); ok {
+			return s.hitResponse(q, snap, algo, maintained, versions, start), nil
 		}
 	}
 

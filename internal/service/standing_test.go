@@ -542,8 +542,8 @@ func TestStoreRecomputingCommitter(t *testing.T) {
 	// store (TestQueryDuringCommitWaitsAndHits); the store's part is that a
 	// reader holding pre-commit versions gets the pre-commit answer and
 	// nobody gets it under the post-commit ones.
-	if sky, _, _, ok := c.Lookup(watched, v1); !ok || len(sky) != 2 {
-		t.Fatalf("before Publish the pre-commit answer is not served at its versions (ok=%v, %v)", ok, sky)
+	if snap, _, _, ok := c.Lookup(watched, v1); !ok || len(snap.Skyline) != 2 {
+		t.Fatalf("before Publish the pre-commit answer is not served at its versions (ok=%v, %v)", ok, snap)
 	}
 	if _, _, _, ok := c.Lookup(watched, v2); ok {
 		t.Fatal("an unpublished answer was served at the post-commit versions")
@@ -556,8 +556,8 @@ func TestStoreRecomputingCommitter(t *testing.T) {
 	if ev.Seq != 1 || ev.Versions != v2 || len(ev.Added) != 1 || ev.Added[0].Left != 3 || len(ev.Removed) != 1 || ev.Removed[0].Left != 0 {
 		t.Fatalf("delta event %+v, want +(3,0) −(0,0) at %v", ev, v2)
 	}
-	if sky, _, _, ok := c.Lookup(watched, v2); !ok || len(sky) != 2 {
-		t.Fatalf("published answer not served at the new versions (ok=%v, %v)", ok, sky)
+	if snap, _, _, ok := c.Lookup(watched, v2); !ok || len(snap.Skyline) != 2 {
+		t.Fatalf("published answer not served at the new versions (ok=%v, %v)", ok, snap)
 	}
 
 	down := fmt.Errorf("shard down")
@@ -567,5 +567,53 @@ func TestStoreRecomputingCommitter(t *testing.T) {
 	}
 	if entries, _, watches, _ := c.Stats(); entries != 2 || watches != 1 {
 		t.Fatalf("%d answers / %d subscribers left, want the unwatched one and the one over r3", entries, watches)
+	}
+}
+
+// TestPublishDropsEncoding: a snapshot's encoding is filled once and shared
+// by every hit on it; Publish hands later lookups a new snapshot whose
+// encoding is filled from the new skyline, while the old snapshot — which
+// a reader may still hold, or still be filling — keeps its own bytes.
+func TestPublishDropsEncoding(t *testing.T) {
+	c := NewAnswerStore(4)
+	key := AnswerKey{R1: "r1", R2: "r2", K: 4}
+	v1, v2 := [2]uint64{1, 1}, [2]uint64{2, 1}
+	fills := 0
+	encode := func(sky []join.Pair) []byte {
+		fills++
+		return fmt.Appendf(nil, "%d pairs", len(sky))
+	}
+	c.Store(key, v1, core.Query{}, []join.Pair{{Left: 0, Right: 0}}, "grouping")
+	old, _, _, _ := c.Lookup(key, v1)
+	for range 3 {
+		snap, _, _, _ := c.Lookup(key, v1)
+		if snap != old || string(snap.Encoded(encode)) != "1 pairs" {
+			t.Fatalf("hit at unchanged versions got %p %q, want the standing snapshot %p and its bytes", snap, snap.Encoded(encode), old)
+		}
+	}
+	if fills != 1 {
+		t.Fatalf("the encoding was filled %d times over three hits, want once", fills)
+	}
+	c.Store(key, v2, core.Query{}, []join.Pair{{Left: 0, Right: 0}, {Left: 1, Right: 0}}, "grouping")
+	held, _, _, ok := c.Lookup(key, v2)
+	if !ok || held == old {
+		t.Fatalf("after the answer moved: ok=%v, same snapshot=%v; want a new snapshot", ok, held == old)
+	}
+
+	// Publish while a reader still holds the pre-commit snapshot unfilled:
+	// its fill encodes the pre-commit skyline, and nothing it writes
+	// reaches the published snapshot.
+	w := c.Attach(context.Background(), c.Standing(key, v2))
+	defer w.Close()
+	c.Publish(c.Watched("r1")[0], []join.Pair{{Left: 5, Right: 5}}, [2]uint64{3, 1}, nil)
+	pub, _, _, ok := c.Lookup(key, [2]uint64{3, 1})
+	if !ok || pub == held {
+		t.Fatal("Publish left the pre-commit snapshot standing")
+	}
+	if got := string(held.Encoded(encode)); got != "2 pairs" {
+		t.Fatalf("the held pre-commit snapshot encodes %q, want its own 2 pairs", got)
+	}
+	if got := string(pub.Encoded(encode)); got != "1 pairs" || len(pub.Skyline) != 1 || pub.Skyline[0].Left != 5 {
+		t.Fatalf("the published snapshot encodes %q over %v, want the post-commit answer's 1 pair", got, pub.Skyline)
 	}
 }

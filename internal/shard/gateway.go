@@ -192,6 +192,9 @@ func (g *Gateway) Close() error {
 // distributed-round statistics the simulator was built to observe.
 type QueryResponse struct {
 	Skyline []join.Pair
+	// Snapshot is the gateway store's published answer a hit was served
+	// from, as service.QueryResponse's; nil when the rounds ran.
+	Snapshot *service.Snapshot
 	// Source is the coldest source any shard reported in round 1
 	// (computed > maintained > cached), or SourceSharded when no shard
 	// took part; repeat queries over unchanged shards report
@@ -262,11 +265,11 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest, p s
 	}
 	key, versions := p.Key(req), [2]uint64{rp1.version, rp2.version}
 	if !req.NoCache {
-		if sky, algo, _, ok := g.answers.Lookup(key, versions); ok {
+		if snap, algo, _, ok := g.answers.Lookup(key, versions); ok {
 			g.cacheHits.Add(1)
 			elapsed := time.Since(start)
 			return &QueryResponse{
-				Skyline: sky, Source: service.SourceCached, Algorithm: algo,
+				Skyline: snap.Skyline, Snapshot: snap, Source: service.SourceCached, Algorithm: algo,
 				Versions: versions, Locals: [2]int{rp1.schema.Local, rp2.schema.Local}, Elapsed: elapsed,
 				Dist: distributed.Stats{Nodes: len(g.shards), CandidatesPerNode: make([]int, len(g.shards)), Total: elapsed},
 			}, nil

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,8 +11,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1102,4 +1106,151 @@ func TestGatewayWatchedAnswerIsTheCachedAnswer(t *testing.T) {
 	if hit(4) {
 		t.Fatal("the formerly watched answer is still pinned")
 	}
+}
+
+// TestGatewayHitRepliesFollowCommits is the gateway's side of httpapi's
+// TestHitRepliesFollowCommits: hits through the gateway's handler on a
+// watched answer — the one the gateway carries across its commits, by
+// re-running both rounds and publishing — while inserts advance it. Every
+// reply is laid out as a single node's, and its skyline is a from-scratch
+// core.Exec recompute at the placement versions it names.
+func TestGatewayHitRepliesFollowCommits(t *testing.T) {
+	ctx := context.Background()
+	const local, agg, groups, n, batch, batches, readers, k = 2, 1, 3, 30, 3, 10, 2, 5
+	rng := rand.New(rand.NewSource(41))
+	base1, base2 := genTuples(rng, n, local, agg, groups), genTuples(rng, n, local, agg, groups)
+	inserts := genTuples(rng, batch*batches, local, agg, groups)
+	c := newCluster(t, 2)
+	v1, err := c.gw.Register(ctx, "r1", local, agg, base1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := c.gw.Register(ctx, "r2", local, agg, base2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The answer at every version the commits will move through.
+	q := core.Query{
+		R1: mustRelation(t, "r1", local, agg, base1), R2: mustRelation(t, "r2", local, agg, base2),
+		Spec: join.Spec{Cond: join.Equality, Agg: join.Sum}, K: k,
+	}
+	want := map[[2]uint64][]join.Pair{}
+	moves := 0
+	for b := 0; b <= batches; b++ {
+		if b > 0 {
+			if _, err := q.R1.AppendBatch(inserts[(b-1)*batch : b*batch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := core.Exec(ctx, q, core.ExecOptions{Algorithm: core.Naive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[[2]uint64{v1 + uint64(b), v2}] = res.Skyline
+		if added, removed := service.DiffPairs(want[[2]uint64{v1 + uint64(b) - 1, v2}], res.Skyline); b > 0 && len(added)+len(removed) > 0 {
+			moves++
+		}
+	}
+	if moves < batches/2 {
+		t.Fatalf("the schedule moves the answer only %d times in %d commits; the test needs it to move", moves, batches)
+	}
+
+	w, err := c.gw.Watch(ctx, service.QueryRequest{R1: "r1", R2: "r2", K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	h := NewHandler(c.gw, 0)
+	query := fmt.Sprintf(`{"r1":"r1","r2":"r2","k":%d}`, k)
+	hits := c.gw.cacheHits.Load()
+
+	var served atomic.Int64
+	var stop, failed atomic.Bool
+	fail := func(format string, args ...any) {
+		if !failed.Swap(true) {
+			t.Errorf(format, args...)
+		}
+	}
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() && !failed.Load() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", strings.NewReader(query)))
+				body := rec.Body.Bytes()
+				if err := replyLayout(rec.Header(), body); rec.Code != http.StatusOK || err != nil {
+					fail("status %d, %v: %.80s", rec.Code, err, body)
+					return
+				}
+				var out httpapi.QueryResponseJSON
+				if err := json.Unmarshal(body, &out); err != nil {
+					fail("%v", err)
+					return
+				}
+				exp, ok := want[out.Versions]
+				if !ok {
+					fail("reply at versions %v, which no commit made", out.Versions)
+					return
+				}
+				got := make([]join.Pair, len(out.Skyline))
+				for i, p := range out.Skyline {
+					got[i] = join.Pair{Left: p.Left, Right: p.Right, Attrs: p.Attrs}
+				}
+				if !slices.EqualFunc(got, exp, func(a, b join.Pair) bool {
+					return a.Left == b.Left && a.Right == b.Right && slices.Equal(a.Attrs, b.Attrs)
+				}) {
+					fail("reply at versions %v: %d pairs, want the recompute's %d", out.Versions, len(got), len(exp))
+					return
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	for b := 0; b < batches && !failed.Load(); b++ {
+		res, err := c.gw.InsertBatch(ctx, "r1", inserts[b*batch:(b+1)*batch])
+		if err != nil {
+			fail("batch %d: %v", b, err)
+			break
+		}
+		if res.Version != v1+uint64(b)+1 {
+			fail("batch %d: version %d, want %d", b, res.Version, v1+uint64(b)+1)
+			break
+		}
+		// Let hits land on this version before the next commit.
+		for start := served.Load(); served.Load() < start+2*readers && !failed.Load(); {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if failed.Load() {
+		t.FailNow()
+	}
+	if got := c.gw.cacheHits.Load() - hits; got < batches {
+		t.Fatalf("%d of %d replies hit the gateway's store; the hits did not follow the commits", got, served.Load())
+	}
+}
+
+// replyLayout checks what the bench client and every decoder rely on: a
+// query reply opens with its skyline array, "count" follows the array at
+// once, one newline ends it, and Content-Length is its length.
+func replyLayout(header http.Header, body []byte) error {
+	if cl := header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		return fmt.Errorf("Content-Length %q for a %d-byte body", cl, len(body))
+	}
+	rest, ok := bytes.CutPrefix(body, []byte(`{"skyline":`))
+	if !ok || !bytes.HasSuffix(body, []byte("}\n")) || bytes.Count(body, []byte("\n")) != 1 {
+		return errors.New("reply does not open with the skyline or end with one newline")
+	}
+	var arr json.RawMessage
+	if err := json.NewDecoder(bytes.NewReader(rest)).Decode(&arr); err != nil {
+		return err
+	}
+	if !bytes.HasPrefix(rest[len(arr)-1:], []byte(`],"count":`)) {
+		return errors.New(`the skyline array is not followed by "count"`)
+	}
+	return nil
 }

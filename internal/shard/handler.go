@@ -72,7 +72,7 @@ func (b backend) Query(ctx context.Context, req service.QueryRequest) (*service.
 		return nil, nil, err
 	}
 	return &service.QueryResponse{
-			Skyline: resp.Skyline, Source: resp.Source, Algorithm: resp.Algorithm,
+			Skyline: resp.Skyline, Snapshot: resp.Snapshot, Source: resp.Source, Algorithm: resp.Algorithm,
 			Versions: resp.Versions, Locals: resp.Locals, Elapsed: resp.Elapsed,
 		}, distStatsJSON{
 			Nodes:             resp.Dist.Nodes,
