@@ -370,7 +370,8 @@ func fold(ctx context.Context, q Query, keep [][]int) ([]Combo, error) {
 				}
 				sincePoll = 0
 			}
-			for _, t := range ix.PartnersSym(prev, p.outKey) {
+			for _, tid := range ix.PartnersSym(prev, p.outKey) {
+				t := int(tid)
 				sincePoll++
 				attrs := r.Attrs(t)
 				np := partial{

@@ -44,7 +44,7 @@ func (e *engine) pairKDominates(i, j int, cand []float64) bool {
 func unprunedDominates(c *checker, cand []float64) bool {
 	for n, i := range c.lefts {
 		for _, j := range c.partners[n] {
-			if c.e.pairKDominates(int(i), j, cand) {
+			if c.e.pairKDominates(int(i), int(j), cand) {
 				return true
 			}
 		}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/dom"
@@ -105,18 +106,12 @@ func Categorize(r *dataset.Relation, kPrime int, cond join.Condition, side Side)
 	groupDominated := make([]bool, n)
 	switch cond {
 	case join.Equality:
-		// Sort tuple indices by interned key symbol so every join group is
-		// one contiguous run — group iteration needs no maps or string
-		// hashing, and within a group the natural tuple order is preserved
-		// (stable sort). Group *order* differs from a string sort, but
-		// groups are disjoint so the categorization is unaffected.
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(a, b int) bool {
-			return r.KeyID(perm[a]) < r.KeyID(perm[b])
-		})
+		// Counting-sort tuple indices by interned key symbol so every join
+		// group is one contiguous run — group iteration needs no maps or
+		// string hashing, and within a group the natural tuple order is
+		// preserved. Group *order* differs from a string sort, but groups
+		// are disjoint so the categorization is unaffected.
+		perm := groupByKey(r)
 		for lo := 0; lo < n; {
 			hi := lo + 1
 			for hi < n && r.KeyID(perm[hi]) == r.KeyID(perm[lo]) {
@@ -155,20 +150,62 @@ func Categorize(r *dataset.Relation, kPrime int, cond join.Condition, side Side)
 		}
 	}
 
+	var count [3]int
 	for i := 0; i < n; i++ {
 		switch {
 		case inSS[i]:
 			c.Cat[i] = SS
-			c.SS = append(c.SS, i)
 		case groupDominated[i]:
 			c.Cat[i] = NN
-			c.NN = append(c.NN, i)
 		default:
 			c.Cat[i] = SN
-			c.SN = append(c.SN, i)
 		}
+		count[c.Cat[i]]++
 	}
+	// The lists are sized exactly: a resident holds them across runs.
+	lists := [3][]int{make([]int, 0, count[SS]), make([]int, 0, count[SN]), make([]int, 0, count[NN])}
+	for i, cat := range c.Cat {
+		lists[cat] = append(lists[cat], i)
+	}
+	c.SS, c.SN, c.NN = lists[SS], lists[SN], lists[NN]
 	return c
+}
+
+// groupByKey returns r's row indices ordered by key symbol, rows of one
+// key in natural order: a counting sort over the symbol space, which is
+// what a stable sort on KeyID computes. Symbols are never reclaimed, so a
+// long-lived relation can intern far more keys than it holds rows; past
+// eight symbols per row the counting array would dominate, and the rows
+// are sorted on (key, row) instead — the same total order.
+func groupByKey(r *dataset.Relation) []int {
+	n := r.Len()
+	perm := make([]int, n)
+	nsyms := r.Symbols().Len()
+	if nsyms > 8*n+64 {
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortFunc(perm, func(a, b int) int {
+			if c := cmp.Compare(r.KeyID(a), r.KeyID(b)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return perm
+	}
+	start := make([]int, nsyms+1)
+	for i := 0; i < n; i++ {
+		start[r.KeyID(i)+1]++
+	}
+	for k := 1; k <= nsyms; k++ {
+		start[k] += start[k-1]
+	}
+	for i := 0; i < n; i++ {
+		k := r.KeyID(i)
+		perm[start[k]] = i
+		start[k]++
+	}
+	return perm
 }
 
 // localLeqAtLeast reports whether x is preferred-or-equal to u on at least

@@ -199,3 +199,37 @@ func TestSortBySumMatchesSliceStable(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupByKeyMatchesSliceStable pins Categorize's grouping order to the
+// reflective stable sort on KeyID it replaced, on the counting-sort path
+// and on the sparse-symbol path a relation reaches once deletes have left
+// many more interned keys than rows.
+func TestGroupByKeyMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 40; trial++ {
+		r := randRelation(rng, "r", 1+rng.Intn(60), 2, 0, 1+rng.Intn(5), 3)
+		if trial%2 == 1 {
+			// Intern many keys, then delete the rows that carried them.
+			extra := make([]dataset.Tuple, 600)
+			for i := range extra {
+				extra[i] = dataset.Tuple{Key: fmt.Sprintf("x%d", i), Attrs: []float64{0, 0}}
+			}
+			first, err := r.AppendBatch(extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]int, len(extra))
+			for i := range ids {
+				ids[i] = first + i
+			}
+			if err := r.DeleteBatch(ids); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := allIndices(r.Len())
+		sort.SliceStable(want, func(a, b int) bool { return r.KeyID(want[a]) < r.KeyID(want[b]) })
+		if got := groupByKey(r); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: groupByKey = %v, sort.SliceStable %v", trial, got, want)
+		}
+	}
+}

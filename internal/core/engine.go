@@ -33,6 +33,9 @@ type engine struct {
 	// sharing them across goroutines is safe.
 	allRightIx    *join.Index
 	allLeftSorted []int
+	// res is the resident the engine was seeded from, nil if none: its
+	// k-dependent table backs the run's target sets.
+	res *Resident
 	// kt caches the R1→R2 key-symbol translation shared by every equality
 	// index this engine builds (one per cell, one per dominator-set
 	// checker); built once on first use, read-only afterwards.
@@ -60,7 +63,7 @@ type engine struct {
 type verifyScratch struct {
 	keep     []uint64
 	lefts    []int32
-	partners [][]int
+	partners [][]int32
 }
 
 // keepBits returns the scratch keep bitset sized for n candidates with
@@ -191,7 +194,7 @@ type checker struct {
 	left     []int       // the probe-ordered list the partner list was resolved from
 	ix       *join.Index // the index it was resolved through
 	lefts    []int32     // R1 tuples with at least one partner, in probe order
-	partners [][]int     // partners[n]: lefts[n]'s join partners in R2
+	partners [][]int32   // partners[n]: lefts[n]'s join partners in R2
 }
 
 // allLeftOrder returns all of R1 sorted by ascending attribute sum,
@@ -258,7 +261,7 @@ func (c *checker) reset(left []int, ix *join.Index) {
 	if e.scratch.lefts == nil {
 		// No left list outgrows R1, so the scratch is sized once per engine.
 		e.scratch.lefts = make([]int32, 0, e.q.R1.Len())
-		e.scratch.partners = make([][]int, 0, e.q.R1.Len())
+		e.scratch.partners = make([][]int32, 0, e.q.R1.Len())
 	}
 	lefts, partners := e.scratch.lefts[:0], e.scratch.partners[:0]
 	for _, i := range left {
@@ -297,7 +300,7 @@ func (c *checker) dominates(cand []float64) bool {
 			continue
 		}
 		for _, j := range c.partners[n] {
-			if e.pairKDominatesTail(x, j, leq, strict, cand) {
+			if e.pairKDominatesTail(x, int(j), leq, strict, cand) {
 				return true
 			}
 		}
@@ -409,25 +412,30 @@ func allIndices(n int) []int {
 	return out
 }
 
-// sumEntry is one row of a sum-ordered sort: its index and attribute sum.
-type sumEntry struct {
-	idx int
-	sum float64
-}
-
 // sortBySum returns a copy of idx ordered by ascending attribute sum of the
 // referenced rows of r, so likely dominators are probed first; rows with
 // equal sums keep their order in idx. Sums are precomputed into a flat
-// entry slice — no lookups in the comparator, and no reflective swaps.
+// entry slice beside each row's input position, and sorting on (sum,
+// position) makes the order total, so the unstable pdqsort yields exactly
+// the stable order without the stable sort's O(n log² n) merging.
 func sortBySum(r *dataset.Relation, idx []int) []int {
-	entries := make([]sumEntry, len(idx))
-	for n, i := range idx {
-		entries[n] = sumEntry{i, sumOf(r.Attrs(i))}
+	type entry struct {
+		sum float64
+		pos int
 	}
-	slices.SortStableFunc(entries, func(a, b sumEntry) int { return cmp.Compare(a.sum, b.sum) })
+	entries := make([]entry, len(idx))
+	for n, i := range idx {
+		entries[n] = entry{sumOf(r.Attrs(i)), n}
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Compare(a.sum, b.sum); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 	out := make([]int, len(entries))
-	for n := range entries {
-		out[n] = entries[n].idx
+	for n, e := range entries {
+		out[n] = idx[e.pos]
 	}
 	return out
 }

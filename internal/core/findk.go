@@ -118,8 +118,9 @@ type prober struct {
 	q   Query
 	st  *FindKStats
 	// res optionally seeds every probe with prebuilt resident structures
-	// (k-independent, so one snapshot serves the whole search); nil means
-	// each probe builds its own.
+	// and its per-k table, so one snapshot serves the whole search and a
+	// bound and a count at the same k categorize once; nil means each
+	// probe builds its own.
 	res *Resident
 }
 
@@ -144,9 +145,9 @@ func (p *prober) bounds(k int) (lb, ub int, err error) {
 	st := Stats{}
 	e := newEngineResident(q, &st, p.res)
 	t0 := time.Now()
-	k1p, k2p := q.KPrimes()
-	c1 := Categorize(q.R1, k1p, e.cond, Left)
-	c2 := Categorize(q.R2, k2p, e.cond, Right)
+	ts := newTargetSets(e)
+	c1, c2 := ts.categorization(Left), ts.categorization(Right)
+	ts.publish()
 	p.st.GroupingTime += time.Since(t0)
 
 	t0 = time.Now()

@@ -49,19 +49,23 @@ func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 
 	// Phase 1: categorization, and for grouping the target-set
 	// augmentation. The two relations are independent, so the parallel
-	// mode runs them concurrently.
+	// mode runs them concurrently. Over a resident whose table holds this
+	// k, the categorization is the published one, and both arms' target
+	// sets start from it too; what this run builds is published on the
+	// way out, whatever the way out is.
 	t0 := time.Now()
-	k1p, k2p := q.KPrimes()
+	ts := newTargetSets(e)
+	defer ts.publish()
 	var c1, c2 Categorization
 	var a1, a2 []int
 	side1 := func() {
-		c1 = Categorize(q.R1, k1p, e.cond, Left)
+		c1 = ts.categorization(Left)
 		if augment {
 			a1 = targetUnion(q.R1, c1.SS, e.l1, e.k1pp)
 		}
 	}
 	side2 := func() {
-		c2 = Categorize(q.R2, k2p, e.cond, Right)
+		c2 = ts.categorization(Right)
 		if augment {
 			a2 = targetUnion(q.R2, c2.SS, e.l2, e.k2pp)
 		}
@@ -108,10 +112,6 @@ func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	// order. The "yes" cell is unchecked when a ≤ 1; with a ≥ 2 the
 	// paper's theorem fails (see the package comment) and it is verified
 	// like any other cell.
-	var ts *targetSets
-	if !augment {
-		ts = newTargetSets(e)
-	}
 	all1 := allIndices(q.R1.Len())
 	all2 := allIndices(q.R2.Len())
 	cells := []struct {
@@ -152,7 +152,7 @@ func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 		}
 		t0 = time.Now()
 		var targets targetsFn
-		if ts != nil {
+		if !augment {
 			targets = ts.of
 		} else {
 			left, ix := e.leftProbeOrder(cell.chkLeft), e.checkerRightIndex(cell.chkRight)
@@ -170,12 +170,10 @@ func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 			break
 		}
 	}
-	if ts != nil {
-		// Building the target sets is charged to DominatorTime, the
-		// checks to RemainingTime.
-		st.DominatorTime = ts.built
-		st.RemainingTime -= ts.built
-	}
+	// Building the target sets is charged to DominatorTime, the checks to
+	// RemainingTime.
+	st.DominatorTime = ts.built
+	st.RemainingTime -= ts.built
 	return &Result{Skyline: skyline, Stats: st}, nil
 }
 

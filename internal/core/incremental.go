@@ -136,8 +136,8 @@ func (m *Maintainer) rel(left bool) *dataset.Relation {
 // rebuilding the full-R2 index and probe orders per call — writers that
 // fan one insert out to many maintainers over the same relation pair
 // build one Resident and hand it to all of them. A resident that no
-// longer matches the relations (e.g. after a further insert) is ignored,
-// never an error.
+// longer matches the relations (after any further insert or delete) is
+// ignored, never an error.
 func (m *Maintainer) UseResident(res *Resident) { m.res = res }
 
 // resident returns the resident handed to UseResident if it still matches
@@ -298,13 +298,10 @@ func (m *Maintainer) delete(idx int, left bool) error {
 	if m.closed {
 		return ErrMaintainerClosed
 	}
-	// A delete can restore a relation to a length a shared resident was
-	// built at while changing its contents — the one mutation the
-	// resident's (pointer, length) staleness check cannot see — so drop
-	// it here rather than risk a later absorb through a stale index.
+	// The delete moves the relation's generation, so a resident handed to
+	// UseResident could never match again: release it rather than pin it.
 	// (The service's delete path re-hands a freshly retracted resident via
-	// UseResident after the physical delete, which is the one way to keep
-	// one across a delete.)
+	// UseResident after the physical delete.)
 	m.res = nil
 	r := m.rel(left)
 	if idx < 0 || idx >= r.Len() {

@@ -95,7 +95,9 @@ func (e *engine) votes(ctx context.Context, vectors [][]float64) ([]bool, error)
 		dominated[i] = true
 	}
 	free := func(p join.Pair) bool { dominated[p.Left] = false; return true }
-	if _, err := verifyCell(ctx, e, candidates, newTargetSets(e).of, free); err != nil {
+	ts := newTargetSets(e)
+	defer ts.publish()
+	if _, err := verifyCell(ctx, e, candidates, ts.of, free); err != nil {
 		return nil, err
 	}
 	return dominated, nil

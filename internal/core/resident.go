@@ -7,30 +7,46 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/join"
 )
 
-// Resident holds the per-(R1, R2, join condition) structures the engine
-// otherwise rebuilds on every Exec: the probe-ordered full-R2 join index,
-// and the sum-sorted R1 probe order. Neither depends on k or on the
-// aggregator, so one Resident serves every query over the same relation
-// pair and condition.
+// Resident is the prepared form of one (R1, R2, join condition): the
+// structures the engine otherwise rebuilds on every Exec. Two kinds are
+// held:
 //
-// A Resident is immutable after construction and safe to share across
-// concurrent Execs — it is the resident-relation reuse the service layer
-// is built on: relations are loaded once, the index is built once, and
-// each admitted query skips straight to categorization and verification.
+//   - the k-independent ones, built with the Resident: the probe-ordered
+//     full-R2 join index and the sum-sorted R1 probe order;
+//   - a table of Algorithm 3's k-dependent state, filled by the runs
+//     themselves: per k, both sides' SS/SN/NN categorizations and every
+//     target set τ(u), τ(v) a run has built (targetSets), plus R2's sum
+//     order the τ(v) scans share. A run reads what is there and publishes
+//     what it had to build — categorizations from the first run at a k
+//     on, target sets from the second, so a k asked once pins no sets —
+//     and every later run at that k builds nothing.
+//
+// None of it depends on the aggregator, so one Resident serves every query
+// over the same relation pair and condition, at every k.
+//
+// A Resident is safe to share across concurrent Execs: they only read the
+// k-independent structures, and the table is read and extended under a
+// small mutex, once at the start and once at the end of a run. A published
+// entry is never written again, so the lookups in between, the pool
+// workers' included, take no lock.
 //
 // A Resident is a snapshot: it is valid only while the relations it was
-// built from keep the exact contents (and lengths) they had at build time.
-// Callers that append to the relations can carry the snapshot forward with
-// Absorb instead of rebuilding; any other mutation requires a fresh
-// Resident — Exec rejects a stale one.
+// built from keep the exact rows they had — same length, same mutation
+// generation (dataset.Relation.Generation). Callers that mutate the
+// relations carry the snapshot forward with Absorb (after an append) or
+// Retract (after a delete); both drop the k-dependent table, which the
+// next runs rebuild. Any other mutation requires a fresh Resident — Exec
+// rejects a stale one.
 type Resident struct {
 	r1, r2     *dataset.Relation
 	n1, n2     int
+	gen1, gen2 uint64
 	cond       join.Condition
 	rightIx    *join.Index
 	leftSorted []int
@@ -38,6 +54,81 @@ type Resident struct {
 	// indexed by R1 row ID; built lazily by the first left-side Absorb so
 	// batch merges extend it instead of re-summing the whole relation.
 	leftSums []float64
+
+	// mu guards held, which Absorb and Retract drop and the first run
+	// after them recreates.
+	mu   sync.Mutex
+	held *heldTable
+}
+
+// heldTable is the k-dependent state published over one resident version.
+// A run publishes into the table it read at its start: a write that
+// dropped the table in between has orphaned it, so state built over the
+// old rows never reaches its successor.
+type heldTable struct {
+	order2 []int // R2 in rightProbeOrder, shared by every k
+	byK    map[int]*heldK
+}
+
+// heldAt returns the current table (creating it after a drop), R2's held
+// probe order, and the state published for k (never nil).
+func (r *Resident) heldAt(k int) (*heldTable, []int, *heldK) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.held == nil {
+		r.held = &heldTable{byK: map[int]*heldK{}}
+	}
+	hk := r.held.byK[k]
+	if hk == nil {
+		hk = noHeld
+	}
+	return r.held, r.held.order2, hk
+}
+
+// publish merges what one run built at k into table. The merged state is
+// a new heldK: the one runs are reading is left as it was.
+func (r *Resident) publish(table *heldTable, k int, order2 []int, add *heldK) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if table.order2 == nil {
+		table.order2 = order2
+	}
+	old := table.byK[k]
+	if old == nil {
+		table.byK[k] = add
+		return
+	}
+	next := &heldK{cats: old.cats, lefts: merged(old.lefts, add.lefts), rights: merged(old.rights, add.rights)}
+	for side, c := range add.cats {
+		if next.cats[side] == nil {
+			next.cats[side] = c
+		}
+	}
+	table.byK[k] = next
+}
+
+// merged returns a new map holding old's entries and add's, old's winning;
+// with nothing to add it returns old itself.
+func merged[V any](old, add map[string]V) map[string]V {
+	if len(add) == 0 {
+		return old
+	}
+	out := make(map[string]V, len(old)+len(add))
+	for key, v := range add {
+		out[key] = v
+	}
+	for key, v := range old {
+		out[key] = v
+	}
+	return out
+}
+
+// drop discards the k-dependent table; Absorb and Retract call it, under
+// the same exclusion from readers their other writes need.
+func (r *Resident) drop() {
+	r.mu.Lock()
+	r.held = nil
+	r.mu.Unlock()
 }
 
 // String returns "left" or "right" (Side is declared with the
@@ -51,7 +142,7 @@ func (s Side) String() string {
 
 // ErrStaleResident is returned by Exec when ExecOptions.Resident does not
 // match the query: different relations, a different join condition, or
-// relations that grew or shrank since the Resident was built.
+// relations mutated since the Resident was built or last advanced.
 var ErrStaleResident = errors.New("core: resident index does not match the query's relations")
 
 // NewResident builds the shared structures for q's relation pair and join
@@ -81,6 +172,8 @@ func NewResident(q Query) (*Resident, error) {
 		r2:         q.R2,
 		n1:         q.R1.Len(),
 		n2:         q.R2.Len(),
+		gen1:       q.R1.Generation(),
+		gen2:       q.R2.Generation(),
 		cond:       e.cond,
 		rightIx:    e.allRightIx,
 		leftSorted: e.allLeftSorted,
@@ -89,13 +182,15 @@ func NewResident(q Query) (*Resident, error) {
 
 // Absorb advances the snapshot over rows appended to one side's relation:
 // ids must be exactly that side's appended tail — the consecutive row IDs
-// from the snapshot's recorded length up — each listed once, in order. A
-// left absorb merges the new rows into the sum-sorted probe order (a
-// stable merge of the sorted tail, reproducing exactly the ordering a
-// rebuild would compute); a right absorb extends the full-R2 join index in
-// place (join.Index.Extend). Both advance the recorded length, so the
-// post-batch Resident serves queries without ErrStaleResident at merge
-// cost instead of rebuild cost.
+// from the snapshot's recorded length up — each listed once, in order, and
+// no row may have been deleted since the snapshot. A left absorb merges
+// the new rows into the sum-sorted probe order (a stable merge of the
+// sorted tail, reproducing exactly the ordering a rebuild would compute);
+// a right absorb extends the full-R2 join index in place
+// (join.Index.Extend). Both advance the recorded length and generation,
+// so the post-batch Resident serves queries without ErrStaleResident at
+// merge cost instead of rebuild cost, and both drop the k-dependent
+// table.
 //
 // Absorb writes to structures concurrent Execs read: callers must exclude
 // it from readers exactly as they exclude relation mutation. For a
@@ -118,9 +213,11 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 	if len(ids) == 0 {
 		return nil
 	}
+	r.drop()
 	if side == Left {
 		r.leftSorted = mergeBySum(r.leftSorted, ids, r.extendLeftSums(ids))
 		r.n1 += len(ids)
+		r.gen1 = rel.Generation()
 		return nil
 	}
 	// Probe-priority for the appended tail mirrors rightProbeOrder: sum
@@ -132,6 +229,7 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 	}
 	r.rightIx.Extend(tail)
 	r.n2 += len(ids)
+	r.gen2 = rel.Generation()
 	return nil
 }
 
@@ -142,9 +240,9 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 // deleted rows out of the sum-sorted probe order and renumbers the
 // survivors (sums are untouched by a delete, so the filtered order is
 // exactly what a rebuild would sort); a right retract does the same to the
-// full-R2 join index (join.Index.Retract). Both shrink the recorded
-// length. For a self-join retract each side separately, exactly as with
-// Absorb.
+// full-R2 join index (join.Index.Retract). Both shrink the recorded length,
+// record the relation's generation and drop the k-dependent table. For a
+// self-join retract each side separately, exactly as with Absorb.
 //
 // Like Absorb, Retract writes to structures concurrent Execs read: callers
 // must exclude it from readers.
@@ -165,6 +263,7 @@ func (r *Resident) Retract(side Side, ids []int) error {
 	if len(ids) == 0 {
 		return nil
 	}
+	r.drop()
 	if side == Left {
 		w := 0
 		for _, id := range r.leftSorted {
@@ -189,10 +288,12 @@ func (r *Resident) Retract(side Side, ids []int) error {
 			r.leftSums = r.leftSums[:w]
 		}
 		r.n1 -= len(ids)
+		r.gen1 = rel.Generation()
 		return nil
 	}
 	r.rightIx.Retract(ids)
 	r.n2 -= len(ids)
+	r.gen2 = rel.Generation()
 	return nil
 }
 
@@ -244,7 +345,8 @@ func mergeBySum(sorted, ids []int, sums []float64) []int {
 // matches reports whether the resident snapshot is still valid for q.
 func (r *Resident) matches(q Query) bool {
 	return r.r1 == q.R1 && r.r2 == q.R2 && r.cond == q.Spec.Cond &&
-		r.n1 == q.R1.Len() && r.n2 == q.R2.Len()
+		r.n1 == q.R1.Len() && r.n2 == q.R2.Len() &&
+		r.gen1 == q.R1.Generation() && r.gen2 == q.R2.Generation()
 }
 
 // check returns ErrStaleResident (with detail) when the snapshot no longer
@@ -253,18 +355,17 @@ func (r *Resident) check(q Query) error {
 	if r.matches(q) {
 		return nil
 	}
-	return fmt.Errorf("%w: built for (%s[%d], %s[%d], %v), query is (%s[%d], %s[%d], %v)",
-		ErrStaleResident, r.r1.Name, r.n1, r.r2.Name, r.n2, r.cond,
-		q.R1.Name, q.R1.Len(), q.R2.Name, q.R2.Len(), q.Spec.Cond)
+	return fmt.Errorf("%w: built for (%s[%d]@%d, %s[%d]@%d, %v), query is (%s[%d]@%d, %s[%d]@%d, %v)",
+		ErrStaleResident, r.r1.Name, r.n1, r.gen1, r.r2.Name, r.n2, r.gen2, r.cond,
+		q.R1.Name, q.R1.Len(), q.R1.Generation(), q.R2.Name, q.R2.Len(), q.R2.Generation(), q.Spec.Cond)
 }
 
 // Check reports whether the snapshot still serves q: same relations, same
-// join condition, unchanged lengths. It returns ErrStaleResident (with the
-// mismatch spelled out) otherwise — the test a prepared-query layer runs
-// before serving any reused state. Note the limit shared with Exec's
-// internal check: a mutation that leaves a relation at its build-time
-// length (delete + reinsert) is invisible here; writers that mutate
-// through such paths must rebuild.
+// join condition, unchanged lengths and mutation generations. It returns
+// ErrStaleResident (with the mismatch spelled out, as name[length]@generation)
+// otherwise — the test a prepared-query layer runs before serving any
+// reused state. A delete followed by an insert of equal size moves the
+// generation, so it is caught like any other mutation.
 func (r *Resident) Check(q Query) error { return r.check(q) }
 
 // Exec runs q over the resident snapshot: it is Exec with
@@ -278,8 +379,9 @@ func (r *Resident) Exec(ctx context.Context, q Query, o ExecOptions) (*Result, e
 
 // FindK solves Problem 3 over the resident snapshot: every probe's
 // grouping run and every pair-count bound reuses r's join index and probe
-// orders instead of rebuilding them per probed k. The snapshot is
-// k-independent, so one Resident serves the whole search.
+// orders instead of rebuilding them per probed k, and takes its
+// categorization from r's table — a bound and a count at the same k
+// categorize once, and so does a later search or query at that k.
 func (r *Resident) FindK(ctx context.Context, q Query, delta int, alg FindKAlgorithm) (*FindKResult, error) {
 	if err := r.check(q); err != nil {
 		return nil, err
@@ -316,8 +418,10 @@ func (r *Resident) AnyDominators(ctx context.Context, q Query, vectors [][]float
 }
 
 // seed pre-loads an engine with the resident structures, skipping the
-// per-Exec index and probe-order construction.
+// per-Exec index and probe-order construction; the engine's target sets
+// read and publish r's k-dependent table (newTargetSets).
 func (r *Resident) seed(e *engine) {
+	e.res = r
 	e.allRightIx = r.rightIx
 	e.allLeftSorted = r.leftSorted
 }

@@ -285,11 +285,9 @@ func (m *Maintainer) evict(left, right bool, ids []int) (evicted int) {
 func (m *Maintainer) resurrect(res *Resident, rs *RetractSet) (resurrected int) {
 	st := Stats{}
 	e := newEngineResident(m.q, &st, res)
-	q := m.q
-	k1p, k2p := q.KPrimes()
-	c1 := Categorize(q.R1, k1p, e.cond, Left)
-	c2 := Categorize(q.R2, k2p, e.cond, Right)
 	ts := newTargetSets(e)
+	defer ts.publish()
+	c1, c2 := ts.categorization(Left), ts.categorization(Right)
 	chk := &checker{e: e}
 	cells := []struct {
 		left, right []int

@@ -74,6 +74,10 @@ type Relation struct {
 	keys2 []int32
 	// syms interns the relation's join-key strings (Key and Key2 share it).
 	syms *SymbolTable
+	// gen is the mutation generation: every append and every delete that
+	// changes a row bumps it, so state derived from the relation can tell
+	// a changed relation from an unchanged one even at equal length.
+	gen uint64
 }
 
 // Errors reported by relation validation.
@@ -153,6 +157,7 @@ func (r *Relation) Append(t Tuple) (int, error) {
 	r.keys = append(r.keys, r.syms.Intern(t.Key))
 	r.keys2 = append(r.keys2, r.syms.Intern(t.Key2))
 	r.n++
+	r.gen++
 	return id, nil
 }
 
@@ -199,6 +204,9 @@ func (r *Relation) AppendBatch(ts []Tuple) (int, error) {
 		r.keys2 = append(r.keys2, lastSym2)
 	}
 	r.n += len(ts)
+	if len(ts) > 0 {
+		r.gen++
+	}
 	return first, nil
 }
 
@@ -250,12 +258,20 @@ func (r *Relation) DeleteBatch(ids []int) error {
 		w++
 	}
 	r.n = w
+	r.gen++
 	r.attrs = r.attrs[:w*d]
 	r.band = r.band[:w]
 	r.keys = r.keys[:w]
 	r.keys2 = r.keys2[:w]
 	return nil
 }
+
+// Generation returns the relation's mutation generation: a counter that
+// Append, AppendBatch, Delete and DeleteBatch bump once per call that
+// changes rows, and nothing else moves. Two reads that return the same
+// generation saw the same rows — a delete followed by an insert of equal
+// size leaves the length where it was but not the generation.
+func (r *Relation) Generation() uint64 { return r.gen }
 
 // D returns the total number of skyline attributes (d = l + a).
 func (r *Relation) D() int { return r.Local + r.Agg }
@@ -400,6 +416,7 @@ func (r *Relation) Clone() *Relation {
 		keys:  append([]int32(nil), r.keys...),
 		keys2: append([]int32(nil), r.keys2...),
 		syms:  r.syms.clone(),
+		gen:   r.gen,
 	}
 }
 

@@ -344,3 +344,34 @@ func TestReadCSVErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestGeneration pins the mutation generation: every call that changes
+// rows bumps it once, a rejected or empty one does not, and a delete plus
+// an insert of equal size moves it although the length comes back.
+func TestGeneration(t *testing.T) {
+	r := sample()
+	g := r.Generation()
+	step := func(label string, f func() error, bumps bool) {
+		t.Helper()
+		before := r.Generation()
+		err := f()
+		if moved := r.Generation() != before; moved != bumps {
+			t.Fatalf("%s (err %v): generation %d -> %d, want a bump: %v", label, err, before, r.Generation(), bumps)
+		}
+	}
+	n := r.Len()
+	step("Delete", func() error { return r.Delete(0) }, true)
+	step("Append", func() error { _, err := r.Append(Tuple{Key: "A", Attrs: []float64{1, 2, 3}}); return err }, true)
+	if r.Len() != n || r.Generation() != g+2 {
+		t.Fatalf("after delete+append: len %d (want %d), generation %d (want %d)", r.Len(), n, r.Generation(), g+2)
+	}
+	step("AppendBatch", func() error {
+		_, err := r.AppendBatch([]Tuple{{Key: "B", Attrs: []float64{1, 2, 3}}, {Key: "C", Attrs: []float64{3, 4, 5}}})
+		return err
+	}, true)
+	step("DeleteBatch", func() error { return r.DeleteBatch([]int{0, 2}) }, true)
+	step("empty AppendBatch", func() error { _, err := r.AppendBatch(nil); return err }, false)
+	step("empty DeleteBatch", func() error { return r.DeleteBatch(nil) }, false)
+	step("rejected Append", func() error { _, err := r.Append(Tuple{Attrs: []float64{1}}); return err }, false)
+	step("rejected DeleteBatch", func() error { return r.DeleteBatch([]int{99}) }, false)
+}

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -10,7 +12,7 @@ import (
 // by convention the right side, R2. It replaces per-probe condition scans
 // with O(log n + matches) partner enumeration:
 //
-//   - Equality: dense buckets keyed on the target relation's interned key
+//   - Equality: buckets keyed on the target relation's interned key
 //     symbols, plus a translation table mapping the probe relation's
 //     symbols onto the target's — built once at index construction, so a
 //     probe is two array lookups with no string hashing.
@@ -19,17 +21,40 @@ import (
 //     the matching contiguous range of the permutation.
 //   - Cross: Partners returns the whole subset.
 //
+// Row ids are held as int32 (a relation's rows are int-indexed, but the
+// dominator algorithm holds one index per target set, and half-width ids
+// halve them).
+//
 // An Index is never mutated by readers, so it is safe to share across
 // concurrent readers (the parallel checker relies on this). Partner slices
-// are views into the index: callers must not modify them. The one writer
-// entry point is Extend, which folds newly appended target rows into the
-// existing structures; it requires the same exclusion from readers that
-// mutating the underlying relation does.
+// are views into the index: callers must not modify them. The writer entry
+// points are Extend and Retract, which fold appended or deleted target rows
+// into the existing structures; they require the same exclusion from
+// readers that mutating the underlying relation does.
 type Index struct {
 	cond Condition
-	// all is the indexed subset in build order (Cross fast path, and the
-	// universe every other representation permutes).
-	all []int
+	// n is the number of indexed tuples.
+	n int
+	// ids holds the indexed subset once, laid out for the condition:
+	//   - Equality (dense layout): counting-sorted by target key symbol, so
+	//     symbol s's bucket is ids[starts[s]:starts[s+1]]; within a bucket
+	//     rows keep build order, which preserves a probe-priority ordering
+	//     of the subset. The dense layout is used when the subset is a
+	//     meaningful fraction of the symbol space.
+	//   - Band conditions: sorted by ascending band, bands[i] being the band
+	//     of ids[i] — kept separate so the binary search touches a flat
+	//     float64 array instead of chasing row accessors.
+	//   - Cross: build order, the whole answer of every probe.
+	ids    []int32
+	starts []int32
+	bands  []float64
+	// bucketMap replaces ids/starts for small equality subsets over large
+	// symbol spaces, keeping index construction O(|subset|) instead of
+	// O(|symbols|) (the dominator algorithm builds one index per
+	// candidate's target set). Its buckets are capped views into one array.
+	bucketMap map[int32][]int32
+	// kt translates probe key symbols onto target symbols.
+	kt *KeyTrans
 	// probe is the relation the index is probed by (it may equal target);
 	// Extend rebuilds the key translation from it when either symbol table
 	// has grown since construction.
@@ -37,24 +62,6 @@ type Index struct {
 	// target is the indexed relation; its symbol table resolves probe
 	// symbols interned after the index was built.
 	target *dataset.Relation
-	// buckets holds the subset per target key symbol (Equality only),
-	// indexed densely by symbol ID — used when the subset is a meaningful
-	// fraction of the symbol space. Bucket order follows build order, so a
-	// probe-priority ordering of the subset is preserved within each
-	// bucket.
-	buckets [][]int
-	// bucketMap replaces buckets for small subsets over large symbol
-	// spaces, keeping index construction O(|subset|) instead of
-	// O(|symbols|) (the dominator algorithm builds one index per
-	// candidate's target set).
-	bucketMap map[int32][]int
-	// kt translates probe key symbols onto target symbols.
-	kt *KeyTrans
-	// perm is the subset sorted by ascending band (band conditions only);
-	// bands[i] is the band of tuple perm[i], kept separate so the binary
-	// search touches a flat float64 array instead of chasing row accessors.
-	perm  []int
-	bands []float64
 }
 
 // NewIndex builds the index for the given condition over subset, a list of
@@ -74,44 +81,112 @@ func NewIndex(probe, r *dataset.Relation, subset []int, cond Condition) *Index {
 // pair (the engine: one per cell, one per dominator-set checker) build a
 // KeyTrans once and amortize the per-symbol pass; kt == nil builds one.
 func NewIndexTrans(probe, r *dataset.Relation, subset []int, cond Condition, kt *KeyTrans) *Index {
-	subset = append([]int(nil), subset...)
-	ix := &Index{cond: cond, all: subset, probe: probe, target: r}
+	ix := &Index{cond: cond, n: len(subset), probe: probe, target: r}
 	switch cond {
 	case Equality:
 		if kt == nil {
 			kt = NewKeyTrans(probe, r)
 		}
 		ix.kt = kt
-		// Dense buckets give O(1) array probes but cost O(|symbols|) to
-		// allocate; a map keeps construction O(|subset|) when the subset is
+		// The dense layout gives O(1) array probes but costs O(|symbols|)
+		// to build; a map keeps construction O(|subset|) when the subset is
 		// tiny relative to the symbol space (near-unique keys).
 		if nsyms := r.Symbols().Len(); nsyms <= 64 || len(subset) >= nsyms/8 {
-			ix.buckets = make([][]int, nsyms)
-			for _, j := range subset {
-				k := r.KeyID(j)
-				ix.buckets[k] = append(ix.buckets[k], j)
-			}
+			ix.ids, ix.starts = bucketize(r, nsyms, nil, subset)
 		} else {
-			ix.bucketMap = make(map[int32][]int, len(subset))
-			for _, j := range subset {
-				k := r.KeyID(j)
-				ix.bucketMap[k] = append(ix.bucketMap[k], j)
-			}
+			ix.bucketMap = bucketMap(r, subset)
 		}
 	case Cross:
-		// all is the whole answer.
+		ix.ids = int32s(subset)
 	default:
-		ix.perm = append([]int(nil), subset...)
-		bands := r.Bands()
-		sort.SliceStable(ix.perm, func(a, b int) bool {
-			return bands[ix.perm[a]] < bands[ix.perm[b]]
-		})
-		ix.bands = make([]float64, len(ix.perm))
-		for i, j := range ix.perm {
-			ix.bands[i] = bands[j]
-		}
+		ix.ids, ix.bands = sortByBand(r.Bands(), subset)
 	}
 	return ix
+}
+
+// bucketize counting-sorts rows by target key symbol: rows in head order,
+// then tail order, within each symbol's bucket. It returns the sorted ids
+// and the nsyms+1 bucket offsets.
+func bucketize(r *dataset.Relation, nsyms int, head []int32, tail []int) (ids, starts []int32) {
+	starts = make([]int32, nsyms+1)
+	for _, j := range head {
+		starts[r.KeyID(int(j))+1]++
+	}
+	for _, j := range tail {
+		starts[r.KeyID(j)+1]++
+	}
+	for s := 1; s <= nsyms; s++ {
+		starts[s] += starts[s-1]
+	}
+	ids = make([]int32, len(head)+len(tail))
+	next := slices.Clone(starts[:nsyms])
+	for _, j := range head {
+		k := r.KeyID(int(j))
+		ids[next[k]] = j
+		next[k]++
+	}
+	for _, j := range tail {
+		k := r.KeyID(j)
+		ids[next[k]] = int32(j)
+		next[k]++
+	}
+	return ids, starts
+}
+
+// bucketMap groups rows by target key symbol into capped views of one
+// array, rows of a key in their order in rows.
+func bucketMap(r *dataset.Relation, rows []int) map[int32][]int32 {
+	counts := make(map[int32]int)
+	for _, j := range rows {
+		counts[r.KeyID(j)]++
+	}
+	ids := make([]int32, len(rows))
+	m := make(map[int32][]int32, len(counts))
+	off := 0
+	for k, c := range counts {
+		m[k], off = ids[off:off:off+c], off+c
+	}
+	for _, j := range rows {
+		k := r.KeyID(j)
+		m[k] = append(m[k], int32(j))
+	}
+	return m
+}
+
+// int32s returns ids narrowed to int32.
+func int32s(ids []int) []int32 {
+	out := make([]int32, len(ids))
+	for n, j := range ids {
+		out[n] = int32(j)
+	}
+	return out
+}
+
+// sortByBand returns ids ordered by ascending band, rows with equal bands
+// in their order in ids, and the bands in that order. Sorting on (band,
+// input position) makes the order total, so an unstable sort yields
+// exactly the stable one.
+func sortByBand(bands []float64, ids []int) ([]int32, []float64) {
+	type entry struct {
+		band float64
+		pos  int
+	}
+	entries := make([]entry, len(ids))
+	for n, j := range ids {
+		entries[n] = entry{bands[j], n}
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Compare(a.band, b.band); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	perm := make([]int32, len(entries))
+	sorted := make([]float64, len(entries))
+	for n, e := range entries {
+		perm[n], sorted[n] = int32(ids[e.pos]), e.band
+	}
+	return perm, sorted
 }
 
 // KeyTrans maps a probe relation's key symbols onto a target relation's:
@@ -156,14 +231,14 @@ func NewFullIndex(probe, r *dataset.Relation, cond Condition) *Index {
 
 // Extend folds rows appended to the target relation since the index was
 // built into the existing structures, in the order given: equality rows
-// are appended to their key buckets (the bucket table growing to cover
+// join the end of their key buckets (the bucket table growing to cover
 // symbols interned by the batch), band rows are sorted among themselves
-// and merged into the band permutation from the end — O(b log b + n)
-// for a batch of b against an index of n, instead of the O(n log n)
-// rebuild. The resulting index answers Partners with exactly the partner
-// sets a rebuild over the grown relation would; within an equality bucket
-// the batch rows probe after the pre-existing ones rather than in global
-// probe-priority order, which affects probe order only, never membership.
+// and merged into the band permutation from the end — O(n + b log b) for
+// a batch of b against an index of n, against the O(n log n) rebuild. The
+// resulting index answers Partners with exactly the partner sets a rebuild
+// over the grown relation would; within an equality bucket the batch rows
+// probe after the pre-existing ones rather than in global probe-priority
+// order, which affects probe order only, never membership.
 //
 // newIDs must be target rows that are not yet indexed, each listed once —
 // the appended tail of the relation, in whatever probe-priority order the
@@ -175,7 +250,7 @@ func (ix *Index) Extend(newIDs []int) {
 	if len(newIDs) == 0 {
 		return
 	}
-	ix.all = append(ix.all, newIDs...)
+	ix.n += len(newIDs)
 	switch ix.cond {
 	case Equality:
 		// The batch may have interned strings into either symbol table: a
@@ -188,44 +263,36 @@ func (ix *Index) Extend(newIDs []int) {
 		if ix.kt != nil && !ix.kt.identity {
 			ix.kt = NewKeyTrans(ix.probe, ix.target)
 		}
-		if ix.buckets != nil {
-			if nsyms := ix.target.Symbols().Len(); nsyms > len(ix.buckets) {
-				ix.buckets = append(ix.buckets, make([][]int, nsyms-len(ix.buckets))...)
-			}
+		if ix.bucketMap != nil {
 			for _, j := range newIDs {
 				k := ix.target.KeyID(j)
-				ix.buckets[k] = append(ix.buckets[k], j)
+				ix.bucketMap[k] = append(ix.bucketMap[k], int32(j))
 			}
-		} else {
-			for _, j := range newIDs {
-				k := ix.target.KeyID(j)
-				ix.bucketMap[k] = append(ix.bucketMap[k], j)
-			}
+			return
 		}
+		// The held ids are already grouped by key, so re-bucketing them
+		// ahead of the batch keeps every old row before every new one.
+		ix.ids, ix.starts = bucketize(ix.target, ix.target.Symbols().Len(), ix.ids, newIDs)
 	case Cross:
-		// all is the whole answer; already extended above.
+		ix.ids = append(ix.ids, int32s(newIDs)...)
 	default:
-		bands := ix.target.Bands()
-		tail := append([]int(nil), newIDs...)
-		sort.SliceStable(tail, func(a, b int) bool {
-			return bands[tail[a]] < bands[tail[b]]
-		})
+		tail, tailBands := sortByBand(ix.target.Bands(), newIDs)
 		// Merge from the end, new rows placed after equal-band old rows:
 		// together with the stable tail sort this reproduces the exact
 		// permutation a stable rebuild sort over [old order, newIDs] would.
-		perm := make([]int, len(ix.perm)+len(tail))
+		perm := make([]int32, len(ix.ids)+len(tail))
 		merged := make([]float64, len(perm))
-		i, j := len(ix.perm)-1, len(tail)-1
+		i, j := len(ix.ids)-1, len(tail)-1
 		for k := len(perm) - 1; k >= 0; k-- {
-			if j < 0 || (i >= 0 && ix.bands[i] > bands[tail[j]]) {
-				perm[k], merged[k] = ix.perm[i], ix.bands[i]
+			if j < 0 || (i >= 0 && ix.bands[i] > tailBands[j]) {
+				perm[k], merged[k] = ix.ids[i], ix.bands[i]
 				i--
 			} else {
-				perm[k], merged[k] = tail[j], bands[tail[j]]
+				perm[k], merged[k] = tail[j], tailBands[j]
 				j--
 			}
 		}
-		ix.perm, ix.bands = perm, merged
+		ix.ids, ix.bands = perm, merged
 	}
 }
 
@@ -243,14 +310,14 @@ func (ix *Index) Retract(removed []int) {
 	if len(removed) == 0 {
 		return
 	}
-	renum := func(id int) (int, bool) {
-		i := sort.SearchInts(removed, id)
-		if i < len(removed) && removed[i] == id {
+	renum := func(id int32) (int32, bool) {
+		i := sort.SearchInts(removed, int(id))
+		if i < len(removed) && removed[i] == int(id) {
 			return 0, false
 		}
-		return id - i, true
+		return id - int32(i), true
 	}
-	filter := func(list []int) []int {
+	filter := func(list []int32) []int32 {
 		w := 0
 		for _, id := range list {
 			if nid, ok := renum(id); ok {
@@ -258,18 +325,12 @@ func (ix *Index) Retract(removed []int) {
 				w++
 			}
 		}
+		ix.n -= len(list) - w
 		return list[:w]
 	}
-	ix.all = filter(ix.all)
 	switch ix.cond {
 	case Equality:
-		if ix.buckets != nil {
-			for k, b := range ix.buckets {
-				if len(b) > 0 {
-					ix.buckets[k] = filter(b)
-				}
-			}
-		} else {
+		if ix.bucketMap != nil {
 			for k, b := range ix.bucketMap {
 				if nb := filter(b); len(nb) > 0 {
 					ix.bucketMap[k] = nb
@@ -277,52 +338,65 @@ func (ix *Index) Retract(removed []int) {
 					delete(ix.bucketMap, k)
 				}
 			}
+			return
 		}
+		// Compact the buckets in one pass: each bucket's survivors move
+		// down to where the previous one ended.
+		w := int32(0)
+		for s := 0; s+1 < len(ix.starts); s++ {
+			lo, hi := ix.starts[s], ix.starts[s+1]
+			ix.starts[s] = w
+			w += int32(len(filter(ix.ids[lo:hi])))
+			copy(ix.ids[ix.starts[s]:w], ix.ids[lo:hi])
+		}
+		ix.starts[len(ix.starts)-1] = w
+		ix.ids = ix.ids[:w]
 	case Cross:
-		// all is the whole answer; already filtered above.
+		ix.ids = filter(ix.ids)
 	default:
 		w := 0
-		for i, id := range ix.perm {
+		for i, id := range ix.ids {
 			if nid, ok := renum(id); ok {
-				ix.perm[w] = nid
+				ix.ids[w] = nid
 				ix.bands[w] = ix.bands[i]
 				w++
 			}
 		}
-		ix.perm = ix.perm[:w]
+		ix.n = w
+		ix.ids = ix.ids[:w]
 		ix.bands = ix.bands[:w]
 	}
 }
 
 // Len returns the number of indexed tuples.
-func (ix *Index) Len() int { return len(ix.all) }
+func (ix *Index) Len() int { return ix.n }
 
 // Partners returns the indexed tuples that join with tuple i of the probe
 // relation r1 under the index condition, as a read-only view. r1 must be
 // the probe relation the index was built with. Equality costs two array
 // lookups; band conditions cost one binary search; Cross is free.
-func (ix *Index) Partners(r1 *dataset.Relation, i int) []int {
+func (ix *Index) Partners(r1 *dataset.Relation, i int) []int32 {
 	switch ix.cond {
 	case Equality:
 		return ix.bucketForSym(r1, r1.KeyID(i))
 	case Cross:
-		return ix.all
+		return ix.ids
 	case BandLess: // v.band > u.band: suffix of the band-sorted permutation
 		u := r1.Band(i)
 		lo := sort.Search(len(ix.bands), func(i int) bool { return ix.bands[i] > u })
-		return ix.perm[lo:]
+		return ix.ids[lo:]
 	case BandLessEq: // v.band >= u.band
 		u := r1.Band(i)
 		lo := sort.Search(len(ix.bands), func(i int) bool { return ix.bands[i] >= u })
-		return ix.perm[lo:]
+		return ix.ids[lo:]
 	case BandGreater: // v.band < u.band: prefix of the permutation
 		u := r1.Band(i)
 		hi := sort.Search(len(ix.bands), func(i int) bool { return ix.bands[i] >= u })
-		return ix.perm[:hi]
+		return ix.ids[:hi]
 	case BandGreaterEq: // v.band <= u.band
 		u := r1.Band(i)
 		hi := sort.Search(len(ix.bands), func(i int) bool { return ix.bands[i] > u })
-		return ix.perm[:hi]
+		return ix.ids[:hi]
 	default:
 		return nil
 	}
@@ -332,7 +406,7 @@ func (ix *Index) Partners(r1 *dataset.Relation, i int) []int {
 // Symbols interned into the probe relation after the index was built (an
 // appended tuple with a previously unseen key) fall back to one string
 // lookup in the target's table; everything else is array indexing.
-func (ix *Index) bucketForSym(r1 *dataset.Relation, sym int32) []int {
+func (ix *Index) bucketForSym(r1 *dataset.Relation, sym int32) []int32 {
 	if !ix.kt.identity {
 		if int(sym) < len(ix.kt.trans) {
 			sym = ix.kt.trans[sym]
@@ -347,23 +421,24 @@ func (ix *Index) bucketForSym(r1 *dataset.Relation, sym int32) []int {
 			return nil
 		}
 	}
-	if ix.buckets != nil {
-		// Identity translation (shared table): a symbol at or beyond the
-		// bucket range was interned after the build, so no indexed tuple
-		// carries it.
-		if int(sym) >= len(ix.buckets) {
-			return nil
-		}
-		return ix.buckets[sym]
+	if ix.bucketMap != nil {
+		return ix.bucketMap[sym]
 	}
-	return ix.bucketMap[sym]
+	// Identity translation (shared table): a symbol at or beyond the
+	// bucket range was interned after the build, so no indexed tuple
+	// carries it.
+	if int(sym) >= len(ix.starts)-1 {
+		return nil
+	}
+	lo, hi := ix.starts[sym], ix.starts[sym+1]
+	return ix.ids[lo:hi:hi]
 }
 
 // PartnersSym returns the equality bucket for a probe-side key symbol of
 // probe relation r1, for probes that carry a key without a tuple (the
 // accumulated out-key of a cascaded chain join). Only valid on Equality
 // indexes.
-func (ix *Index) PartnersSym(r1 *dataset.Relation, sym int32) []int {
+func (ix *Index) PartnersSym(r1 *dataset.Relation, sym int32) []int32 {
 	return ix.bucketForSym(r1, sym)
 }
 
@@ -375,7 +450,7 @@ func (ix *Index) PartnersSym(r1 *dataset.Relation, sym int32) []int {
 func (ix *Index) ForEachPair(r1 *dataset.Relation, left []int, fn func(i, j int) bool) bool {
 	for _, i := range left {
 		for _, j := range ix.Partners(r1, i) {
-			if fn(i, j) {
+			if fn(i, int(j)) {
 				return true
 			}
 		}

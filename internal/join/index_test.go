@@ -110,7 +110,10 @@ func TestPropertyIndexSubsetPartners(t *testing.T) {
 						want = append(want, j)
 					}
 				}
-				got := append([]int(nil), ix.Partners(r1, i)...)
+				var got []int
+				for _, j := range ix.Partners(r1, i) {
+					got = append(got, int(j))
+				}
 				sort.Ints(got)
 				sort.Ints(want)
 				if !reflect.DeepEqual(got, want) {
@@ -275,5 +278,89 @@ func TestPartnersAfterProbeAppend(t *testing.T) {
 	}
 	if got := selfIx.Partners(r2, id); len(got) != 0 {
 		t.Fatalf("identity Partners for late key Z = %v, want none", got)
+	}
+}
+
+// TestSortByBandMatchesSliceStable pins the band permutation to the
+// reflective stable sort it replaced, on subsets where most bands tie.
+func TestSortByBandMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 50; trial++ {
+		r := randIndexedRelation(rng, "r", 1+rng.Intn(60))
+		ids := rng.Perm(r.Len())[:rng.Intn(r.Len()+1)]
+		want := append([]int(nil), ids...)
+		bands := r.Bands()
+		sort.SliceStable(want, func(a, b int) bool { return bands[want[a]] < bands[want[b]] })
+		perm, gotBands := sortByBand(bands, ids)
+		got := make([]int, len(perm))
+		for n, j := range perm {
+			got[n] = int(j)
+		}
+		if !reflect.DeepEqual(got, want) && len(want) > 0 {
+			t.Fatalf("trial %d: sortByBand(%v) = %v, sort.SliceStable %v", trial, ids, got, want)
+		}
+		for n, j := range got {
+			if gotBands[n] != bands[j] {
+				t.Fatalf("trial %d: band %d of the permutation is %v, row %d has %v", trial, n, gotBands[n], j, bands[j])
+			}
+		}
+	}
+}
+
+// TestEqualityIndexLayout pins the counting-sorted equality layout: each
+// bucket holds its key's rows in subset order, is capped at its length
+// (so Extend's appends never write into a neighbour), and Len counts the
+// subset, also after Extend and Retract, in both bucket layouts.
+func TestEqualityIndexLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for _, c := range []struct{ keys, subset int }{{4, 40}, {400, 15}} {
+		keys := c.keys
+		tuples := make([]dataset.Tuple, 300)
+		for i := range tuples {
+			tuples[i] = dataset.Tuple{Key: fmt.Sprintf("k%d", rng.Intn(keys)), Attrs: []float64{1}}
+		}
+		r := dataset.MustNew("r", 1, 0, tuples)
+		ids := rng.Perm(r.Len())[:c.subset]
+		ix := NewIndex(r, r, ids, Equality)
+		if mapped := ix.bucketMap != nil; mapped != (keys > 100) {
+			t.Fatalf("keys %d: bucket map used %v", keys, mapped)
+		}
+		if ix.Len() != len(ids) {
+			t.Fatalf("keys %d: Len %d, want %d", keys, ix.Len(), len(ids))
+		}
+		for i := 0; i < r.Len(); i++ {
+			var want []int32
+			for _, j := range ids {
+				if r.KeyID(j) == r.KeyID(i) {
+					want = append(want, int32(j))
+				}
+			}
+			got := ix.Partners(r, i)
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) || cap(got) != len(got) {
+				t.Fatalf("keys %d: partners of row %d = %v (cap %d), want %v", keys, i, got, cap(got), want)
+			}
+		}
+		first, err := r.AppendBatch([]dataset.Tuple{{Key: r.Key(ids[0]), Attrs: []float64{1}}, {Key: r.Key(ids[1]), Attrs: []float64{1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Extend([]int{first, first + 1})
+		if ix.Len() != len(ids)+2 {
+			t.Fatalf("keys %d: Len after Extend %d, want %d", keys, ix.Len(), len(ids)+2)
+		}
+		// Row 0 may or may not be indexed: Len counts only indexed rows.
+		indexed := 0
+		for _, j := range ids {
+			if j == 0 || j == 1 {
+				indexed++
+			}
+		}
+		if err := r.DeleteBatch([]int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		ix.Retract([]int{0, 1})
+		if want := len(ids) + 2 - indexed; ix.Len() != want {
+			t.Fatalf("keys %d: Len after Retract %d, want %d", keys, ix.Len(), want)
+		}
 	}
 }

@@ -123,7 +123,7 @@ func samplePairs(q core.Query, ix *join.Index, prefix []int, opts Options) [][2]
 	out := make([][2]int, 0, m)
 	for _, r := range sampleRanks(rng, total, m) {
 		i := sort.SearchInts(prefix, r+1) - 1
-		out = append(out, [2]int{i, ix.Partners(q.R1, i)[r-prefix[i]]})
+		out = append(out, [2]int{i, int(ix.Partners(q.R1, i)[r-prefix[i]])})
 	}
 	return out
 }

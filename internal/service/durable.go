@@ -203,9 +203,9 @@ func (s *Service) rebuildResidents(combos []store.ResidentCombo) {
 		if !ok1 || !ok2 {
 			continue
 		}
-		// Residents are k- and aggregator-independent (core.NewResident),
-		// so any well-formed query over the pair serves as the builder's
-		// input.
+		// A resident's build reads neither k nor the aggregator
+		// (core.NewResident; its per-k state fills on use), so any
+		// well-formed query over the pair serves as the builder's input.
 		q := core.Query{R1: rr1.rel, R2: rr2.rel, Spec: join.Spec{Cond: cond, Agg: join.Sum}}
 		s.residents.get(residentKey{r1: c.R1, r2: c.R2, cond: cond}, q)
 	}

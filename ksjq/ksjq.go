@@ -79,8 +79,9 @@ type Options struct {
 	// (ErrOptionConflict); Auto ignores it when it picks naive.
 	Workers int
 	// K, when > 0, overrides the query's K for this run — the knob that
-	// lets one Prepared snapshot (which is k-independent) serve queries
-	// across dominance levels without rebuilding.
+	// lets one Prepared snapshot serve queries across dominance levels
+	// without rebuilding; the snapshot holds each k's categorization and
+	// target sets once a run at that k has built them.
 	K int
 	// Limit > 0 caps the answer at that many tuples. The grouping and
 	// dominator-based algorithms stop the run the moment the cap is

@@ -10,10 +10,12 @@ import (
 
 // Prepared is a query with its expensive, reusable state built once and
 // owned by the caller: the full-R2 join index and the probe orders (the
-// engine's resident snapshot — k- and
-// aggregator-independent, so one Prepared serves every dominance level
-// over its relation pair and join condition), plus a per-k answer memo so
-// repeating an identical query is O(1) after the first run. This is the
+// engine's resident snapshot, aggregator-independent, so one Prepared
+// serves every dominance level over its relation pair and join
+// condition), the categorization and target sets runs at each k build
+// (held per k, so later runs at that k — NoCache included — skip them),
+// plus a per-k answer memo so repeating an identical query
+// is O(1) after the first run. This is the
 // library-level form of the amortization the query service gets from its
 // resident and answer caches: Run pays the build on every call, Prepared
 // pays it once.
@@ -24,8 +26,8 @@ import (
 //	for pair, err := range p.Stream(ctx, ksjq.Options{}) { ... }
 //
 // A Prepared is a snapshot: it serves queries only while its relations
-// keep the length they had at Prepare time. After a mutation every method
-// returns ErrStaleResident; Rebind rebuilds against the current state —
+// keep the rows they had at Prepare time (same length, same mutation
+// generation). After any mutation every method returns ErrStaleResident; Rebind rebuilds against the current state —
 // the handshake the maintained-insert flow uses. All methods are safe for
 // concurrent use.
 type Prepared struct {
@@ -39,7 +41,7 @@ type Prepared struct {
 // Prepare builds the resident snapshot for q's relation pair and join
 // condition and returns a Prepared that owns it. The query's K is the
 // default for Run/Stream (overridable per call via Options.K) and is not
-// validated here — the snapshot itself is k-independent, and Prepare
+// validated here — the snapshot is built for every k, and Prepare
 // accepts a query whose K is still unset.
 func Prepare(ctx context.Context, q Query) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
@@ -59,7 +61,7 @@ func Prepare(ctx context.Context, q Query) (*Prepared, error) {
 func (p *Prepared) Query() Query { return p.q }
 
 // Stale reports whether the snapshot no longer matches the relations
-// (they grew or shrank since Prepare/Rebind). A stale Prepared returns
+// (they were mutated since Prepare/Rebind). A stale Prepared returns
 // ErrStaleResident from every evaluating method until Rebind.
 func (p *Prepared) Stale() bool { return p.resident().Check(p.q) != nil }
 

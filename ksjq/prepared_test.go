@@ -268,6 +268,37 @@ func TestPreparedStaleAndRebind(t *testing.T) {
 	}
 }
 
+// TestPreparedStaleAfterEqualLengthChurn pins the staleness check on a
+// mutation that keeps the length: a delete then an insert. A Prepared
+// must refuse it — its memo and its held target sets describe rows that
+// are gone — even for a k whose answer it has memoized.
+func TestPreparedStaleAfterEqualLengthChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(506))
+	r1 := randRelation(rng, "r1", 30, 3, 0, 4, 5)
+	r2 := randRelation(rng, "r2", 30, 3, 0, 4, 5)
+	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 5}
+	ctx := context.Background()
+	p, err := Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(ctx, Options{Algorithm: DominatorBased}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Delete(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.Append(Tuple{Key: "g0", Attrs: []float64{0, 0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Stale() {
+		t.Fatal("Prepared not stale after a delete and an insert")
+	}
+	if _, err := p.Run(ctx, Options{Algorithm: DominatorBased}); !errors.Is(err, ErrStaleResident) {
+		t.Fatalf("Run after delete+insert: err = %v, want ErrStaleResident", err)
+	}
+}
+
 // TestStreamEarlyBreakDoesLessWork is the acceptance assertion: breaking
 // a stream early must do strictly fewer domination tests than running the
 // same query to completion.
