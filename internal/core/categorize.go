@@ -173,15 +173,15 @@ func Categorize(r *dataset.Relation, kPrime int, cond join.Condition, side Side)
 
 // groupByKey returns r's row indices ordered by key symbol, rows of one
 // key in natural order: a counting sort over the symbol space, which is
-// what a stable sort on KeyID computes. Symbols are never reclaimed, so a
-// long-lived relation can intern far more keys than it holds rows; past
-// eight symbols per row the counting array would dominate, and the rows
-// are sorted on (key, row) instead — the same total order.
+// what a stable sort on KeyID computes. Where the symbol space is sparse
+// against the rows (join.DenseKeys, the rule the equality index's layout
+// follows too), the rows are sorted on (key, row) instead — the same
+// total order.
 func groupByKey(r *dataset.Relation) []int {
 	n := r.Len()
 	perm := make([]int, n)
 	nsyms := r.Symbols().Len()
-	if nsyms > 8*n+64 {
+	if !join.DenseKeys(nsyms, n) {
 		for i := range perm {
 			perm[i] = i
 		}

@@ -41,7 +41,8 @@ import (
 //
 // Over a resident, a run first reads the state earlier runs published for
 // its k (pub, never written again), builds only what that lacks into its
-// own maps, and publish hands those to the resident for the next run. So
+// own maps, and publish hands those to the resident for the next run
+// (votes, whose vectors come from outside the relations, skip it). So
 // a warm run categorizes nothing and builds no set; its answer and its
 // domination tests are the cold run's, because the sets and orders are.
 type targetSets struct {

@@ -206,6 +206,7 @@ func TestSortBySumMatchesSliceStable(t *testing.T) {
 // many more interned keys than rows.
 func TestGroupByKeyMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
+	var paths [2]int // trials on the sparse, dense path
 	for trial := 0; trial < 40; trial++ {
 		r := randRelation(rng, "r", 1+rng.Intn(60), 2, 0, 1+rng.Intn(5), 3)
 		if trial%2 == 1 {
@@ -226,10 +227,18 @@ func TestGroupByKeyMatchesSliceStable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if join.DenseKeys(r.Symbols().Len(), r.Len()) {
+			paths[1]++
+		} else {
+			paths[0]++
+		}
 		want := allIndices(r.Len())
 		sort.SliceStable(want, func(a, b int) bool { return r.KeyID(want[a]) < r.KeyID(want[b]) })
 		if got := groupByKey(r); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: groupByKey = %v, sort.SliceStable %v", trial, got, want)
 		}
+	}
+	if paths[0] == 0 || paths[1] == 0 {
+		t.Fatalf("trials took the sparse path %d times and the dense path %d times, want both", paths[0], paths[1])
 	}
 }

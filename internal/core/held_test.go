@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -132,8 +133,9 @@ func TestResidentHoldsKState(t *testing.T) {
 	}
 }
 
-// TestPublishAfterDropIsDiscarded pins the publish token: state a run
-// built before a write dropped the table never lands in its successor.
+// TestPublishAfterDropIsDiscarded pins the orphaned table: a run
+// publishes into the table it read at its start, so state it built before
+// a write dropped that table never lands in its successor.
 func TestPublishAfterDropIsDiscarded(t *testing.T) {
 	rng := rand.New(rand.NewSource(506))
 	r1 := randRelation(rng, "r1", 30, 2, 1, 2, 5)
@@ -150,6 +152,53 @@ func TestPublishAfterDropIsDiscarded(t *testing.T) {
 	ts.publish()
 	if _, _, hk := res.heldAt(q.K); hk != noHeld {
 		t.Fatalf("state built before the drop was published: %+v", hk)
+	}
+}
+
+// TestVotesPublishNoSets pins that votes read the held table but never
+// add to it: their vectors come from outside the relations, so a stream of
+// fresh vectors at one k must leave the table's target sets as they were.
+func TestVotesPublishNoSets(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(507))
+	r1 := randRelation(rng, "r1", 40, 3, 1, 3, 10)
+	r2 := randRelation(rng, "r2", 40, 3, 1, 3, 10)
+	q := Query{R1: r1, R2: r2, Spec: join.Spec{Cond: join.Equality, Agg: join.Sum}, K: 7}
+	res, err := NewResident(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two runs: the second publishes its target sets.
+	for range 2 {
+		if _, err := res.Exec(ctx, q, ExecOptions{Algorithm: DominatorBased}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizes := func() (int, int) {
+		_, _, hk := res.heldAt(q.K)
+		return len(hk.lefts), len(hk.rights)
+	}
+	lefts, rights := sizes()
+	if lefts == 0 || rights == 0 {
+		t.Fatalf("held table has %d τ(u) and %d τ(v) sets after two runs, want some", lefts, rights)
+	}
+	for range 20 {
+		vectors := make([][]float64, 8)
+		for i := range vectors {
+			vectors[i] = make([]float64, q.Width())
+			for j := range vectors[i] {
+				vectors[i][j] = rng.Float64() * 10
+			}
+		}
+		if _, err := res.AnyDominators(ctx, q, vectors); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.Membership(ctx, q, [][2]int{{0, 0}}); err != nil && !strings.Contains(err.Error(), "not join-compatible") {
+			t.Fatal(err)
+		}
+	}
+	if l, r := sizes(); l != lefts || r != rights {
+		t.Errorf("votes grew the held table: τ(u) sets %d → %d, τ(v) sets %d → %d", lefts, l, rights, r)
 	}
 }
 

@@ -95,8 +95,11 @@ func (e *engine) votes(ctx context.Context, vectors [][]float64) ([]bool, error)
 		dominated[i] = true
 	}
 	free := func(p join.Pair) bool { dominated[p.Left] = false; return true }
+	// The sets read what the resident holds but publish nothing: the
+	// vectors come from outside the relations (a client's /v1/verify, a
+	// peer shard's candidates), so sets keyed by them would let outside
+	// input grow the table without bound until the next write.
 	ts := newTargetSets(e)
-	defer ts.publish()
 	if _, err := verifyCell(ctx, e, candidates, ts.of, free); err != nil {
 		return nil, err
 	}

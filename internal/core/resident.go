@@ -25,7 +25,10 @@ import (
 //     order the τ(v) scans share. A run reads what is there and publishes
 //     what it had to build — categorizations from the first run at a k
 //     on, target sets from the second, so a k asked once pins no sets —
-//     and every later run at that k builds nothing.
+//     and every later run at that k builds nothing. Votes on outside
+//     vectors (AnyDominators, Membership) read the table but publish
+//     nothing, so every held set is keyed by a row's local sub-vector:
+//     at most one τ(u) per R1 row and one τ(v) per R2 row at each k.
 //
 // None of it depends on the aggregator, so one Resident serves every query
 // over the same relation pair and condition, at every k.

@@ -84,7 +84,21 @@ type Relation struct {
 var (
 	ErrEmptyRelation = errors.New("dataset: relation has no tuples")
 	ErrBadSchema     = errors.New("dataset: invalid schema")
+	ErrTooManyRows   = errors.New("dataset: relation exceeds MaxRows")
 )
+
+// MaxRows is the most rows a relation holds: every row id fits in an
+// int32, the width join.Index stores ids at. Append, AppendBatch and
+// NewFromColumns reject growth past it.
+const MaxRows = math.MaxInt32
+
+// checkRows rejects growing a relation of n rows by add more past MaxRows.
+func checkRows(name string, n, add int) error {
+	if add > MaxRows-n {
+		return fmt.Errorf("%w: %s: %d rows plus %d", ErrTooManyRows, name, n, add)
+	}
+	return nil
+}
 
 // checkTuple validates one incoming row against the schema: attribute
 // width, finite skyline attributes, and a non-NaN band. NaN skyline
@@ -151,6 +165,9 @@ func (r *Relation) Append(t Tuple) (int, error) {
 	if err := checkTuple(&t, r.D()); err != nil {
 		return 0, fmt.Errorf("%w (relation %s)", err, r.Name)
 	}
+	if err := checkRows(r.Name, r.n, 1); err != nil {
+		return 0, err
+	}
 	id := r.n
 	r.attrs = append(r.attrs, t.Attrs...)
 	r.band = append(r.band, t.Band)
@@ -177,6 +194,9 @@ func (r *Relation) AppendBatch(ts []Tuple) (int, error) {
 		if err := checkTuple(&ts[i], d); err != nil {
 			return 0, fmt.Errorf("%w (tuple %d)", err, i)
 		}
+	}
+	if err := checkRows(r.Name, r.n, len(ts)); err != nil {
+		return 0, err
 	}
 	first := r.n
 	r.attrs = slices.Grow(r.attrs, len(ts)*d)
@@ -349,6 +369,9 @@ func (r *Relation) Validate() error {
 	}
 	if r.Local < 0 || r.Agg < 0 || r.D() == 0 {
 		return fmt.Errorf("%w: %s: local=%d agg=%d", ErrBadSchema, r.Name, r.Local, r.Agg)
+	}
+	if err := checkRows(r.Name, 0, r.n); err != nil {
+		return err
 	}
 	if len(r.attrs) != r.n*r.D() || len(r.band) != r.n || len(r.keys) != r.n || len(r.keys2) != r.n {
 		return fmt.Errorf("%w: %s: column lengths (attrs=%d band=%d keys=%d keys2=%d) inconsistent with %d rows of width %d",

@@ -375,3 +375,25 @@ func TestGeneration(t *testing.T) {
 	step("rejected Append", func() error { _, err := r.Append(Tuple{Attrs: []float64{1}}); return err }, false)
 	step("rejected DeleteBatch", func() error { return r.DeleteBatch([]int{99}) }, false)
 }
+
+// TestMaxRows pins the row-count limit: growth that would take a relation
+// past MaxRows is rejected before any column is touched. The relation's
+// count is set directly; its columns stay empty.
+func TestMaxRows(t *testing.T) {
+	full := &Relation{Name: "full", Local: 1, n: MaxRows, syms: NewSymbolTable()}
+	if _, err := full.Append(Tuple{Key: "A", Attrs: []float64{1}}); !errors.Is(err, ErrTooManyRows) {
+		t.Errorf("Append at MaxRows: err = %v, want ErrTooManyRows", err)
+	}
+	almost := &Relation{Name: "almost", Local: 1, n: MaxRows - 1, syms: NewSymbolTable()}
+	two := []Tuple{{Key: "A", Attrs: []float64{1}}, {Key: "B", Attrs: []float64{2}}}
+	if _, err := almost.AppendBatch(two); !errors.Is(err, ErrTooManyRows) {
+		t.Errorf("AppendBatch past MaxRows: err = %v, want ErrTooManyRows", err)
+	}
+	if almost.n != MaxRows-1 || len(almost.attrs) != 0 || almost.gen != 0 {
+		t.Errorf("a rejected batch changed the relation: n=%d attrs=%d gen=%d", almost.n, len(almost.attrs), almost.gen)
+	}
+	over := &Relation{Name: "over", Local: 1, n: MaxRows + 1, syms: NewSymbolTable()}
+	if err := over.Validate(); !errors.Is(err, ErrTooManyRows) {
+		t.Errorf("Validate past MaxRows: err = %v, want ErrTooManyRows", err)
+	}
+}

@@ -23,7 +23,7 @@ import (
 //
 // Row ids are held as int32 (a relation's rows are int-indexed, but the
 // dominator algorithm holds one index per target set, and half-width ids
-// halve them).
+// halve them); dataset.MaxRows keeps every relation's ids in that range.
 //
 // An Index is never mutated by readers, so it is safe to share across
 // concurrent readers (the parallel checker relies on this). Partner slices
@@ -91,7 +91,7 @@ func NewIndexTrans(probe, r *dataset.Relation, subset []int, cond Condition, kt 
 		// The dense layout gives O(1) array probes but costs O(|symbols|)
 		// to build; a map keeps construction O(|subset|) when the subset is
 		// tiny relative to the symbol space (near-unique keys).
-		if nsyms := r.Symbols().Len(); nsyms <= 64 || len(subset) >= nsyms/8 {
+		if nsyms := r.Symbols().Len(); DenseKeys(nsyms, len(subset)) {
 			ix.ids, ix.starts = bucketize(r, nsyms, nil, subset)
 		} else {
 			ix.bucketMap = bucketMap(r, subset)
@@ -103,6 +103,14 @@ func NewIndexTrans(probe, r *dataset.Relation, subset []int, cond Condition, kt 
 	}
 	return ix
 }
+
+// DenseKeys reports whether grouping rows rows by key symbol should use
+// an array over the whole symbol space of nsyms symbols (a counting sort)
+// rather than work proportional to the rows alone. Symbols are never
+// reclaimed, so a long-lived relation can intern far more keys than it
+// holds rows; past eight symbols per row the array would dominate. The
+// equality Index's layout and core's key grouping both follow this rule.
+func DenseKeys(nsyms, rows int) bool { return nsyms <= 64 || rows >= nsyms/8 }
 
 // bucketize counting-sorts rows by target key symbol: rows in head order,
 // then tail order, within each symbol's bucket. It returns the sorted ids
