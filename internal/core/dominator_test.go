@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/join"
 )
@@ -240,5 +241,40 @@ func TestGroupByKeyMatchesSliceStable(t *testing.T) {
 	}
 	if paths[0] == 0 || paths[1] == 0 {
 		t.Fatalf("trials took the sparse path %d times and the dense path %d times, want both", paths[0], paths[1])
+	}
+}
+
+// TestDominatorArmDoesLessWork pins why auto prefers the dominator arm,
+// in the deterministic domination-test count: on one large group at a k
+// where most candidates survive, grouping checks each survivor against a
+// whole cell join, the dominator arm against its target-set join only.
+func TestDominatorArmDoesLessWork(t *testing.T) {
+	rel := func(name string, seed int64) *dataset.Relation {
+		return datagen.MustGenerate(datagen.Config{
+			Name: name, N: 400, Local: 5, Agg: 2, Groups: 1, Dist: datagen.Independent, Seed: seed,
+		})
+	}
+	q := Query{R1: rel("r1", 101), R2: rel("r2", 102), Spec: join.Spec{Cond: join.Equality}, K: 11}
+	g, err := Run(q, Grouping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Run(q, DominatorBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Skyline) != len(d.Skyline) {
+		t.Fatalf("skylines differ: grouping %d, dominator %d", len(g.Skyline), len(d.Skyline))
+	}
+	for i := range g.Skyline {
+		if g.Skyline[i].Left != d.Skyline[i].Left || g.Skyline[i].Right != d.Skyline[i].Right {
+			t.Fatalf("skylines differ at %d", i)
+		}
+	}
+	t.Logf("skyline %d, domination tests: grouping %d, dominator %d",
+		len(d.Skyline), g.Stats.DominationTests, d.Stats.DominationTests)
+	if d.Stats.DominationTests*5 > g.Stats.DominationTests {
+		t.Errorf("dominator arm ran %d domination tests, want at most a fifth of grouping's %d",
+			d.Stats.DominationTests, g.Stats.DominationTests)
 	}
 }

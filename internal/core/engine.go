@@ -40,14 +40,6 @@ type engine struct {
 	// index this engine builds (one per cell, one per dominator-set
 	// checker); built once on first use, read-only afterwards.
 	kt *join.KeyTrans
-	// memoLeft/memoLeftSorted and memoRight/memoRightIx remember the last
-	// subset probe order and subset checker index built, keyed by slice
-	// identity. The grouping cells reuse the augmented target lists across
-	// cells (A1 appears in two cells' checkers, as does A2), so each is
-	// sorted/indexed once per run instead of once per cell.
-	memoLeft, memoLeftSorted []int
-	memoRight                []int
-	memoRightIx              *join.Index
 	// scratch holds the per-run verification buffers (the pool's keep
 	// bitset, the checker's partner list) reused across cells, so repeated
 	// cells allocate nothing.
@@ -84,8 +76,8 @@ func (e *engine) keepBits(n int) []uint64 {
 }
 
 // sameIDs reports whether a and b are the same index list by slice
-// identity (same backing array start and length) — the memo key for
-// per-run subset reuse.
+// identity (same backing array start and length) — how a checker tells
+// that the list it resolved is the one it is handed again.
 func sameIDs(a, b []int) bool {
 	return len(a) != 0 && len(a) == len(b) && &a[0] == &b[0]
 }
@@ -207,35 +199,22 @@ func (e *engine) allLeftOrder() []int {
 }
 
 // leftProbeOrder returns the left list sorted by ascending attribute sum,
-// reusing the cached ordering when the list is all of R1 and the last
-// subset ordering when the list is the one most recently sorted (the
-// augmented target list A1 feeds two of the grouping cells).
+// reusing the cached ordering when the list is all of R1.
 func (e *engine) leftProbeOrder(left []int) []int {
 	if len(left) == e.q.R1.Len() {
 		return e.allLeftOrder()
 	}
-	if sameIDs(left, e.memoLeft) {
-		return e.memoLeftSorted
-	}
-	sorted := sortBySum(e.q.R1, left)
-	e.memoLeft, e.memoLeftSorted = left, sorted
-	return sorted
+	return sortBySum(e.q.R1, left)
 }
 
 // checkerRightIndex returns the probe-ordered checker index over the given
 // R2 subset, reusing the cached full-relation index when the subset is all
-// of R2 and the last subset index otherwise (A2 feeds two of the grouping
-// cells' checkers).
+// of R2.
 func (e *engine) checkerRightIndex(right []int) *join.Index {
 	if len(right) == e.q.R2.Len() {
 		return e.rightAllIndex()
 	}
-	if sameIDs(right, e.memoRight) {
-		return e.memoRightIx
-	}
-	ix := join.NewIndexTrans(e.q.R1, e.q.R2, e.rightProbeOrder(right), e.cond, e.keyTrans())
-	e.memoRight, e.memoRightIx = right, ix
-	return ix
+	return join.NewIndexTrans(e.q.R1, e.q.R2, e.rightProbeOrder(right), e.cond, e.keyTrans())
 }
 
 func (e *engine) newChecker(left, right []int) *checker {

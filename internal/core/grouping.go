@@ -112,17 +112,37 @@ func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 	// order. The "yes" cell is unchecked when a ≤ 1; with a ≥ 2 the
 	// paper's theorem fails (see the package comment) and it is verified
 	// like any other cell.
-	all1 := allIndices(q.R1.Len())
-	all2 := allIndices(q.R2.Len())
 	cells := []struct {
-		left, right       []int // candidate cell
-		chkLeft, chkRight []int // grouping's verification target lists
-		yes               bool
+		left, right []int // candidate cell
+		byA1, byA2  bool  // grouping checks against A1 (else R1) ⋈ A2 (else R2)
+		yes         bool
 	}{
-		{c1.SS, c2.SS, a1, a2, true},
-		{c1.SS, c2.SN, a1, all2, false},
-		{c1.SN, c2.SS, all1, a2, false},
-		{c1.SN, c2.SN, all1, all2, false},
+		{c1.SS, c2.SS, true, true, true},
+		{c1.SS, c2.SN, true, false, false},
+		{c1.SN, c2.SS, false, true, false},
+		{c1.SN, c2.SN, false, false, false},
+	}
+	// Grouping's fixed checker lists. A1 feeds the yes cell and SS1 ⋈ SN2,
+	// A2 the yes cell and SN1 ⋈ SS2, so A1's probe order and A2's index are
+	// each built at most once per run, by the first cell that checks
+	// against it; R1's order and R2's index are the engine's own.
+	var a1Order []int
+	var a2Ix *join.Index
+	groupingTargets := func(byA1, byA2 bool) targetsFn {
+		left, ix := e.allLeftOrder(), e.rightAllIndex()
+		if byA1 {
+			if a1Order == nil {
+				a1Order = e.leftProbeOrder(a1)
+			}
+			left = a1Order
+		}
+		if byA2 {
+			if a2Ix == nil {
+				a2Ix = e.checkerRightIndex(a2)
+			}
+			ix = a2Ix
+		}
+		return func([]float64) ([]int, *join.Index) { return left, ix }
 	}
 	for _, cell := range cells {
 		t0 = time.Now()
@@ -151,12 +171,9 @@ func runCells(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 			st.Candidates += len(candidates)
 		}
 		t0 = time.Now()
-		var targets targetsFn
-		if !augment {
-			targets = ts.of
-		} else {
-			left, ix := e.leftProbeOrder(cell.chkLeft), e.checkerRightIndex(cell.chkRight)
-			targets = func([]float64) ([]int, *join.Index) { return left, ix }
+		targets := ts.of
+		if augment {
+			targets = groupingTargets(cell.byA1, cell.byA2)
 		}
 		// A limit stops verification the moment the cap is reached:
 		// mid-cell serially, after the cell for a cell the pool verified

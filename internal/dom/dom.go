@@ -1,46 +1,12 @@
 // Package dom provides the dominance-comparison kernels shared by every
 // layer of the KSJQ implementation: full (Pareto) dominance, k-dominance,
-// and the counting primitives the paper's categorization and target-set
-// machinery are built from.
+// and the one-pass counting primitive (LeqLess) both directions of a
+// k-dominance test derive from.
 //
 // Throughout the repository a lower attribute value is preferred, matching
 // Sec. 2.1 of the paper ("without loss of generality, the preference is
 // assumed to be less than").
 package dom
-
-// CountLeq returns the number of positions i with a[i] <= b[i].
-// Both slices must have the same length.
-func CountLeq(a, b []float64) int {
-	n := 0
-	for i, av := range a {
-		if av <= b[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// CountLess returns the number of positions i with a[i] < b[i].
-func CountLess(a, b []float64) int {
-	n := 0
-	for i, av := range a {
-		if av < b[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// CountEq returns the number of positions i with a[i] == b[i].
-func CountEq(a, b []float64) int {
-	n := 0
-	for i, av := range a {
-		if av == b[i] {
-			n++
-		}
-	}
-	return n
-}
 
 // Dominates reports whether a fully dominates b: a is preferred-or-equal on
 // every attribute and strictly preferred on at least one.
@@ -123,25 +89,4 @@ func Equal(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// InTargetSet reports whether x belongs to the target set of u with respect
-// to k' attributes (Def. 5 collapsed into a single predicate): x can
-// contribute the left/right half of a joined dominator of any tuple built
-// from u if and only if x is preferred-or-equal to u on at least k'
-// attributes. This single test covers the paper's three-way union of
-// "k'-dominators of u", "tuples equal to u on some k'-subset", and "u
-// itself".
-func InTargetSet(x, u []float64, kPrime int) bool {
-	d := len(x)
-	leq := 0
-	for i, xv := range x {
-		if xv <= u[i] {
-			leq++
-		}
-		if leq+(d-i-1) < kPrime {
-			return false
-		}
-	}
-	return leq >= kPrime
 }

@@ -6,41 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCountLeq(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b []float64
-		want int
-	}{
-		{"all leq", []float64{1, 2, 3}, []float64{1, 3, 4}, 3},
-		{"none leq", []float64{5, 6, 7}, []float64{1, 2, 3}, 0},
-		{"mixed", []float64{1, 9, 3}, []float64{2, 2, 3}, 2},
-		{"empty", nil, nil, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := CountLeq(tt.a, tt.b); got != tt.want {
-				t.Errorf("CountLeq(%v,%v) = %d, want %d", tt.a, tt.b, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestCountLess(t *testing.T) {
-	if got := CountLess([]float64{1, 2, 3}, []float64{1, 3, 4}); got != 2 {
-		t.Errorf("CountLess = %d, want 2", got)
-	}
-	if got := CountLess([]float64{1, 1}, []float64{1, 1}); got != 0 {
-		t.Errorf("CountLess on equal vectors = %d, want 0", got)
-	}
-}
-
-func TestCountEq(t *testing.T) {
-	if got := CountEq([]float64{1, 2, 3}, []float64{1, 9, 3}); got != 2 {
-		t.Errorf("CountEq = %d, want 2", got)
-	}
-}
-
 func TestDominates(t *testing.T) {
 	tests := []struct {
 		name string
@@ -96,19 +61,6 @@ func TestKDomCompare(t *testing.T) {
 	ab, ba = KDomCompare(a, b, 3)
 	if ab || ba {
 		t.Errorf("KDomCompare k=3 = (%v,%v), want (false,false)", ab, ba)
-	}
-}
-
-func TestInTargetSet(t *testing.T) {
-	u := []float64{5, 5, 5}
-	if !InTargetSet(u, u, 3) {
-		t.Error("a tuple is always in its own target set")
-	}
-	if !InTargetSet([]float64{4, 5, 9}, u, 2) {
-		t.Error("tuple leq on 2 attrs should be in 2-target set")
-	}
-	if InTargetSet([]float64{9, 9, 1}, u, 2) {
-		t.Error("tuple leq on only 1 attr should not be in 2-target set")
 	}
 }
 
@@ -195,26 +147,23 @@ func TestPropertyKDomCompareConsistent(t *testing.T) {
 	}
 }
 
+// TestPropertyCountsConsistent pins LeqLess to a direct count of each
+// position, and the complement identities KDomCompare derives the reverse
+// direction from: count(b<=a) = d-less and count(b<a) = d-leq.
 func TestPropertyCountsConsistent(t *testing.T) {
 	f := func(a, b vec) bool {
-		leq := CountLeq(a.slice(), b.slice())
-		less := CountLess(a.slice(), b.slice())
-		eq := CountEq(a.slice(), b.slice())
-		return leq == less+eq && leq <= 5 && less >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyInTargetSetSupersetOfDominators(t *testing.T) {
-	// Every k'-dominator of u is in u's k'-target set, and so is u itself.
-	f := func(x, u vec, kRaw uint8) bool {
-		k := int(kRaw)%5 + 1
-		if KDominates(x.slice(), u.slice(), k) && !InTargetSet(x.slice(), u.slice(), k) {
-			return false
+		var wantLeq, wantLess int
+		for i := range a {
+			if a[i] <= b[i] {
+				wantLeq++
+			}
+			if a[i] < b[i] {
+				wantLess++
+			}
 		}
-		return InTargetSet(u.slice(), u.slice(), k)
+		leq, less := LeqLess(a.slice(), b.slice())
+		revLeq, revLess := LeqLess(b.slice(), a.slice())
+		return leq == wantLeq && less == wantLess && revLeq == len(a)-less && revLess == len(a)-leq
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

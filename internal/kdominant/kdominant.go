@@ -189,17 +189,6 @@ func SkylineVerify(points [][]float64, k int) []int {
 	return result
 }
 
-// IsKDominated reports whether points[i] is k-dominated by any point in
-// subset (excluding itself).
-func IsKDominated(points [][]float64, subset []int, i, k int) bool {
-	for _, j := range subset {
-		if j != i && dom.KDominates(points[j], points[i], k) {
-			return true
-		}
-	}
-	return false
-}
-
 func identity(n int) []int {
 	ids := make([]int, n)
 	for i := range ids {

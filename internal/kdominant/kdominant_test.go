@@ -104,19 +104,6 @@ func TestTwoScanSubset(t *testing.T) {
 	}
 }
 
-func TestIsKDominated(t *testing.T) {
-	points := [][]float64{{1, 1}, {2, 2}}
-	if !IsKDominated(points, []int{0, 1}, 1, 2) {
-		t.Error("point 1 should be 2-dominated by point 0")
-	}
-	if IsKDominated(points, []int{0, 1}, 0, 2) {
-		t.Error("point 0 should not be dominated")
-	}
-	if IsKDominated(points, []int{1}, 1, 2) {
-		t.Error("a point is never dominated by itself")
-	}
-}
-
 func randomPoints(rng *rand.Rand, n, d, domain int) [][]float64 {
 	points := make([][]float64, n)
 	for i := range points {

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/planner"
 )
 
 // Algorithm selects the evaluation strategy: the engine's own type, whose
@@ -114,9 +113,8 @@ var ErrOptionConflict = core.ErrOptionConflict
 var ErrStaleResident = core.ErrStaleResident
 
 // Run evaluates one query. With Algorithm == Auto the engine picks the
-// strategy (Result.Algorithm reports it; RunAuto also returns the reason).
-// An empty join answers the empty skyline. The context bounds the whole
-// call.
+// strategy and Result.Algorithm reports it. An empty join answers the
+// empty skyline. The context bounds the whole call.
 func Run(ctx context.Context, q Query, opts Options) (*Result, error) {
 	return run(ctx, q, opts, nil)
 }
@@ -130,24 +128,6 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 	return core.Exec(ctx, q, core.ExecOptions{
 		Algorithm: opts.Algorithm, Workers: opts.Workers, Limit: opts.Limit, Resident: res,
 	})
-}
-
-// RunAuto runs Auto and returns the planner's account of the pick
-// alongside the result. opts is unused.
-func RunAuto(ctx context.Context, q Query, opts PlannerOptions) (*Result, *Plan, error) {
-	return planner.Run(ctx, q, opts)
-}
-
-// Choose reports which algorithm Auto would pick for any Run or Stream,
-// and why, without executing the query. It samples nothing: the plan's
-// Estimate carries only the exact join size.
-func Choose(ctx context.Context, q Query, opts PlannerOptions) (*Plan, error) {
-	return planner.Choose(ctx, q, opts)
-}
-
-// EstimateCardinality samples the join and estimates the skyline size.
-func EstimateCardinality(ctx context.Context, q Query, opts PlannerOptions) (*Estimate, error) {
-	return planner.EstimateCardinality(ctx, q, opts)
 }
 
 // FindK solves Problem 3: the smallest k whose k-dominant skyline join has
@@ -166,15 +146,6 @@ func FindKAtMost(ctx context.Context, q Query, delta int, alg FindKAlgorithm) (*
 // result slice is parallel to pairs.
 func Membership(ctx context.Context, q Query, pairs [][2]int) ([]bool, error) {
 	return core.MembershipContext(ctx, q, pairs)
-}
-
-// IsSkylineMember answers a single membership point query.
-func IsSkylineMember(ctx context.Context, q Query, i, j int) (bool, error) {
-	members, err := core.MembershipContext(ctx, q, [][2]int{{i, j}})
-	if err != nil {
-		return false, err
-	}
-	return members[0], nil
 }
 
 // NewMaintainer builds an incremental maintainer of q's answer, for

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/join"
 )
 
 // randRelation builds a random relation with small integer attributes (to
@@ -60,36 +61,63 @@ func TestRunMatchesCoreAcrossConditions(t *testing.T) {
 	}
 }
 
+// TestRunAutoMatchesPlannedAlgorithm pins Auto on both run surfaces to
+// the engine's one rule: Run and Prepared.Run report in Result.Algorithm
+// the arm core.ResolveAuto picks, and answer what a core.Run of that arm
+// answers — on a small join (naive), a large one (dominator) and a
+// non-strict aggregator (naive without counting).
 func TestRunAutoMatchesPlannedAlgorithm(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(303))
-	r1 := randRelation(rng, "r1", 60, 3, 0, 4, 6)
-	r2 := randRelation(rng, "r2", 60, 3, 0, 4, 6)
-	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 4}
-	res, plan, err := RunAuto(context.Background(), q, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan == nil || plan.Reason == "" {
-		t.Fatal("auto run returned no plan")
-	}
-	want, err := core.Run(q, plan.Algorithm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Skyline, want.Skyline) {
-		t.Errorf("auto skyline diverged from planned algorithm %v", plan.Algorithm)
-	}
-	viaRun, err := Run(context.Background(), q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaRun.Skyline, res.Skyline) || viaRun.Algorithm != plan.Algorithm {
-		t.Errorf("Run with Auto ran %v, diverging from RunAuto's %v", viaRun.Algorithm, plan.Algorithm)
+	small := Query{R1: randRelation(rng, "r1", 60, 3, 0, 4, 6), R2: randRelation(rng, "r2", 60, 3, 0, 4, 6),
+		Spec: Spec{Cond: Equality}, K: 4}
+	large := Query{R1: randRelation(rng, "r1", 120, 3, 1, 2, 6), R2: randRelation(rng, "r2", 120, 3, 1, 2, 6),
+		Spec: Spec{Cond: Equality, Agg: Sum}, K: 6}
+	nonStrict := large
+	nonStrict.Spec.Agg = Max
+	for _, c := range []struct {
+		name string
+		q    Query
+		want Algorithm
+	}{
+		{"small", small, Naive},
+		{"large", large, DominatorBased},
+		{"max", nonStrict, Naive},
+	} {
+		alg, _ := core.ResolveAuto(c.q, core.ExecOptions{Algorithm: Auto})
+		if alg != c.want {
+			t.Fatalf("%s: ResolveAuto picked %v, the case needs %v", c.name, alg, c.want)
+		}
+		want, err := core.Run(c.q, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaRun, err := Run(ctx, c.q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Prepare(ctx, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaPrepared, err := p.Run(ctx, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for surface, res := range map[string]*Result{"Run": viaRun, "Prepared.Run": viaPrepared} {
+			if res.Algorithm != alg {
+				t.Errorf("%s: %s with Auto ran %v, ResolveAuto picks %v", c.name, surface, res.Algorithm, alg)
+			}
+			if !reflect.DeepEqual(res.Skyline, want.Skyline) {
+				t.Errorf("%s: %s with Auto diverged from core.Run(%v)", c.name, surface, alg)
+			}
+		}
 	}
 }
 
 // TestAutoEmptyJoin pins that every facade surface answers an empty join
-// with the empty skyline, not an error.
+// with the empty skyline, not an error, and that Auto reports the arm the
+// engine's rule picks for a join of 0.
 func TestAutoEmptyJoin(t *testing.T) {
 	ctx := context.Background()
 	q := Query{
@@ -97,20 +125,24 @@ func TestAutoEmptyJoin(t *testing.T) {
 		R2:   MustNewRelation("r2", 2, 0, []Tuple{{Key: "b", Attrs: []float64{1, 2}}}),
 		Spec: Spec{Cond: Equality}, K: 3,
 	}
-	res, err := Run(ctx, q, Options{})
-	if err != nil || len(res.Skyline) != 0 {
-		t.Errorf("Run: %v, %v; want the empty skyline", res, err)
+	alg, joined := core.ResolveAuto(q, core.ExecOptions{Algorithm: Auto})
+	if alg != Naive || joined != 0 {
+		t.Fatalf("ResolveAuto = %v over a join of %d; want naive over 0", alg, joined)
 	}
-	res, plan, err := RunAuto(ctx, q, PlannerOptions{})
-	if err != nil || len(res.Skyline) != 0 || plan.Estimate.JoinedSize != 0 {
-		t.Errorf("RunAuto: %v, %v, %v; want the empty skyline over a join of 0", res, plan, err)
+	want, err := core.Run(q, alg)
+	if err != nil || len(want.Skyline) != 0 {
+		t.Fatalf("core.Run(%v): %v, %v; want the empty skyline", alg, want, err)
+	}
+	res, err := Run(ctx, q, Options{})
+	if err != nil || len(res.Skyline) != 0 || res.Algorithm != alg {
+		t.Errorf("Run: %v, %v; want the empty skyline from %v", res, err, alg)
 	}
 	p, err := Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = p.Run(ctx, Options{}); err != nil || len(res.Skyline) != 0 {
-		t.Errorf("Prepared.Run: %v, %v; want the empty skyline", res, err)
+	if res, err = p.Run(ctx, Options{}); err != nil || len(res.Skyline) != 0 || res.Algorithm != alg {
+		t.Errorf("Prepared.Run: %v, %v; want the empty skyline from %v", res, err, alg)
 	}
 	for pair, err := range Stream(ctx, q, Options{}) {
 		t.Errorf("Stream yielded %v, %v; want nothing", pair, err)
@@ -231,23 +263,57 @@ func TestFindKMatchesCore(t *testing.T) {
 	}
 }
 
+// TestMembershipAgreesWithRun probes every joined pair through Membership
+// and requires members and skyline to coincide in both directions: every
+// skyline pair is a member, and every member is in the skyline.
 func TestMembershipAgreesWithRun(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(313))
 	r1 := randRelation(rng, "r1", 25, 3, 0, 3, 5)
 	r2 := randRelation(rng, "r2", 25, 3, 0, 3, 5)
-	q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: 4}
-	res, err := Run(context.Background(), q, Options{Algorithm: Grouping})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Skyline {
-		member, err := IsSkylineMember(context.Background(), q, p.Left, p.Right)
+	// Ties on the small domain leave k = 4 with no members; k = 5 has one,
+	// full dominance (k = 6) twenty.
+	for k := 5; k <= 6; k++ {
+		q := Query{R1: r1, R2: r2, Spec: Spec{Cond: Equality}, K: k}
+		res, err := Run(ctx, q, Options{Algorithm: Grouping})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !member {
-			t.Errorf("skyline pair (%d,%d) not a member per point query", p.Left, p.Right)
+		assertMembersAreSkyline(t, q, res, func(pairs [][2]int) ([]bool, error) { return Membership(ctx, q, pairs) })
+	}
+}
+
+// assertMembersAreSkyline runs membership over every pair of q's join and
+// checks members ⇔ res.Skyline pair by pair.
+func assertMembersAreSkyline(t *testing.T, q Query, res *Result, membership func([][2]int) ([]bool, error)) {
+	t.Helper()
+	all, err := join.Pairs(q.R1, q.R2, q.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([][2]int, len(all))
+	for n, p := range all {
+		pairs[n] = [2]int{p.Left, p.Right}
+	}
+	inSky := make(map[[2]int]bool, len(res.Skyline))
+	for _, p := range res.Skyline {
+		inSky[[2]int{p.Left, p.Right}] = true
+	}
+	members, err := membership(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for i, pr := range pairs {
+		if members[i] != inSky[pr] {
+			t.Errorf("pair %v: member %v, in the skyline %v", pr, members[i], inSky[pr])
 		}
+		if members[i] {
+			n++
+		}
+	}
+	if n != len(res.Skyline) || n == 0 {
+		t.Errorf("%d of %d joined pairs are members, the skyline holds %d; want equal and nonzero", n, len(pairs), len(res.Skyline))
 	}
 }
 

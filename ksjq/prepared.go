@@ -171,13 +171,3 @@ func (p *Prepared) FindKAtMost(ctx context.Context, delta int, alg FindKAlgorith
 func (p *Prepared) Membership(ctx context.Context, pairs [][2]int) ([]bool, error) {
 	return p.resident().Membership(ctx, p.q, pairs)
 }
-
-// IsSkylineMember answers a single membership point query over the
-// resident snapshot.
-func (p *Prepared) IsSkylineMember(ctx context.Context, i, j int) (bool, error) {
-	members, err := p.Membership(ctx, [][2]int{{i, j}})
-	if err != nil {
-		return false, err
-	}
-	return members[0], nil
-}

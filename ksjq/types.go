@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/join"
-	"repro/internal/planner"
 )
 
 // The facade's data types are aliases of the engine's own, so values
@@ -36,13 +35,6 @@ type (
 	Aggregator = join.Aggregator
 	// ReadOptions configures CSV relation loading.
 	ReadOptions = dataset.ReadOptions
-
-	// Plan is the planner's decision with its rationale.
-	Plan = planner.Plan
-	// Estimate summarizes sampled statistics of one query.
-	Estimate = planner.Estimate
-	// PlannerOptions controls estimation and planning.
-	PlannerOptions = planner.Options
 
 	// FindKAlgorithm selects the strategy for Problems 3 and 4.
 	FindKAlgorithm = core.FindKAlgorithm

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # check_coverage.sh — statement-coverage gate for the packages that hold
-# the paper's algorithms, the planner and the service's mutation
-# machinery. Runs `go test -coverprofile` per package listed in
+# the paper's algorithms, the planner, the service's mutation machinery
+# and the public facade. Runs `go test -coverprofile` per package listed in
 # scripts/coverage_floor.txt and fails when measured coverage drops below
 # the checked-in floor.
 #
