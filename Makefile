@@ -71,8 +71,9 @@ delete-smoke:
 	./scripts/smoke_delete.sh
 
 # Cluster smoke: boot 2 real shard processes + a gateway, check the
-# scatter-gathered answer against a single-node recompute, and that a
-# dead shard surfaces as a 503 naming it.
+# scatter-gathered answer against a single-node recompute, that no_cache
+# leaves no answer on the shards, and that a dead shard surfaces as a 503
+# naming it.
 shard-smoke:
 	./scripts/smoke_shard.sh
 

@@ -84,9 +84,10 @@ func newTargetSets(e *engine) *targetSets {
 // publish hands what this run built to its resident, for the runs after it
 // at the same k. Categorizations are held from the first run at a k on,
 // target sets from the second: the first run's entry only marks the k as
-// asked. A k asked once per relation version — the computation behind a
-// cached answer, a pair no write ever touches — would otherwise pin sets
-// that no run reads, for as long as no write drops them.
+// asked. A k asked once — the computation behind a cached answer, a pair
+// no write ever touches — would otherwise pin sets that no run reads, for
+// as long as no write drops them. A write keeps the marks (Resident.drop),
+// so at a k asked before it, the first run after it publishes its sets.
 func (t *targetSets) publish() {
 	if t.table == nil {
 		return

@@ -52,8 +52,9 @@ func TestResidentStaleAfterEqualLengthChurn(t *testing.T) {
 // publishes both categorizations and no target set, the second reads
 // them and publishes its target sets, the third builds nothing
 // (DominatorTime is exactly zero) and republishes nothing, all three do the
-// same work, another k has its own entry, and Absorb and Retract drop the
-// table.
+// same work, another k has its own entry, and Absorb and Retract empty the
+// table but keep its k's: the first run after a write at a k asked before
+// it publishes its target sets at once, at a new k categorizations only.
 func TestResidentHoldsKState(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	r1 := randRelation(rng, "r1", 60, 3, 1, 3, 10)
@@ -116,11 +117,23 @@ func TestResidentHoldsKState(t *testing.T) {
 	if err := res.Absorb(Left, appendTail(t, r1, rng, 2, 4, 3, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if res.held != nil {
-		t.Error("Absorb kept the k-dependent table")
-	}
+	assertEmptied(t, "Absorb", res, 5, 7)
+	// k = 7 was asked before the write: its first run after it publishes
+	// its target sets as well as both categorizations.
 	if _, err := res.Exec(ctx, q, o); err != nil {
 		t.Fatal(err)
+	}
+	if hk := res.held.byK[q.K]; hk.cats[Left] == nil || hk.cats[Right] == nil || len(hk.lefts) == 0 || len(hk.rights) == 0 {
+		t.Errorf("the first run at k=7 after the write published %+v, want categorizations and target sets", hk)
+	}
+	// k = 6 was not: its first run still publishes categorizations only.
+	q6 := q
+	q6.K = 6
+	if _, err := res.Exec(ctx, q6, o); err != nil {
+		t.Fatal(err)
+	}
+	if hk6 := res.held.byK[6]; hk6 == nil || hk6.cats[Left] == nil || hk6.cats[Right] == nil || len(hk6.lefts) != 0 || len(hk6.rights) != 0 {
+		t.Errorf("the first run at k=6 published %+v, want categorizations only", hk6)
 	}
 	if err := r2.DeleteBatch([]int{0, 5}); err != nil {
 		t.Fatal(err)
@@ -128,8 +141,21 @@ func TestResidentHoldsKState(t *testing.T) {
 	if err := res.Retract(Right, []int{0, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if res.held != nil {
-		t.Error("Retract kept the k-dependent table")
+	assertEmptied(t, "Retract", res, 5, 6, 7)
+}
+
+// assertEmptied checks the table a write left: exactly the k's it held
+// before, each with no categorization and no target set.
+func assertEmptied(t *testing.T, write string, res *Resident, ks ...int) {
+	t.Helper()
+	if res.held == nil || len(res.held.byK) != len(ks) || res.held.order2 != nil {
+		t.Fatalf("%s left table %+v, want the k's %v and nothing else", write, res.held, ks)
+	}
+	for _, k := range ks {
+		hk := res.held.byK[k]
+		if hk == nil || hk == noHeld || hk.cats != [2]*Categorization{} || len(hk.lefts) != 0 || len(hk.rights) != 0 {
+			t.Errorf("%s: the table holds %+v at k=%d, want an empty entry", write, hk, k)
+		}
 	}
 }
 

@@ -25,7 +25,9 @@ import (
 //     order the τ(v) scans share. A run reads what is there and publishes
 //     what it had to build — categorizations from the first run at a k
 //     on, target sets from the second, so a k asked once pins no sets —
-//     and every later run at that k builds nothing. Votes on outside
+//     and every later run at that k builds nothing. A write empties the
+//     table but keeps its k's, so at a k asked before the write the
+//     first run after it already publishes its sets. Votes on outside
 //     vectors (AnyDominators, Membership) read the table but publish
 //     nothing, so every held set is keyed by a row's local sub-vector:
 //     at most one τ(u) per R1 row and one τ(v) per R2 row at each k.
@@ -43,9 +45,9 @@ import (
 // built from keep the exact rows they had — same length, same mutation
 // generation (dataset.Relation.Generation). Callers that mutate the
 // relations carry the snapshot forward with Absorb (after an append) or
-// Retract (after a delete); both drop the k-dependent table, which the
-// next runs rebuild. Any other mutation requires a fresh Resident — Exec
-// rejects a stale one.
+// Retract (after a delete); both drop the k-dependent table's contents,
+// which the next runs rebuild. Any other mutation requires a fresh
+// Resident — Exec rejects a stale one.
 type Resident struct {
 	r1, r2     *dataset.Relation
 	n1, n2     int
@@ -58,8 +60,8 @@ type Resident struct {
 	// batch merges extend it instead of re-summing the whole relation.
 	leftSums []float64
 
-	// mu guards held, which Absorb and Retract drop and the first run
-	// after them recreates.
+	// mu guards held, which Absorb and Retract replace by an empty table
+	// over the same k's and the first run ever creates.
 	mu   sync.Mutex
 	held *heldTable
 }
@@ -73,7 +75,7 @@ type heldTable struct {
 	byK    map[int]*heldK
 }
 
-// heldAt returns the current table (creating it after a drop), R2's held
+// heldAt returns the current table (creating it on the first run), R2's held
 // probe order, and the state published for k (never nil).
 func (r *Resident) heldAt(k int) (*heldTable, []int, *heldK) {
 	r.mu.Lock()
@@ -126,12 +128,23 @@ func merged[V any](old, add map[string]V) map[string]V {
 	return out
 }
 
-// drop discards the k-dependent table; Absorb and Retract call it, under
-// the same exclusion from readers their other writes need.
+// drop discards the k-dependent table's contents but keeps its k's: the
+// successor holds an empty entry for every k the table held, so the first
+// run at such a k after the write counts as a later run and publishes its
+// target sets beside its categorizations. The markers are keyed by k, so
+// the table stays bounded by the k values in use. Absorb and Retract call
+// it, under the same exclusion from readers their other writes need.
 func (r *Resident) drop() {
 	r.mu.Lock()
-	r.held = nil
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.held == nil {
+		return
+	}
+	next := &heldTable{byK: make(map[int]*heldK, len(r.held.byK))}
+	for k := range r.held.byK {
+		next.byK[k] = &heldK{}
+	}
+	r.held = next
 }
 
 // String returns "left" or "right" (Side is declared with the
@@ -193,7 +206,7 @@ func NewResident(q Query) (*Resident, error) {
 // (join.Index.Extend). Both advance the recorded length and generation,
 // so the post-batch Resident serves queries without ErrStaleResident at
 // merge cost instead of rebuild cost, and both drop the k-dependent
-// table.
+// table's contents.
 //
 // Absorb writes to structures concurrent Execs read: callers must exclude
 // it from readers exactly as they exclude relation mutation. For a
@@ -244,8 +257,9 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 // survivors (sums are untouched by a delete, so the filtered order is
 // exactly what a rebuild would sort); a right retract does the same to the
 // full-R2 join index (join.Index.Retract). Both shrink the recorded length,
-// record the relation's generation and drop the k-dependent table. For a
-// self-join retract each side separately, exactly as with Absorb.
+// record the relation's generation and drop the k-dependent table's
+// contents. For a self-join retract each side separately, exactly as
+// with Absorb.
 //
 // Like Absorb, Retract writes to structures concurrent Execs read: callers
 // must exclude it from readers.

@@ -13,7 +13,8 @@
 //	GET    /v1/relations
 //	DELETE /v1/relations?name=r1
 //	POST   /v1/query      {"r1","r2","k","join","agg","algorithm","workers","timeout_ms","no_cache","components"}
-//	                      ("components":true answers "candidates", the compact form, instead of "skyline")
+//	                      ("components":true answers "candidates", the compact form, instead of "skyline";
+//	                      "no_cache":true recomputes and leaves no answer in the cache)
 //	POST   /v1/verify     {"r1","r2","k","join","agg","timeout_ms"} plus "vectors":[[...],...]
 //	                      or "candidates":{"lefts","rights","pairs","aggs"} (the compact form)
 //	POST   /v1/watch      same body as /v1/query; responds with NDJSON answer deltas
@@ -101,7 +102,9 @@ type QueryJSON struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-	NoCache   bool   `json:"no_cache,omitempty"`
+	// NoCache asks a query for a recompute that neither reads nor writes
+	// the answer cache (service.QueryRequest.NoCache); a watch ignores it.
+	NoCache bool `json:"no_cache,omitempty"`
 	// Components is set by the gateway's round-1 legs (DESIGN.md §13).
 	Components bool `json:"components,omitempty"`
 }

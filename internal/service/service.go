@@ -176,8 +176,10 @@ type QueryRequest struct {
 	// Timeout bounds this request (queue wait + execution); 0 defers to
 	// Config.DefaultTimeout, negative means no deadline.
 	Timeout time.Duration
-	// NoCache skips the answer-cache lookup (the result still refreshes
-	// the cache) — for callers that need a recompute, not a warm answer.
+	// NoCache neither reads nor writes the answer cache — for callers that
+	// need a recompute, not a warm answer. Its result is not stored, so it
+	// leaves nothing for later commits to maintain; an answer already
+	// standing, maintained or not, is left as it was.
 	NoCache bool
 }
 
@@ -709,7 +711,9 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	}
 	s.computed.Add(1)
 	algo := out.Algorithm.Token()
-	s.cache.Store(key, versions, q, out.Skyline, algo)
+	if !req.NoCache {
+		s.cache.Store(key, versions, q, out.Skyline, algo)
+	}
 	return &QueryResponse{
 		Skyline:   out.Skyline,
 		Source:    SourceComputed,

@@ -154,6 +154,63 @@ func TestQueryNoCacheRecomputes(t *testing.T) {
 	}
 }
 
+// TestNoCacheLeavesNoStandingAnswer pins the one rule for NoCache: it
+// neither reads nor writes the answer cache. A NoCache query leaves no
+// answer for later commits to promote and maintain, and over an answer
+// that is already maintained it leaves that answer maintained.
+func TestNoCacheLeavesNoStandingAnswer(t *testing.T) {
+	ctx := context.Background()
+	s := newTestService(t, Config{})
+	registerPair(t, s, 40)
+	req := QueryRequest{R1: "r1", R2: "r2", K: 5, NoCache: true}
+	if _, err := s.Query(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := s.Insert("r1", dataset.Tuple{Key: "g0000", Attrs: []float64{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := s.Delete("r2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Maintained != 0 || del.Maintained != 0 {
+		t.Errorf("insert maintained %d answers, delete %d; want 0 and 0", ins.Maintained, del.Maintained)
+	}
+	if st := s.Stats(); st.CacheEntries != 0 || st.MaintainedEntries != 0 {
+		t.Errorf("after a NoCache query and two commits: %d cache entries, %d maintained; want 0 and 0",
+			st.CacheEntries, st.MaintainedEntries)
+	}
+
+	req.NoCache = false
+	for _, want := range []Source{SourceComputed, SourceCached} {
+		resp, err := s.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != want {
+			t.Errorf("plain query after the commits: source %q, want %q", resp.Source, want)
+		}
+	}
+
+	// A standing answer, maintained by a commit, stays maintained through a
+	// NoCache recompute.
+	if _, err := s.Insert("r2", dataset.Tuple{Key: "g0001", Attrs: []float64{5, 6, 7, 8}}); err != nil {
+		t.Fatal(err)
+	}
+	req.NoCache = true
+	if resp, err := s.Query(ctx, req); err != nil || resp.Source != SourceComputed {
+		t.Fatalf("NoCache query over a maintained answer: %+v, %v", resp, err)
+	}
+	req.NoCache = false
+	if resp, err := s.Query(ctx, req); err != nil || resp.Source != SourceMaintained {
+		t.Errorf("after the NoCache recompute: %+v, %v; want source %q", resp, err, SourceMaintained)
+	}
+	if st := s.Stats(); st.CacheEntries != 1 || st.MaintainedEntries != 1 {
+		t.Errorf("%d cache entries, %d maintained; want 1 and 1", st.CacheEntries, st.MaintainedEntries)
+	}
+}
+
 // TestInsertMatchesOracle is the live-maintenance property test the
 // acceptance criteria name: random inserts through the service must leave
 // every subsequent answer identical to a from-scratch recompute on the

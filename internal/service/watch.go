@@ -90,6 +90,7 @@ func newWatch(ctx context.Context, detach func(*Watch)) *Watch {
 // take — a strictly monotonic aggregator — and rejects others with
 // ErrBadRequest. The context governs the subscription's lifetime: when it
 // is cancelled the Events channel closes and Err reports the cause.
+// NoCache is ignored: a subscription is to the standing answer.
 func (s *Service) Watch(ctx context.Context, req QueryRequest) (*Watch, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -98,6 +99,7 @@ func (s *Service) Watch(ctx context.Context, req QueryRequest) (*Watch, error) {
 	if err != nil {
 		return nil, err
 	}
+	req.NoCache = false
 
 	// Establishing a watch must not miss or double-count a commit: the
 	// snapshot event and the subscription have to be atomic against the

@@ -166,6 +166,25 @@ func TestWatchSharedSetAndClose(t *testing.T) {
 	}
 }
 
+// TestWatchIgnoresNoCache pins that a subscription attaches to the standing
+// answer even when its request says NoCache: a NoCache query stores
+// nothing, so honouring the flag would leave nothing to attach to.
+func TestWatchIgnoresNoCache(t *testing.T) {
+	s := newTestService(t, Config{})
+	registerPair(t, s, 40)
+	w, err := s.Watch(context.Background(), QueryRequest{R1: "r1", R2: "r2", K: 5, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if ev := nextEvent(t, w); ev.Seq != 0 {
+		t.Fatalf("first event has seq %d, want the snapshot", ev.Seq)
+	}
+	if st := s.Stats(); st.Watches != 1 || st.CacheEntries != 1 {
+		t.Errorf("%d watches over %d cache entries, want 1 and 1", st.Watches, st.CacheEntries)
+	}
+}
+
 // TestWatchRejectsNonStrictAggregator pins the up-front rejection: max
 // cannot be maintained incrementally, so it cannot be watched.
 func TestWatchRejectsNonStrictAggregator(t *testing.T) {

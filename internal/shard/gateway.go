@@ -255,8 +255,9 @@ func (g *Gateway) Query(ctx context.Context, req service.QueryRequest) (*QueryRe
 
 // queryLocked checks the request — before the store lookup, so a malformed
 // one is rejected whether or not its answer stands — then serves the
-// standing answer or runs both rounds and leaves the result standing. The
-// caller holds g.mu (read for Query, write for Watch).
+// standing answer or runs both rounds and leaves the result standing. A
+// NoCache request, like the single node's, neither reads nor writes the
+// store. The caller holds g.mu (read for Query, write for Watch).
 func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest, p service.Parsed) (*QueryResponse, error) {
 	start := time.Now()
 	rp1, rp2, err := g.checkLocked(req, p)
@@ -285,7 +286,9 @@ func (g *Gateway) queryLocked(ctx context.Context, req service.QueryRequest, p s
 	}
 	// The zero core.Query: the gateway carries answers across mutations by
 	// re-running the rounds (refreshWatchesLocked), never by a maintainer.
-	g.answers.Store(key, versions, core.Query{}, resp.Skyline, resp.Algorithm)
+	if !req.NoCache {
+		g.answers.Store(key, versions, core.Query{}, resp.Skyline, resp.Algorithm)
+	}
 	return resp, nil
 }
 

@@ -809,6 +809,48 @@ func TestGatewayWarmRepeat(t *testing.T) {
 	samePairs(t, "warm repeat", warm.Skyline, cold.Skyline)
 }
 
+// TestGatewayNoCacheLeavesNoStandingAnswer is the gateway twin of the
+// single node's rule: a NoCache query neither reads nor writes an answer
+// store, the gateway's or a shard's (round 1 forwards the flag), so a
+// later insert finds nothing to maintain anywhere. A watch ignores the
+// flag: it subscribes to the standing answer.
+func TestGatewayNoCacheLeavesNoStandingAnswer(t *testing.T) {
+	ctx := context.Background()
+	const local, agg = 2, 1
+	rng := rand.New(rand.NewSource(22))
+	c := newCluster(t, 2)
+	if _, err := c.gw.Register(ctx, "r1", local, agg, genTuples(rng, 30, local, agg, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.gw.Register(ctx, "r2", local, agg, genTuples(rng, 30, local, agg, 6)); err != nil {
+		t.Fatal(err)
+	}
+	req := service.QueryRequest{R1: "r1", R2: "r2", K: 4, Agg: "sum", NoCache: true}
+	if _, err := c.gw.Query(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.gw.InsertBatch(ctx, "r1", genTuples(rng, 1, local, agg, 6)); err != nil {
+		t.Fatal(err)
+	}
+	for i, svc := range c.svcs {
+		if st := svc.Stats(); st.CacheEntries != 0 || st.MaintainedEntries != 0 {
+			t.Errorf("shard %d holds %d answers (%d maintained) after a NoCache query, want none", i, st.CacheEntries, st.MaintainedEntries)
+		}
+	}
+	if n, _, _, _ := c.gw.answers.Stats(); n != 0 {
+		t.Errorf("the gateway's store holds %d answers after a NoCache query, want none", n)
+	}
+
+	w, err := c.gw.Watch(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if n, _, watches, _ := c.gw.answers.Stats(); n != 1 || watches != 1 {
+		t.Errorf("a NoCache watch left %d answers with %d watches in the gateway's store, want 1 and 1", n, watches)
+	}
+}
+
 // TestGatewayUnregisterPurgesAnswerCache pins the stale-answer bug: a
 // re-registered relation restarts at placement version 1, so an answer
 // cached before the Unregister would pass the version check and be served

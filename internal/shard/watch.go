@@ -28,8 +28,8 @@ type Watch = service.Watch
 // Watch subscribes to a query's merged answer. The first event (Seq 0)
 // is the current answer as Added; each later event is the coalesced
 // delta one gateway insert or delete batch caused. Like the single-node
-// service, only strictly monotonic aggregators are watchable. The
-// context governs the subscription's lifetime.
+// service, only strictly monotonic aggregators are watchable, and NoCache
+// is ignored. The context governs the subscription's lifetime.
 func (g *Gateway) Watch(ctx context.Context, req service.QueryRequest) (*Watch, error) {
 	if err := g.track(); err != nil {
 		return nil, err
@@ -39,6 +39,7 @@ func (g *Gateway) Watch(ctx context.Context, req service.QueryRequest) (*Watch, 
 	if err != nil {
 		return nil, err
 	}
+	req.NoCache = false
 	// Establish under the write lock: mutations also hold it, so the
 	// snapshot and the subscription are atomic against ingest — no
 	// retry loop needed, unlike the single-node service whose queries

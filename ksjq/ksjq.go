@@ -95,9 +95,9 @@ type Options struct {
 	// the Result already carries Stats — it exists because an iterator has
 	// no other result channel.
 	Stats *Stats
-	// NoCache makes Prepared.Run skip the prepared answer memo (the
-	// result still refreshes it) — for callers that need a recompute, not
-	// a warm answer. Run and Stream ignore it.
+	// NoCache makes Prepared.Run neither read nor write the prepared
+	// answer memo — for callers that need a recompute, not a warm answer.
+	// Run and Stream ignore it.
 	NoCache bool
 }
 

@@ -95,10 +95,9 @@ func (p *Prepared) resident() *core.Resident {
 // Options work as in Run, plus: Options.K (> 0) overrides the prepared
 // query's K, and repeated full runs (no Limit) at the same k are
 // answered from a per-k memo — byte-identical to the original Result,
-// which callers must treat as read-only; Options.NoCache skips the memo
-// lookup (the recompute still refreshes it). Algorithm and Workers are
-// deliberately not part of the memo identity: every strategy computes the
-// same skyline.
+// which callers must treat as read-only; Options.NoCache neither reads
+// nor writes the memo. Algorithm and Workers are deliberately not part of
+// the memo identity: every strategy computes the same skyline.
 func (p *Prepared) Run(ctx context.Context, opts Options) (*Result, error) {
 	q := p.q
 	if opts.K > 0 {
@@ -121,7 +120,7 @@ func (p *Prepared) Run(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if memoable {
+	if memoable && !opts.NoCache {
 		p.mu.Lock()
 		// Store only if the snapshot this run used is still current: a
 		// Rebind that raced with the run has already cleared the memo, and

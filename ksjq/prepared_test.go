@@ -143,7 +143,8 @@ func TestPreparedVaryingK(t *testing.T) {
 }
 
 // TestPreparedMemo pins the answer memo: identical repeated runs return
-// the identical Result, NoCache recomputes, and Limit bypasses it.
+// the identical Result, NoCache recomputes and leaves the memo as it was,
+// and Limit bypasses it.
 func TestPreparedMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	r1 := randRelation(rng, "r1", 40, 3, 0, 4, 5)
@@ -171,6 +172,9 @@ func TestPreparedMemo(t *testing.T) {
 	}
 	if first == recomputed {
 		t.Fatal("NoCache run returned the memoized Result")
+	}
+	if again, err := p.Run(ctx, Options{Algorithm: Grouping}); err != nil || again != first {
+		t.Fatalf("after a NoCache run the memo serves another Result (err %v): NoCache wrote the memo", err)
 	}
 	limited, err := p.Run(ctx, Options{Algorithm: Grouping, Limit: 1})
 	if err != nil {

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # check_coverage.sh — statement-coverage gate for the packages that hold
-# the paper's algorithms, the planner, the service's mutation machinery
-# and the public facade. Runs `go test -coverprofile` per package listed in
-# scripts/coverage_floor.txt and fails when measured coverage drops below
-# the checked-in floor.
+# the paper's algorithms, the planner, the service's mutation machinery,
+# the sharded gateway, the HTTP codec and the public facade. Runs
+# `go test -coverprofile` per package listed in scripts/coverage_floor.txt
+# and fails when measured coverage drops below the checked-in floor.
 #
 # Flags (env):
 #   WARN_ONLY=1   report shortfalls but exit 0 (fork CI, exploratory work)

@@ -6,8 +6,8 @@
 # (1) the batch was retracted from the maintained answer (source
 # "maintained", the delete counted in /v1/stats) and (2) the maintained
 # skyline is byte-identical to a cold no_cache recompute over the
-# shrunken relations. Requires only go and a POSIX shell; CI runs it as
-# the delete-smoke lane.
+# shrunken relations. Requires only go and a POSIX shell; CI runs it in
+# the smoke lane.
 set -eu
 
 addr=127.0.0.1:8374

@@ -5,7 +5,7 @@
 # into the maintained answer (source "maintained", one group commit in
 # /v1/stats) and (2) the maintained skyline is byte-identical to a cold
 # no_cache recompute over the grown relations. Requires only go and a
-# POSIX shell; CI runs it as the ingest-smoke lane.
+# POSIX shell; CI runs it in the smoke lane.
 set -eu
 
 addr=127.0.0.1:8373

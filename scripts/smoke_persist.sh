@@ -6,7 +6,7 @@
 # store recovered them), (2) the recovered answer is byte-identical both
 # to the pre-crash maintained answer and to a cold no_cache recompute,
 # and (3) /v1/stats reports the durable counters. Requires only go and a
-# POSIX shell; CI runs it as the persist-smoke lane.
+# POSIX shell; CI runs it in the smoke lane.
 set -eu
 
 addr=127.0.0.1:8374

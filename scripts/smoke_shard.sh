@@ -4,10 +4,11 @@
 # through the gateway (partitioned by join key across the shards), insert
 # a batch, and assert (1) the gateway's scatter-gathered answer is
 # byte-identical to a cold no_cache recompute on a fresh single-node
-# ksjqd over the same data, (2) the round-2 verification traffic shows up
-# in the gateway's /v1/stats, and (3) killing one shard turns queries
-# into a 503 naming the dead shard. Requires only go and a POSIX shell;
-# CI runs it as the shard-smoke lane.
+# ksjqd over the same data, (2) that no_cache query left no answer on
+# either shard for a later insert to maintain, (3) the round-2
+# verification traffic shows up in the gateway's /v1/stats, and (4)
+# killing one shard turns queries into a 503 naming the dead shard.
+# Requires only go and a POSIX shell; CI runs it in the smoke lane.
 set -eu
 
 gw=127.0.0.1:8380
@@ -87,6 +88,21 @@ if [ "$gw_skyline" != "$single_skyline" ]; then
     exit 1
 fi
 echo "smoke_shard: gateway answer matches single-node recompute"
+
+# A no_cache query leaves no standing answer on either shard (round 1
+# forwards the flag), so a later insert has nothing to maintain.
+curl -fsS "http://$gw/v1/insert" -d "{\"relation\":\"r2\",\"tuples\":[$(gen_tuples 9)]}" >/dev/null
+for shard in "$s0" "$s1"; do
+    shard_stats=$(curl -fsS "http://$shard/v1/stats")
+    case $shard_stats in
+    *'"cache_entries":0,'*) ;;
+    *)
+        echo "smoke_shard: shard $shard holds answers after a no_cache query: $shard_stats" >&2
+        exit 1
+        ;;
+    esac
+done
+echo "smoke_shard: no_cache left no answer on either shard"
 
 # Round 2 really ran: the gateway shipped candidate batches.
 stats=$(curl -fsS "http://$gw/v1/stats")
